@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
-from .intutil import divisors, factor_bound, factorint, is_prime, prime_divisors
+from .intutil import DEFAULT_FACTOR_BOUND, divisors, factor_bound, factorint, is_prime, prime_divisors
 
 
 class FieldError(ValueError):
@@ -518,6 +518,10 @@ def multiplicative_order(field: FiniteField, x) -> int:
 # Cyclotomic fields Q(zeta_N)
 # ---------------------------------------------------------------------------
 
+# coefficient context of the Q[X] arithmetic behind the cyclotomic fields; it
+# never factors, so it takes a fixed bound instead of reading GDA_FACTOR_BOUND
+_QQ = RationalField(DEFAULT_FACTOR_BOUND)
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
@@ -529,25 +533,11 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
         if d == N:
             continue
         g = [Fraction(c) for c in cyclotomic_polynomial(d)]
-        f = _qpoly_exact_div(f, g)
+        f, rem = poly_divmod(_QQ, f, g)
+        if rem:
+            raise AssertionError("internal: division was not exact")
     assert all(c.denominator == 1 for c in f)
     return tuple(int(c) for c in f)
-
-
-def _qpoly_exact_div(a, b):
-    a = list(a)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        shift = len(a) - len(b)
-        c = a[-1] / b[-1]
-        out[shift] = c
-        for i, bc in enumerate(b):
-            a[shift + i] -= c * bc
-        while a and a[-1] == 0:
-            a.pop()
-    if any(a):
-        raise AssertionError("internal: division was not exact")
-    return out
 
 
 class CyclotomicField:
@@ -629,12 +619,12 @@ class CyclotomicField:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0")
         # extended Euclid in Q[X] against the (irreducible) modulus
-        r0, r1 = list(self.phi), _qpoly_trim([c for c in a])
+        r0, r1 = list(self.phi), poly_trim(_QQ, a)
         s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _qpoly_divmod(r0, r1)
+        while r1:
+            q, r = poly_divmod(_QQ, r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
+            s0, s1 = s1, poly_sub(_QQ, s0, poly_mul(_QQ, q, s1))
         if len(r0) != 1:
             raise AssertionError("internal: gcd with the cyclotomic modulus is not constant")
         c = r0[0]
@@ -720,49 +710,6 @@ def cyclotomic_field(N: int) -> CyclotomicField:
 def zeta(N: int):
     """The designated primitive N-th root of unity of Q(zeta_N)."""
     return CyclotomicField(N).zeta
-
-
-def _qpoly_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _qpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _qpoly_trim(out)
-
-
-def _qpoly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _qpoly_trim(out)
-
-
-def _qpoly_divmod(a, b):
-    a = _qpoly_trim(list(a))
-    b = _qpoly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(a) >= len(b) and a:
-        shift = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[shift] = c
-        for i, bc in enumerate(b):
-            a[shift + i] -= c * bc
-        a = _qpoly_trim(a)
-    return _qpoly_trim(q), a
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 An algebra is a basis tagged with degrees in a finite abelian group, a sparse
 structure-constant table, and a designated unit.  Nothing is trusted: grading
 compatibility, the unit law, associativity, and the graded-division property
-are all checked by explicit oracles, and every constructor in this package
-gates its output behind them.
+are all checked by explicit oracles.  ``oracle_checks`` is the one place that
+runs them in sequence, and ``certify`` is the single gate built on it: every
+constructor in this package passes its output through ``certify``, which
+raises OracleError at the first failing oracle.
 
 Invertibility decisions:
 
@@ -453,6 +455,42 @@ def _certify_component_module(A: GradedAlgebra, idxs: list[int], e_idxs: list[in
         if solve(F, rows, A.dense(A.basis_vec(j))) is None:
             raise CannotCertify("component is not a cyclic module over the identity component")
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# The certification gate
+# ---------------------------------------------------------------------------
+
+_FAILURES = {
+    "grading": "grading compatibility failed at {}",
+    "unit": "unit law failed at basis {}",
+    "associative": "associativity failed at triple {}",
+    "graded_division": "graded-division failed: {}",
+}
+
+
+def oracle_checks(A: GradedAlgebra):
+    """Yield (name, ok, witness) for the grading, unit, associativity and
+    graded-division oracles, in that order; each oracle runs only when its
+    result is asked for."""
+    yield ("grading", *verify_grading(A))
+    yield ("unit", *verify_unit(A))
+    yield ("associative", *verify_associative(A))
+    yield ("graded_division", *is_graded_division(A))
+
+
+def certify(A: GradedAlgebra) -> list[tuple]:
+    """Run every oracle on A and return the (name, ok, witness) results.
+
+    Raises OracleError, naming the oracle and its witness, at the first
+    failure; the oracles after it do not run.
+    """
+    results = []
+    for name, ok, witness in oracle_checks(A):
+        if not ok:
+            raise OracleError(_FAILURES[name].format(witness))
+        results.append((name, ok, witness))
+    return results
 
 
 # ---------------------------------------------------------------------------

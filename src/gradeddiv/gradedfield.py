@@ -31,7 +31,7 @@ from .exactfield import (
     poly_eval,
     poly_mul,
 )
-from .gradedalg import GradedAlgebra, left_mult_matrix, verify_associative
+from .gradedalg import GradedAlgebra, certify, left_mult_matrix
 from .intutil import prime_divisors
 from .linalg import det
 from .quasitorus import AltBicharacter, MuFunction, construct
@@ -665,18 +665,7 @@ def kummer_grading(spec: KummerSpec) -> tuple[GradedAlgebra, dict]:
             c = inv_emb[c_big]
             table[(pos[elems[i]], pos[elems[j]])] = {pos[elems[tgt]]: c}
     A = GradedAlgebra(F, Zr, tuple(elems), table, {0: F.one})
-    ok, wit = verify_associative(A)
-    if not ok:
-        raise AssertionError(f"internal: Kummer table not associative at {wit}")
-    from .gradedalg import is_graded_division, verify_grading, verify_unit
-
-    for check, name in ((verify_grading, "grading"), (verify_unit, "unit")):
-        ok, wit = check(A)
-        if not ok:
-            raise AssertionError(f"internal: Kummer table failed {name} at {wit}")
-    ok, wit = is_graded_division(A)
-    if not ok:
-        raise AssertionError(f"internal: Kummer table not graded-division: {wit}")
+    certify(A)
     info = {
         "grading_group_order": r,
         "coset_representatives": [F.elem_to_json(rep) for rep in reps],

@@ -22,14 +22,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .abelian import FinAbGroup, GroupElement, Subgroup, element_order
-from .gradedalg import (
-    GradedAlgebra,
-    OracleError,
-    is_graded_division,
-    verify_associative,
-    verify_grading,
-    verify_unit,
-)
+from .gradedalg import GradedAlgebra, OracleError, certify
 from .intutil import prime_divisors
 
 
@@ -289,8 +282,8 @@ def construct(
 ) -> GradedAlgebra:
     """The graded-division algebra D(K, beta, mu) with support K.
 
-    verify=True runs the associativity, grading, unit, and graded-division
-    oracles on the result, raising OracleError on any failure.
+    verify=True passes the result through gradedalg.certify, which raises
+    OracleError at the first failing oracle.
     """
     if beta.group != K or mu.group != K:
         raise ParameterError("beta and mu must live on K")
@@ -322,18 +315,7 @@ def construct(
     unit = {pos[K.identity()]: F.one}
     A = GradedAlgebra(F, K, tuple(basis), table, unit)
     if verify:
-        ok, wit = verify_grading(A)
-        if not ok:
-            raise OracleError(f"grading compatibility failed at {wit}")
-        ok, wit = verify_unit(A)
-        if not ok:
-            raise OracleError(f"unit law failed at basis {wit}")
-        ok, wit = verify_associative(A)
-        if not ok:
-            raise OracleError(f"associativity failed at triple {wit}")
-        ok, wit = is_graded_division(A)
-        if not ok:
-            raise OracleError(f"graded-division failed: {wit}")
+        certify(A)
     return A
 
 

@@ -43,14 +43,11 @@ from .gradedalg import (
     GradedAlgebra,
     OracleError,
     centralizer_basis,
+    certify,
     commutation_bicharacter,
-    is_graded_division,
     structure_scalar,
     subalgebra_on_span,
     tensor_product,
-    verify_associative,
-    verify_grading,
-    verify_unit,
     _one_dim_index,
     _unit_multiple,
 )
@@ -387,7 +384,7 @@ def construct_item2(T: FinAbGroup, beta: AltBicharacter, mu: QuadForm, verify: b
     H = quaternion_table(REAL)
     A = tensor_product(base, H, T, lambda d: d, lambda _: T.identity())
     if verify:
-        _run_oracles(A)
+        certify(A)
     return A
 
 
@@ -565,23 +562,8 @@ def construct_item3(
     unit = {pos[T.identity()]: Fraction(1)}
     A = GradedAlgebra(REAL, T, tuple(degrees), table, unit)
     if verify:
-        _run_oracles(A)
+        certify(A)
     return A
-
-
-def _run_oracles(A: GradedAlgebra):
-    ok, wit = verify_grading(A)
-    if not ok:
-        raise OracleError(f"grading compatibility failed at {wit}")
-    ok, wit = verify_unit(A)
-    if not ok:
-        raise OracleError(f"unit law failed at basis {wit}")
-    ok, wit = verify_associative(A)
-    if not ok:
-        raise OracleError(f"associativity failed at triple {wit}")
-    ok, wit = is_graded_division(A)
-    if not ok:
-        raise OracleError(f"graded-division failed: {wit}")
 
 
 def construct_label(label: ClassLabel, verify: bool = True) -> GradedAlgebra:

@@ -92,6 +92,38 @@ def test_construct_over_finite_field(capsys, tmp_path):
     assert verify_report["verdict"] is True
 
 
+def test_construct_fast_oracle_runs_grading_and_unit(capsys, quat_request):
+    code, report = run_cli(capsys, "construct", "--in", str(quat_request), "--oracle", "fast")
+    assert code == 0
+    assert sorted(report["verification"]) == ["grading", "unit"]
+    assert all(check["ok"] for check in report["verification"].values())
+
+
+def test_verify_reports_every_check_of_a_failing_algebra(capsys, tmp_path):
+    # Q[x]/(x^2) with deg x = 1 in Z_2: graded and associative, x is not invertible
+    desc = {
+        "field": {"kind": "Q"},
+        "group": {"orders": [2]},
+        "basis_degrees": [[0], [1]],
+        "unit": [[0, "1/1"]],
+        "constants": [
+            {"i": 0, "j": 0, "k": 0, "c": "1/1"},
+            {"i": 0, "j": 1, "k": 1, "c": "1/1"},
+            {"i": 1, "j": 0, "k": 1, "c": "1/1"},
+        ],
+    }
+    path = tmp_path / "nilpotent.json"
+    path.write_text(json.dumps(desc))
+    code, report = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 0
+    assert report["verdict"] is False
+    checks = report["checks"]
+    assert sorted(checks) == ["associative", "graded_division", "grading", "unit"]
+    assert all(checks[name]["ok"] for name in ("grading", "unit", "associative"))
+    assert checks["graded_division"]["ok"] is False
+    assert checks["graded_division"]["witness"] == {"degree": [1], "vector": {"1": "1/1"}}
+
+
 def test_classify_real_count_only(capsys):
     code, report = run_cli(capsys, "classify-real", "--group", "2", "--count-only")
     assert code == 0

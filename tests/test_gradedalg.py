@@ -7,8 +7,10 @@ from gradeddiv.abelian import FinAbGroup, Subgroup
 from gradeddiv.exactfield import FiniteField, RationalField, RealField
 from gradeddiv.gradedalg import (
     GradedAlgebra,
+    OracleError,
     UnnormalizedAlgebra,
     center_dim,
+    certify,
     commutation_bicharacter,
     graded_center_e_dim,
     graded_iso_1dim,
@@ -67,6 +69,9 @@ def test_broken_table_fails_associativity():
     A = GradedAlgebra(F, G, (e, a, b), table, {0: F.one})
     ok, witness = verify_associative(A)
     assert not ok and witness is not None
+    # grading and unit pass, so the gate stops at associativity
+    with pytest.raises(OracleError, match=r"^associativity failed at triple \(\d+, \d+, \d+\)$"):
+        certify(A)
 
 
 def test_nilpotent_is_not_graded_division():
@@ -79,6 +84,8 @@ def test_nilpotent_is_not_graded_division():
     ok, witness = is_graded_division(A)
     assert not ok
     assert witness["degree"] == (1,)
+    with pytest.raises(OracleError, match=r"^graded-division failed: .*'degree': \(1,\)"):
+        certify(A)
 
 
 def test_quaternions_as_z22_graded():
