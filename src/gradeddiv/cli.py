@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -354,10 +355,12 @@ def _cmd_classify_real(args) -> dict:
         pres = subgroup_presentation(S)
         strata.append((tuple(e.exponents for e in S.elements), pres.group.orders))
 
-    if args.jobs and args.jobs > 1:
+    # more processes than strata or cores would only wait on each other
+    jobs = min(args.jobs, len(strata), os.cpu_count() or 1)
+    if jobs > 1:
         from multiprocessing import Pool
 
-        with Pool(args.jobs) as pool:
+        with Pool(jobs) as pool:
             chunks = pool.map(
                 _classify_stratum_task,
                 [(orders, items, verify) for _, orders in strata],

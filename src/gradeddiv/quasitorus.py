@@ -57,12 +57,6 @@ class AltBicharacter:
     def trivial(group: FinAbGroup) -> AltBicharacter:
         return AltBicharacter(group, ())
 
-    def pair_value(self, i: int, j: int, field):
-        for a, b, v in self.values:
-            if (a, b) == (i, j):
-                return v
-        return field.one
-
     def validate(self, field) -> None:
         for i, j, v in self.values:
             oi = element_order(self.group.generator(i))
@@ -84,9 +78,6 @@ class AltBicharacter:
         return AltBicharacter(
             self.group, tuple((i, j, field.inv(v)) for i, j, v in self.values)
         )
-
-    def is_trivial(self) -> bool:
-        return not self.values
 
     def matrix_key(self, field):
         """Hashable canonical key (for deduplication up to inversion)."""
@@ -125,9 +116,6 @@ class MuFunction:
         for v in self.gen_values:
             if field.is_zero(v):
                 raise ParameterError("mu values must be units")
-
-    def gen_class(self, i: int, field):
-        return field.nth_power_class(self.gen_values[i], element_order(self.group.generator(i)))
 
 
 def _mu_generator_power(field, mu_value, order: int, n: int):

@@ -380,7 +380,8 @@ def quaternion_table(field) -> GradedAlgebra:
 
 def construct_item2(T: FinAbGroup, beta: AltBicharacter, mu: QuadForm, verify: bool = True) -> GradedAlgebra:
     """Item (1) tensored with the trivially graded quaternions."""
-    base = construct_item1(T, beta, mu, verify=verify)
+    # an intermediate table: only the emitted A is certified
+    base = construct_item1(T, beta, mu, verify=False)
     H = quaternion_table(REAL)
     A = tensor_product(base, H, T, lambda d: d, lambda _: T.identity())
     if verify:
@@ -471,7 +472,8 @@ def construct_item3(
     pres = beta.pres
     coords = pres.coords()
     mu_pres = QuadForm.from_map(pres.group, {coords[h]: s for h, s in mu_t0.items()})
-    C = construct_item1(pres.group, beta.chi, mu_pres, verify=verify)
+    # an intermediate table: only the emitted A is certified
+    C = construct_item1(pres.group, beta.chi, mu_pres, verify=False)
     cidx = _one_dim_index(C)
 
     def cmul(s1: GroupElement, s2: GroupElement) -> Fraction:

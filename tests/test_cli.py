@@ -165,6 +165,35 @@ def test_classify_real_jobs_deterministic(capsys):
     assert serial == parallel
 
 
+def test_classify_real_jobs_clamped(capsys, monkeypatch):
+    import multiprocessing
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    _, serial = run_cli(capsys, "classify-real", "--group", "4", "--count-only")
+    # Z4 has three subgroups, hence three strata
+    for cpus, jobs, expected in [(8, 100, [3]), (2, 100, [2]), (None, 100, []), (8, 1, []), (8, 0, []), (8, -5, [])]:
+        asked.clear()
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        code, report = run_cli(capsys, "classify-real", "--group", "4", "--count-only", "--jobs", str(jobs))
+        assert code == 0 and report == serial
+        assert asked == expected
+
+
 def test_is_field_reports(capsys):
     code, report = run_cli(capsys, "is-field", "--field", "Q", "--group", "2,2", "--mu", "2,3")
     assert code == 0 and report["verdict"] == "true"

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -222,3 +223,101 @@ def test_mu_invariant_z4_real():
     # mu(a) and mu(a^2) are both the negative class
     assert mu_class_of_element(A, G.element((1,))) == (4, -1, ())
     assert mu_class_of_element(A, G.element((2,))) == (2, -1, ())
+
+
+# ---------------------------------------------------------------------------
+# verify_associative against the plain n^3 triple scan
+# ---------------------------------------------------------------------------
+
+
+def scan_associative(A):
+    """Reference oracle: every basis triple, first failure in lexicographic order."""
+    for i, j, k in product(range(A.dim), repeat=3):
+        if A.mul_vec(A.entry(i, j), A.basis_vec(k)) != A.mul_vec(A.basis_vec(i), A.entry(j, k)):
+            return False, (i, j, k)
+    return True, None
+
+
+CENSUS_GROUPS = [(2,), (4,), (2, 2), (4, 2), (3,), (6,)]
+
+
+@pytest.fixture(scope="module")
+def census_tables():
+    from gradeddiv.realclass import classify_stratum
+
+    return {
+        orders: [entry.algebra for entry in classify_stratum(FinAbGroup(orders), verify=False)]
+        for orders in CENSUS_GROUPS
+    }
+
+
+def scaled_constant(A, rng, factor):
+    """Copy of A with one seeded structure constant multiplied by factor."""
+    (i, j), vec = rng.choice(sorted(A.table.items()))
+    k = rng.choice(sorted(vec))
+    table = dict(A.table)
+    table[(i, j)] = {**vec, k: A.field.mul(vec[k], A.field.from_int(factor))}
+    return GradedAlgebra(A.field, A.group, A.degrees, table, A.unit)
+
+
+def test_associativity_matches_triple_scan_on_census_tables(census_tables):
+    import random
+
+    rng = random.Random(3)
+    failing = 0
+    for tables in census_tables.values():
+        for A in tables:
+            assert verify_associative(A) == scan_associative(A) == (True, None)
+            for factor in (-1, 2, 3):
+                B = scaled_constant(A, rng, factor)
+                expected = scan_associative(B)
+                assert verify_associative(B) == expected
+                failing += not expected[0]
+    assert failing > 200
+
+
+def octonions_z222():
+    """Cayley-Dickson octonions over Q; e_i e_j = +-e_{i xor j}, deg e_i = bits of i."""
+
+    def conj(x):
+        if len(x) == 1:
+            return x
+        h = len(x) // 2
+        return conj(x[:h]) + [-c for c in x[h:]]
+
+    def cd_mul(x, y):
+        if len(x) == 1:
+            return [x[0] * y[0]]
+        h = len(x) // 2
+        a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+        first = [p - q for p, q in zip(cd_mul(a, c), cd_mul(conj(d), b))]
+        second = [p + q for p, q in zip(cd_mul(d, a), cd_mul(b, conj(c)))]
+        return first + second
+
+    basis = [[Fraction(int(i == k)) for k in range(8)] for i in range(8)]
+    table = {}
+    for i in range(8):
+        for j in range(8):
+            table[(i, j)] = {k: c for k, c in enumerate(cd_mul(basis[i], basis[j])) if c}
+    G = FinAbGroup((2, 2, 2))
+    degrees = tuple(G.element(tuple((i >> b) & 1 for b in range(3))) for i in range(8))
+    return GradedAlgebra(Q, G, degrees, table, {0: Q.one})
+
+
+def test_octonions_fail_associativity_with_the_scan_witness():
+    O = octonions_z222()
+    assert verify_grading(O) == verify_unit(O) == (True, None)
+    ok, witness = verify_associative(O)
+    assert not ok
+    assert (ok, witness) == scan_associative(O)
+    with pytest.raises(OracleError, match="^associativity failed at triple " + re.escape(str(witness)) + "$"):
+        certify(O)
+
+
+def test_generating_set_is_small_on_census_tables(census_tables):
+    from gradeddiv.gradedalg import _generating_basis
+
+    big = [A for A in census_tables[(4, 2)] if A.dim == 32]
+    assert big
+    for A in big:
+        assert len(_generating_basis(A)) <= 5
