@@ -64,23 +64,3 @@ def nullspace(field, rows):
         basis.append(v)
     return basis
 
-
-def det(field, rows):
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    sign = 1
-    acc = field.one
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if not field.is_zero(rows[i][c])), None)
-        if pivot is None:
-            return field.zero
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        acc = field.mul(acc, rows[c][c])
-        inv = field.inv(rows[c][c])
-        for i in range(c + 1, n):
-            if not field.is_zero(rows[i][c]):
-                factor = field.mul(rows[i][c], inv)
-                rows[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(rows[i], rows[c])]
-    return acc if sign == 1 else field.neg(acc)

@@ -6,7 +6,9 @@ from fractions import Fraction
 from itertools import product
 
 from gradeddiv.abelian import FinAbGroup
-from gradeddiv.exactfield import RealField
+from gradeddiv.exactfield import FiniteField, RealField
+from gradeddiv.gradedalg import GradedAlgebra, left_mult_matrix
+from gradeddiv.gradedfield import GradedFieldError
 from gradeddiv.intutil import factorint
 from gradeddiv.quasitorus import MuFunction
 
@@ -47,3 +49,60 @@ def real_mu_choices(G: FinAbGroup):
         for i, s in zip(slots, signs):
             values[i] = Fraction(s)
         yield MuFunction(G, tuple(values))
+
+
+def zero_divisor_search(A: GradedAlgebra):
+    """Exhaustive zero-divisor scan over a finite coefficient field; returns
+    a nonzero vector with singular left multiplication, or None.
+
+    The scan runs over projective representatives (first nonzero coordinate
+    1), which is exhaustive for this predicate: L_{cx} = c L_x."""
+    from itertools import product as iproduct
+
+    F = A.field
+    if not isinstance(F, FiniteField):
+        raise GradedFieldError("exhaustive search needs a finite field")
+    n = A.dim
+    basis_mats = [left_mult_matrix(A, A.basis_vec(i)) for i in range(n)]
+    for lead in range(n):
+        for rest in iproduct(F.elements(), repeat=n - lead - 1):
+            coords = (0,) * lead + (F.one,) + rest
+            mat = [
+                [
+                    _ff_dot(F, coords, [basis_mats[i][r][c] for i in range(n)])
+                    for c in range(n)
+                ]
+                for r in range(n)
+            ]
+            if F.is_zero(det(F, mat)):
+                return {i: v for i, v in enumerate(coords) if v}
+    return None
+
+
+def _ff_dot(F, coords, col):
+    acc = F.zero
+    for c, v in zip(coords, col):
+        if c and v:
+            acc = F.add(acc, F.mul(c, v))
+    return acc
+
+
+def det(field, rows):
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    sign = 1
+    acc = field.one
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if not field.is_zero(rows[i][c])), None)
+        if pivot is None:
+            return field.zero
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            sign = -sign
+        acc = field.mul(acc, rows[c][c])
+        inv = field.inv(rows[c][c])
+        for i in range(c + 1, n):
+            if not field.is_zero(rows[i][c]):
+                factor = field.mul(rows[i][c], inv)
+                rows[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(rows[i], rows[c])]
+    return acc if sign == 1 else field.neg(acc)

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from helpers import REAL, abelian_groups_upto, real_mu_choices
+from helpers import REAL, abelian_groups_upto, real_mu_choices, zero_divisor_search
 
 from gradeddiv.abelian import (
     FinAbGroup,
@@ -40,7 +40,6 @@ from gradeddiv.gradedfield import (
     kummer_grading,
     reducible_binomial_witness,
     spec_algebra,
-    zero_divisor_search,
 )
 from gradeddiv.intutil import is_prime
 from gradeddiv.quasitorus import construct

@@ -1,6 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
+
+from helpers import zero_divisor_search
 
 from gradeddiv.abelian import FinAbGroup, element_order
 from gradeddiv.exactfield import (
@@ -16,12 +20,14 @@ from gradeddiv.gradedfield import (
     GradedFieldError,
     GradedFieldSpec,
     KummerSpec,
+    _p_power_class_independent,
     binomial_irreducible,
     dual_galois_check,
     embed_field,
     ff_grading_exists,
     ff_grading_mus,
     frobenius_grading,
+    is_field_by_frobenius,
     is_field_exponent2,
     is_field_general,
     is_field_p_primary,
@@ -29,8 +35,10 @@ from gradeddiv.gradedfield import (
     nth_root,
     reducible_binomial_witness,
     spec_algebra,
-    zero_divisor_search,
 )
+from gradeddiv.intutil import factorint
+from gradeddiv.linalg import rank
+from gradeddiv.quasitorus import AltBicharacter, MuFunction, construct
 
 Q = RationalField()
 
@@ -272,6 +280,12 @@ def test_dual_galois_check():
     T, _ = kummer_grading(KummerSpec(FiniteField(7, 1), 3, (6,)))
     ok, info = dual_galois_check(T)
     assert ok and info["automorphisms"] == 1
+    # the whole report, over GF(25) and for an order-4 support over GF(13)
+    A25, _ = frobenius_grading(5, 2, 3)
+    assert dual_galois_check(A25) == (True, {"automorphisms": 3, "fixed_component": "identity"})
+    K13, info13 = kummer_grading(KummerSpec(FiniteField(13, 1), 4, (2,)))  # 2 generates GF(13)^x
+    assert info13["grading_group_order"] == 4
+    assert dual_galois_check(K13) == (True, {"automorphisms": 4, "fixed_component": "identity"})
 
 
 def test_spec_algebra_supports_are_torsion():
@@ -282,3 +296,104 @@ def test_spec_algebra_supports_are_torsion():
     # finite-field graded fields have cyclic support in all fixtures
     A3, _ = frobenius_grading(7, 1, 3)
     assert len(A3.group.orders) == 1
+
+
+def _frobenius_rank_and_fixed_dim(A):
+    """Rank of x -> x^q and the dimension of its fixed space, recomputed
+    here to classify which half of Berlekamp's criterion decides A."""
+    F = A.field
+    n = A.dim
+    cols = [A.dense(A.vec_power(A.basis_vec(j), F.q)) for j in range(n)]
+    phi = [[cols[j][i] for j in range(n)] for i in range(n)]
+    shifted = [[F.sub(phi[i][j], F.one if i == j else F.zero) for j in range(n)] for i in range(n)]
+    return rank(F, phi), n - rank(F, shifted)
+
+
+# the Frobenius (p, ell, q) and Kummer (p, n) sizes of the field-decisions
+# benchmark catalogue
+FIELD_DECISIONS_FROBENIUS = ((3, 1, 2), (7, 1, 3), (13, 1, 3), (2, 2, 3), (19, 1, 3), (31, 1, 3), (5, 2, 3))
+FIELD_DECISIONS_KUMMER = ((7, 3), (5, 4), (19, 3), (11, 2), (13, 4), (31, 3))
+
+
+def _differential_algebras():
+    # the spec algebras the scan-based tests enumerate
+    for q, orders in ((3, (2, 2, 2)), (3, (2,)), (3, (2, 2)), (5, (2,)), (5, (2, 2)), (7, (2,)), (7, (2, 2)), (11, (2,)), (11, (2, 2))):
+        F = FiniteField(q, 1)
+        for mus in iproduct(F.units(), repeat=len(orders)):
+            yield spec_algebra(GradedFieldSpec(FinAbGroup(orders), mus, F))
+    # Z_n over GF(p) with mu = 1: X^n - 1 is (X - 1)^n for n = p (not
+    # reduced) and a product of n distinct linear factors for n | p - 1
+    for p, n in ((2, 2), (3, 3), (5, 5), (5, 2), (7, 3), (13, 4)):
+        yield spec_algebra(GradedFieldSpec(FinAbGroup((n,)), (1,), FiniteField(p, 1)))
+    for p, ell, q in FIELD_DECISIONS_FROBENIUS:
+        yield frobenius_grading(p, ell, q)[0]
+    for p, n in FIELD_DECISIONS_KUMMER:
+        F = FiniteField(p, 1)
+        yield kummer_grading(KummerSpec(F, n, (F.generator(),)))[0]
+
+
+def test_is_field_by_frobenius_matches_zero_divisor_scan():
+    modes = {"not_reduced": 0, "several_factors": 0, "field": 0}
+    for A in _differential_algebras():
+        verdict = is_field_by_frobenius(A)
+        assert verdict == (zero_divisor_search(A) is None), (A.field.descriptor(), A.group.orders, A.table)
+        phi_rank, fixed_dim = _frobenius_rank_and_fixed_dim(A)
+        if phi_rank < A.dim:
+            modes["not_reduced"] += 1
+        elif fixed_dim > 1:
+            modes["several_factors"] += 1
+        else:
+            modes["field"] += 1
+    assert all(modes.values()), modes
+
+
+def _p_power_class_independent_by_search(field, mus, p):
+    """Reference: no nontrivial exponent vector in {0..p-1}^m makes the
+    product of the mu_i powers a p-th power."""
+    for combo in iproduct(range(p), repeat=len(mus)):
+        if not any(combo):
+            continue
+        acc = field.one
+        for e, mu in zip(combo, mus):
+            acc = field.mul(acc, field.power(mu, e))
+        if field.is_nth_power(acc, p):
+            return False
+    return True
+
+
+def test_p_power_class_rule_matches_search():
+    rng = random.Random(7)
+    compared = 0
+    for q in range(2, 50):
+        fact = factorint(q)
+        if len(fact) != 1:
+            continue
+        (char, ell), = fact.items()
+        F = FiniteField(char, ell)
+        units = list(F.units())
+        for p in (2, 3, 5, 7):
+            for m in (1, 2, 3):
+                tuples = list(iproduct(units, repeat=m))
+                if len(tuples) > 200:
+                    tuples = rng.sample(tuples, 200)
+                for mus in tuples:
+                    expected = _p_power_class_independent_by_search(F, mus, p)
+                    assert _p_power_class_independent(F, list(mus), p) == expected, (q, p, mus)
+                    compared += 1
+    assert compared > 10000
+
+
+def test_dual_galois_check_failure_branches():
+    F7 = FiniteField(7, 1)
+    A = spec_algebra(GradedFieldSpec(FinAbGroup((3,)), (1,), F7))
+    assert dual_galois_check(A) == (False, {"reason": "zero divisor found"})
+    G = FinAbGroup((3, 3))
+    beta = AltBicharacter.from_pairs(G, [(0, 1, 2)], F7)  # 2 has order 3 in GF(7)^x
+    B = construct(G, beta, MuFunction(G, (3, 5)), F7, verify=True)
+    assert dual_galois_check(B) == (False, {"reason": "not commutative"})
+
+
+def test_dual_galois_check_frobenius_p11_q5():
+    # dimension 5 over GF(11): 16105 projective vectors for a zero-divisor scan
+    A, _ = frobenius_grading(11, 1, 5)
+    assert dual_galois_check(A) == (True, {"automorphisms": 5, "fixed_component": "identity"})
