@@ -11,8 +11,13 @@ is_nth_power, nth_power_class, roots_of_unity, JSON encoding):
   into {0, +1, -1}.
 * ``FiniteField``      - GF(p^ell) with a deterministic monic modulus.
   Elements are integers in [0, q) encoding coefficient vectors base p
-  (lowest degree first); multiplication runs off exp/log tables built from a
-  primitive element, so the whole thing stays fast at desk scale.
+  (lowest degree first); multiplication runs off exp/log tables of the
+  powers of a primitive element.  The tables are filled by iterating the
+  GF(p)-linear map x -> gen*x, read off two small lookup tables (one per
+  half of the digits, about 2*sqrt(q) entries) on digits packed into one
+  int with a guard bit each, so every power costs a few int operations
+  whatever ell is.  Fields above ``FIELD_TABLE_BOUND`` = 2^23 elements are
+  refused before any work.
 * ``CyclotomicField``  - Q(zeta_N) as residues modulo the N-th cyclotomic
   polynomial, with Fraction coefficients.  It plays the role of "enough of C"
   for computations whose constants are roots of unity: accordingly
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, prod
 
 from .intutil import DEFAULT_FACTOR_BOUND, divisors, factor_bound, factorint, is_prime, prime_divisors
@@ -263,19 +269,29 @@ def _poly_sub_int(a, b, p):
 # ---------------------------------------------------------------------------
 
 
+# largest GF(q) whose exp/log tables are built; larger fields are refused
+FIELD_TABLE_BOUND = 2**23
+
+
 class FiniteField:
     """GF(p^ell); elements are ints in [0, q) encoding base-p coefficient vectors."""
 
     kind = "GF"
 
     def __init__(self, p: int, ell: int, seed: int = 0, modulus=None):
-        if not is_prime(p):
+        # a prime above the bound would only be refused below, after a long trial division
+        if p <= FIELD_TABLE_BOUND and not is_prime(p):
             raise FieldError(f"{p} is not prime")
         if ell < 1:
             raise FieldError("extension degree must be >= 1")
         self.p = p
         self.ell = ell
         self.seed = seed
+        # ell is tested first so that a huge ell never computes p**ell
+        if ell >= FIELD_TABLE_BOUND.bit_length() or p**ell > FIELD_TABLE_BOUND:
+            raise FieldError(
+                f"GF({p}^{ell}) has more than FIELD_TABLE_BOUND = {FIELD_TABLE_BOUND} elements, too many to tabulate"
+            )
         self.q = p**ell
         if modulus is None:
             modulus = self._find_modulus(p, ell, seed)
@@ -323,43 +339,57 @@ class FiniteField:
         return x
 
     def _build_tables(self):
-        p, q = self.p, self.q
+        p, q, ell = self.p, self.q, self.ell
         if q == 2:
             self._exp = [1]
-            self._log = {1: 0}
+            self._log = [0, 0]
             return
         mod = list(self.modulus)
-
-        def raw_mul(a, b):
-            va = self._digits(a, p, self.ell)
-            vb = self._digits(b, p, self.ell)
-            return self.from_vec(_gfp_mod(_gfp_mul(va, vb, p), mod, p))
-
-        def raw_pow(a, e):
-            r = 1
-            while e:
-                if e & 1:
-                    r = raw_mul(r, a)
-                a = raw_mul(a, a)
-                e >>= 1
-            return r
-
         m = q - 1
-        primes = prime_divisors(m) if m > 1 else []
+        primes = prime_divisors(m)
         gen = None
         for cand in range(2, q):
-            if all(raw_pow(cand, m // r) != 1 for r in primes):
-                gen = cand
+            digits = self._digits(cand, p, ell)
+            if all(_gfp_powmod(digits, m // r, mod, p) != [1] for r in primes):
+                gen = digits
                 break
         if gen is None:
             raise AssertionError("internal: no primitive element found")
-        exp = [1]
-        acc = 1
-        for _ in range(m - 1):
-            acc = raw_mul(acc, gen)
-            exp.append(acc)
+        # Padded digits: digit i sits in bits [b*i, b*i + b) with 2^(b-1) > p.
+        # A sum of two reduced padded values has every field <= 2p - 2 < 2^b,
+        # so it never carries into the next field, and adding 2^(b-1) - p to
+        # each field sets that field's top bit exactly when the digit is >= p.
+        b = p.bit_length() + 1
+        h = max(1, ell // 2)
+        shift = b * h
+        low_mask = (1 << shift) - 1
+        ones = sum(1 << (b * i) for i in range(ell))
+        bias = ((1 << (b - 1)) - p) * ones
+
+        def padded(coeffs):
+            return sum(c << (b * i) for i, c in enumerate(coeffs))
+
+        # x -> gen*x is GF(p)-linear, so it is the sum of its values on the
+        # low h digits and on the high ell - h digits; both halves are keyed
+        # by their padded digits, shifted down to bit 0
+        times_low, times_high, dense_low, dense_high = {}, {}, {}, {}
+        for offset, width, times, dense in ((0, h, times_low, dense_low), (h, ell - h, times_high, dense_high)):
+            for digits in product(range(p), repeat=width):
+                coeffs = [0] * offset + list(digits)
+                key = padded(digits)
+                times[key] = padded(_gfp_mod(_gfp_mul(gen, coeffs, p), mod, p))
+                dense[key] = self.from_vec(coeffs)
+        exp = [0] * m
+        log = [0] * q  # log[0] is never read: mul, inv, power and dlog handle 0 first
+        s = 1
+        for k in range(m):
+            x = dense_low[s & low_mask] + dense_high[s >> shift]
+            exp[k] = x
+            log[x] = k
+            s = times_low[s & low_mask] + times_high[s >> shift]
+            s -= (((s + bias) >> (b - 1)) & ones) * p
         self._exp = exp
-        self._log = {v: i for i, v in enumerate(exp)}
+        self._log = log
 
     def __eq__(self, other):
         return (

@@ -479,11 +479,13 @@ def embed_field(small: FiniteField, big: FiniteField) -> dict:
     if small.ell == 1:
         return {x: big.from_int(x) for x in small.elements()}
     coeffs = [big.from_int(c) for c in small.modulus]
-    root = None
-    for cand in big.elements():
-        if big.is_zero(poly_eval(big, coeffs, cand)):
-            root = cand
-            break
+    # every root lies in the subfield of order small.q: 0 and the powers of
+    # g^((Q-1)/(q-1)) for the generator g of big.  0 is not a root, since the
+    # modulus is irreducible of degree >= 2, so the smallest root found here
+    # is the first root in the integer order of big.elements()
+    step = (big.q - 1) // (small.q - 1)
+    subfield_units = (big.power(big.generator(), step * j) for j in range(small.q - 1))
+    root = min((x for x in subfield_units if big.is_zero(poly_eval(big, coeffs, x))), default=None)
     if root is None:
         raise AssertionError("internal: modulus has no root in the big field")
     table = {}

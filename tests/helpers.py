@@ -6,10 +6,10 @@ from fractions import Fraction
 from itertools import product
 
 from gradeddiv.abelian import FinAbGroup
-from gradeddiv.exactfield import FiniteField, RealField
+from gradeddiv.exactfield import FiniteField, RealField, _gfp_mod, _gfp_mul
 from gradeddiv.gradedalg import GradedAlgebra, left_mult_matrix
 from gradeddiv.gradedfield import GradedFieldError
-from gradeddiv.intutil import factorint
+from gradeddiv.intutil import factorint, prime_divisors
 from gradeddiv.quasitorus import MuFunction
 
 REAL = RealField()
@@ -106,3 +106,50 @@ def det(field, rows):
                 factor = field.mul(rows[i][c], inv)
                 rows[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(rows[i], rows[c])]
     return acc if sign == 1 else field.neg(acc)
+
+
+def reference_field_tables(p: int, ell: int, modulus) -> tuple[list[int], dict[int, int]]:
+    """exp/log tables of GF(p^ell) modulo the given monic modulus, built with
+    one generic polynomial product per power of the generator: the generator
+    is the first element whose (q-1)/r-th power is not 1 for every prime r | q-1.
+    The reference for ``FiniteField._build_tables``."""
+    q = p**ell
+    if q == 2:
+        return [1], {1: 0}
+    mod = list(modulus)
+
+    def from_vec(coeffs):
+        x = 0
+        for c in reversed(coeffs):
+            x = x * p + c
+        return x
+
+    def raw_mul(a, b):
+        va = FiniteField._digits(a, p, ell)
+        vb = FiniteField._digits(b, p, ell)
+        return from_vec(_gfp_mod(_gfp_mul(va, vb, p), mod, p))
+
+    def raw_pow(a, e):
+        r = 1
+        while e:
+            if e & 1:
+                r = raw_mul(r, a)
+            a = raw_mul(a, a)
+            e >>= 1
+        return r
+
+    m = q - 1
+    primes = prime_divisors(m) if m > 1 else []
+    gen = None
+    for cand in range(2, q):
+        if all(raw_pow(cand, m // r) != 1 for r in primes):
+            gen = cand
+            break
+    if gen is None:
+        raise AssertionError("internal: no primitive element found")
+    exp = [1]
+    acc = 1
+    for _ in range(m - 1):
+        acc = raw_mul(acc, gen)
+        exp.append(acc)
+    return exp, {v: i for i, v in enumerate(exp)}

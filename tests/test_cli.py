@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from gradeddiv.cli import main
+from gradeddiv.exactfield import FIELD_TABLE_BOUND
 
 
 def run_cli(capsys, *argv):
@@ -249,6 +251,28 @@ def test_error_exit_codes(capsys, tmp_path):
     # frobenius with q not dividing p^ell - 1
     code, report = run_cli(capsys, "frobenius-grade", "--p", "2", "--ell", "1", "--q", "3")
     assert code == 3 and report["error"]["code"] == "bad-parameters"
+
+
+def test_frobenius_grading_of_gf_2_20(capsys):
+    code, report = run_cli(capsys, "frobenius-grade", "--p", "2", "--ell", "4", "--q", "5")
+    assert code == 0 and report["dual_galois"]["ok"] is True
+    # the report of the generic-product table build
+    assert report["witness"]["mu"] == [0, 1, 0, 0]
+    assert report["witness"]["eigenvectors"] == [
+        [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1, 0],
+        [1, 0, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 1],
+        [0, 1, 1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1],
+        [0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0],
+    ]
+
+
+def test_oversized_field_is_refused_at_once(capsys):
+    started = time.monotonic()
+    code, report = run_cli(capsys, "is-field", "--field", "GF", "--p", "2", "--ell", "40", "--group", "3", "--mu=1")
+    assert time.monotonic() - started < 5
+    assert code == 3 and report["error"]["code"] == "bad-parameters"
+    assert str(FIELD_TABLE_BOUND) in report["error"]["message"]
 
 
 def test_reports_byte_identical(capsys):

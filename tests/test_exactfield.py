@@ -1,23 +1,30 @@
+import random
 from fractions import Fraction
 
 import pytest
+from helpers import reference_field_tables
 from hypothesis import given, settings, strategies as st
 
 from gradeddiv.exactfield import (
+    FIELD_TABLE_BOUND,
     CyclotomicField,
     FieldError,
     FiniteField,
     RationalField,
     RealField,
+    _gfp_mod,
+    _gfp_mul,
     binomial_poly,
     cyclotomic_field,
     cyclotomic_polynomial,
     ff_construct,
+    gfp_is_irreducible,
     is_irreducible_ff,
     minus4_fourth_power_test,
     multiplicative_order,
     poly_eval,
 )
+from gradeddiv.intutil import is_prime
 
 Q = RationalField()
 R = RealField()
@@ -220,3 +227,49 @@ def test_elem_json_roundtrip():
     x = C8.add(C8.zeta, C8.from_int(3))
     assert C8.elem_from_json(C8.elem_to_json(x)) == x
     assert Q.elem_from_json(Q.elem_to_json(Fraction(-3, 7))) == Fraction(-3, 7)
+
+
+def _assert_tables_match_reference(F):
+    exp, log = reference_field_tables(F.p, F.ell, F.modulus)
+    assert F.generator() == (exp[1] if F.q > 2 else 1)
+    assert F.roots_of_unity() == tuple(exp)
+    assert [F.dlog(x) for x in F.units()] == [log[x] for x in F.units()]
+
+
+def test_field_tables_match_generic_product_reference():
+    prime_powers = [(p, ell) for p in range(2, 1025) if is_prime(p) for ell in range(1, 11) if p**ell <= 1024]
+    for p, ell in prime_powers:
+        _assert_tables_match_reference(FiniteField(p, ell))
+    rng = random.Random(20191)
+    for p, ell in prime_powers:
+        if ell < 2 or p**ell > 729:
+            continue
+        for _ in range(3):
+            while True:
+                modulus = [rng.randrange(p) for _ in range(ell)] + [1]
+                if gfp_is_irreducible(modulus, p):
+                    break
+            _assert_tables_match_reference(FiniteField(p, ell, modulus=modulus))
+    # the extension fields the field-decisions benchmark builds
+    for p, ell in ((13, 4), (31, 3), (5, 6), (19, 3), (2, 10), (31, 2)):
+        _assert_tables_match_reference(FiniteField(p, ell))
+
+
+def test_gf_2_20_tables():
+    F = FiniteField(2, 20)
+    m = F.q - 1
+    exp = F.roots_of_unity()
+    assert sorted(exp) == list(range(1, F.q))
+    assert all(F.dlog(x) == k for k, x in enumerate(exp))
+    gen = list(F.to_vec(F.generator()))
+    mod = list(F.modulus)
+    for k in random.Random(2020).sample(range(m), 1000):
+        product_ = _gfp_mod(_gfp_mul(list(F.to_vec(exp[k])), gen, 2), mod, 2)
+        assert exp[(k + 1) % m] == F.from_vec(product_)
+
+
+def test_oversized_field_is_refused():
+    assert FIELD_TABLE_BOUND == 2**23
+    for p, ell in ((2, 24), (2, 40), (13, 7), (2, 10**12), (2**61 - 1, 1)):
+        with pytest.raises(FieldError, match=str(FIELD_TABLE_BOUND)):
+            FiniteField(p, ell)
