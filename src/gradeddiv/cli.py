@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -43,7 +42,7 @@ from .gradedfield import (
     kummer_grading,
 )
 from .quasitorus import construct, primary_decompose
-from .realclass import ClassifiedAlgebra, census, recover_label
+from .realclass import census, classify_all, recover_label
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -331,17 +330,8 @@ def _label_params_json(label) -> dict:
     return out
 
 
-def _classify_stratum_task(payload):
-    orders, items, verify = payload
-    from .realclass import classify_stratum
-
-    T = FinAbGroup(tuple(orders))
-    return classify_stratum(T, items=items, verify=verify)
-
-
 def _cmd_classify_real(args) -> dict:
-    from .abelian import all_subgroups, subgroup_presentation
-    from .realclass import classify_stratum
+    from .abelian import all_subgroups
 
     G = _parse_group(args.group)
     if G.order > 64:
@@ -349,32 +339,9 @@ def _cmd_classify_real(args) -> dict:
     items = ("1", "2", "3", "4") if args.item is None else (str(args.item),)
     verify = args.oracle == "full"
 
-    subgroups = all_subgroups(G)
-    strata = []
-    for S in subgroups:
-        pres = subgroup_presentation(S)
-        strata.append((tuple(e.exponents for e in S.elements), pres.group.orders))
-
-    # more processes than strata or cores would only wait on each other
-    jobs = min(args.jobs, len(strata), os.cpu_count() or 1)
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            chunks = pool.map(
-                _classify_stratum_task,
-                [(orders, items, verify) for _, orders in strata],
-            )
-    else:
-        chunks = [
-            _classify_stratum_task((orders, items, verify)) for _, orders in strata
-        ]
-
-    results: list[ClassifiedAlgebra] = []
-    for (stratum, _), chunk in zip(strata, chunks):
-        for entry in chunk:
-            results.append(ClassifiedAlgebra(stratum, entry.label, entry.algebra))
-
+    results = classify_all(G, items=items, verify=verify, jobs=args.jobs)
+    # every stratum is reported, also those without a label
+    strata = [tuple(e.exponents for e in S.elements) for S in all_subgroups(G)]
     rows = census(results)
     empty_row = {"1": 0, "2": 0, "3": 0, "4": 0}
     full_key = tuple(e.exponents for e in G.elements())
@@ -383,7 +350,7 @@ def _cmd_classify_real(args) -> dict:
         "counts": rows.get(full_key, empty_row),
         "strata": [
             {"subgroup": [list(e) for e in stratum], "counts": rows.get(stratum, empty_row)}
-            for stratum, _ in strata
+            for stratum in strata
         ],
         "total": len(results),
     }

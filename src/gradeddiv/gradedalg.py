@@ -22,11 +22,13 @@ reports is still the first failing triple in lexicographic order.
 
 Invertibility decisions:
 
-* a single homogeneous element is invertible iff its left-multiplication
-  matrix is nonsingular (finite dimension turns a one-sided inverse into a
-  two-sided one);
+* an element x is invertible iff the stacked linear system x*y = 1,
+  y*x = 1 has a solution y, decided on one sparse echelon form
+  (``linalg``).  That needs no associativity, so ``verify``, which runs
+  this oracle also on tables that failed associativity, gets an answer;
 * over a finite field, "every nonzero element of a component is invertible"
-  is decided by exhaustive enumeration;
+  is decided by exhaustive enumeration, refused with CannotCertify when the
+  component has more than FINITE_SCAN_BOUND vectors;
 * over the infinite coefficient fields, a component C_t of dimension > 1 is
   certified by exhibiting it as A_e * u for an invertible basis vector u and
   certifying that the identity component is a division algebra (dimension 1,
@@ -41,7 +43,11 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .abelian import FinAbGroup, GroupElement, element_order
-from .linalg import nullspace, solve
+from .linalg import Echelon, echelon, express, insert, kernel
+
+
+# most vectors _finite_component_scan enumerates in one component (q^d)
+FINITE_SCAN_BOUND = 2**16
 
 
 class OracleError(ValueError):
@@ -129,10 +135,6 @@ class GradedAlgebra:
             out = self.mul_vec(out, x)
         return out
 
-    def dense(self, x: Vec) -> list:
-        F = self.field
-        return [x.get(i, F.zero) for i in range(self.dim)]
-
 
 def verify_grading(A: GradedAlgebra) -> tuple[bool, tuple | None]:
     """Products of basis vectors must land in the component of the degree sum."""
@@ -185,75 +187,49 @@ def _generating_basis(A: GradedAlgebra) -> list[int]:
 
     Walks the basis in index order and chooses b_i when it lies outside the
     span of the words s_1 (s_2 (... s_m)) in the vectors chosen so far.  That
-    span is kept closed under left multiplication by the chosen vectors, as a
-    sparse echelon basis keyed by each vector's smallest index (where it has
-    coefficient 1).  Every word lies in the subalgebra the chosen vectors
-    generate, and every b_i ends up in the span, so they generate A.
+    span is kept closed under left multiplication by the chosen vectors, in
+    one ``linalg.Echelon`` of the words.  Every word lies in the subalgebra
+    the chosen vectors generate, and every b_i ends up in the span, so they
+    generate A.
     """
-    F = A.field
     n = A.dim
-    echelon: dict[int, Vec] = {}
-
-    def insert(v: Vec) -> bool:
-        """Add v to the span; False if it already lay there."""
-        v = dict(v)
-        while pivots := [p for p in v if p in echelon]:
-            p = min(pivots)
-            c = v[p]
-            for k, e in echelon[p].items():
-                acc = F.sub(v.get(k, F.zero), F.mul(c, e))
-                if F.is_zero(acc):
-                    v.pop(k, None)
-                else:
-                    v[k] = acc
-        if not v:
-            return False
-        p = min(v)
-        c = F.inv(v[p])
-        echelon[p] = {k: F.mul(c, x) for k, x in v.items()}
-        return True
-
+    ech = Echelon(A.field)
     chosen: list[int] = []
     words: list[Vec] = []
     for i in range(n):
-        if len(echelon) == n:
+        if ech.rank == n:
             break
-        if not insert(A.basis_vec(i)):
+        if not insert(ech, A.basis_vec(i)):
             continue
         # the new generator acts on every word so far, and is a word itself
         pending = [(i, w) for w in words]
         chosen.append(i)
         words.append(A.basis_vec(i))
         pending += [(s, words[-1]) for s in chosen]
-        while pending and len(echelon) < n:
+        while pending and ech.rank < n:
             s, w = pending.pop()
             sw = A.mul_vec(A.basis_vec(s), w)
-            if insert(sw):
+            if insert(ech, sw):
                 words.append(sw)
                 pending += [(t, sw) for t in chosen]
     return chosen
 
 
-def left_mult_matrix(A: GradedAlgebra, x: Vec) -> list[list]:
-    """Matrix of y -> x*y in the basis; rows indexed by output coordinate."""
-    F = A.field
-    n = A.dim
-    cols = [A.dense(A.mul_vec(x, A.basis_vec(j))) for j in range(n)]
-    return [[cols[j][r] for j in range(n)] for r in range(n)]
-
-
 def invert_vec(A: GradedAlgebra, x: Vec) -> Vec | None:
-    """Two-sided inverse of x, or None.  Solves x*y = 1; finite dimension
-    makes a right inverse automatically two-sided, which is asserted."""
+    """Two-sided inverse of x, or None: a solution y of the stacked system
+    x*y = 1, y*x = 1, whose right half sits at indices shifted by dim."""
     if not x:
         return None
-    y = solve(A.field, left_mult_matrix(A, x), A.dense(A.unit))
-    if y is None:
-        return None
-    yv = {i: c for i, c in enumerate(y) if not A.field.is_zero(c)}
-    if A.mul_vec(yv, x) != A.unit:
-        raise AssertionError("internal: right inverse failed to be two-sided")
-    return yv
+    n = A.dim
+    cols = []
+    for j in range(n):
+        b = A.basis_vec(j)
+        col = A.mul_vec(x, b)
+        col.update((n + k, c) for k, c in A.mul_vec(b, x).items())
+        cols.append(col)
+    target = dict(A.unit)
+    target.update((n + k, c) for k, c in A.unit.items())
+    return express(echelon(A.field, cols), target)
 
 
 def identity_component(A: GradedAlgebra) -> GradedAlgebra:
@@ -285,26 +261,22 @@ def subalgebra_on_indices(A: GradedAlgebra, idxs: list[int], group: FinAbGroup, 
 
 def subalgebra_on_span(A: GradedAlgebra, vecs: list[Vec], group: FinAbGroup, degrees) -> GradedAlgebra:
     """Algebra on a list of homogeneous, independent vectors closed under
-    multiplication; products are re-expressed in the span by linear solves."""
-    F = A.field
-    cols = [A.dense(v) for v in vecs]
-    rows = [[cols[j][r] for j in range(len(vecs))] for r in range(A.dim)]
+    multiplication; products are expressed in the span's one echelon form."""
+    ech = echelon(A.field, vecs)
 
-    def express(w: Vec):
-        sol = solve(F, rows, A.dense(w))
-        if sol is None:
+    def in_span(w: Vec) -> Vec:
+        expr = express(ech, w)
+        if expr is None:
             raise OracleError("span is not closed under multiplication")
-        return {i: c for i, c in enumerate(sol) if not F.is_zero(c)}
+        return expr
 
     table = {}
     for i, v in enumerate(vecs):
         for j, w in enumerate(vecs):
-            prod_vec = A.mul_vec(v, w)
-            expr = express(prod_vec)
+            expr = in_span(A.mul_vec(v, w))
             if expr:
                 table[(i, j)] = expr
-    unit = express(A.unit)
-    return GradedAlgebra(F, group, tuple(degrees), table, unit)
+    return GradedAlgebra(A.field, group, tuple(degrees), table, in_span(A.unit))
 
 
 def center_basis(A: GradedAlgebra) -> list[Vec]:
@@ -317,25 +289,21 @@ def centralizer_basis(A: GradedAlgebra, targets: list[Vec]) -> list[Vec]:
 
 
 def _commutant_basis(A: GradedAlgebra, unknown_idxs: list[int], targets: list[Vec]) -> list[Vec]:
+    """Basis of the x in span(b_k : k in unknown_idxs) with x*t = t*x for
+    every target t: the kernel of the columns b_k*t - t*b_k, one block of
+    dim coordinates per target."""
     F = A.field
-    rows = []
-    for t in targets:
-        # coefficient of unknown x_k in (x*t - t*x), per output coordinate
-        diff_cols = []
-        for k in unknown_idxs:
-            bk = A.basis_vec(k)
-            diff = A.add_vec(A.mul_vec(bk, t), A.scale_vec(F.neg(F.one), A.mul_vec(t, bk)))
-            diff_cols.append(diff)
-        for r in range(A.dim):
-            row = [col.get(r, F.zero) for col in diff_cols]
-            if any(not F.is_zero(c) for c in row):
-                rows.append(row)
-    if not rows:
-        rows = [[F.zero] * len(unknown_idxs)]
-    out = []
-    for sol in nullspace(F, rows):
-        out.append({unknown_idxs[i]: c for i, c in enumerate(sol) if not F.is_zero(c)})
-    return out
+    n = A.dim
+    minus_one = F.neg(F.one)
+    cols = []
+    for k in unknown_idxs:
+        bk = A.basis_vec(k)
+        col = {}
+        for ti, t in enumerate(targets):
+            diff = A.add_vec(A.mul_vec(bk, t), A.scale_vec(minus_one, A.mul_vec(t, bk)))
+            col.update((ti * n + r, c) for r, c in diff.items())
+        cols.append(col)
+    return [{unknown_idxs[i]: c for i, c in rel.items()} for rel in kernel(F, cols)]
 
 
 def center_dim(A: GradedAlgebra) -> int:
@@ -413,7 +381,14 @@ def _one_dim_invertible(A: GradedAlgebra, deg: GroupElement, i: int, comps) -> b
 
 
 def _finite_component_scan(A: GradedAlgebra, idxs: list[int]) -> Vec | None:
+    """First nonzero vector of the component, in enumeration order, with no
+    two-sided inverse; refuses components above FINITE_SCAN_BOUND vectors."""
     F = A.field
+    if F.q ** len(idxs) > FINITE_SCAN_BOUND:
+        raise CannotCertify(
+            f"a {len(idxs)}-dimensional component over GF({F.q}) has more than "
+            f"FINITE_SCAN_BOUND = {FINITE_SCAN_BOUND} vectors to scan"
+        )
     for coords in product(F.elements(), repeat=len(idxs)):
         if all(F.is_zero(c) for c in coords):
             continue
@@ -442,27 +417,20 @@ def _certify_identity_division(A: GradedAlgebra, e_idxs: list[int]) -> tuple[boo
 
 def _certify_quadratic(A: GradedAlgebra, e_idxs: list[int]) -> tuple[bool, Vec | None]:
     """A_e = span(1, w): division iff the minimal polynomial of w is irreducible."""
-    from .linalg import rank
-
     F = A.field
     if F.kind not in ("R", "Q"):
         raise CannotCertify("2-dimensional identity component over an unsupported field")
-    unit_dense = A.dense(A.unit)
-    w = None
     for i in e_idxs:
-        cand = A.basis_vec(i)
-        rows = [[unit_dense[r], A.dense(cand)[r]] for r in range(A.dim)]
-        if rank(F, rows) == 2:
-            w = cand
+        w = A.basis_vec(i)
+        ech = echelon(F, [A.unit, w])
+        if ech.rank == 2:
             break
-    if w is None:
+    else:
         raise CannotCertify("identity component has no basis vector independent from the unit")
-    w2 = A.mul_vec(w, w)
-    rows = [[unit_dense[r], A.dense(w)[r]] for r in range(A.dim)]
-    sol = solve(F, rows, A.dense(w2))
+    sol = express(ech, A.mul_vec(w, w))
     if sol is None:
         raise AssertionError("internal: w^2 escaped span(1, w) inside A_e")
-    alpha, beta = sol
+    alpha, beta = sol.get(0, F.zero), sol.get(1, F.zero)
     # w^2 = alpha + beta*w; X^2 - beta X - alpha is reducible over the reals
     # iff disc >= 0, over the rationals iff disc is a square (incl. 0)
     disc = F.add(F.mul(beta, beta), F.mul(F.from_int(4), alpha))
@@ -519,19 +487,15 @@ def _match_quaternion_table(A: GradedAlgebra, e_idxs: list[int]) -> bool:
 
 def _certify_component_module(A: GradedAlgebra, idxs: list[int], e_idxs: list[int]) -> tuple[bool, Vec | None]:
     """Certify C_t = A_e * u with u an invertible basis vector."""
-    F = A.field
-    u = None
     for i in idxs:
-        cand = A.basis_vec(i)
-        if invert_vec(A, cand) is not None:
-            u = cand
+        u = A.basis_vec(i)
+        if invert_vec(A, u) is not None:
             break
-    if u is None:
+    else:
         return False, A.basis_vec(idxs[0])
-    cols = [A.dense(A.mul_vec(A.basis_vec(k), u)) for k in e_idxs]
-    rows = [[cols[j][r] for j in range(len(e_idxs))] for r in range(A.dim)]
+    ech = echelon(A.field, [A.mul_vec(A.basis_vec(k), u) for k in e_idxs])
     for j in idxs:
-        if solve(F, rows, A.dense(A.basis_vec(j))) is None:
+        if express(ech, A.basis_vec(j)) is None:
             raise CannotCertify("component is not a cyclic module over the identity component")
     return True, None
 

@@ -38,7 +38,7 @@ from .exactfield import (
 )
 from .gradedalg import GradedAlgebra, certify
 from .intutil import prime_divisors
-from .linalg import nullspace, rank
+from .linalg import kernel, rank
 from .quasitorus import AltBicharacter, MuFunction, construct
 
 
@@ -312,11 +312,9 @@ def _p_power_class_independent(field, mus, p: int) -> bool:
                 primes.append(q)
         vecs.append(exps)
     primes.sort()
-    rows = [[Fraction(exps.get(q, 0) % p) for q in primes] for exps in vecs]
     # rank over GF(p) via a tiny prime-field context
-    Fp = FiniteField(p, 1)
-    rows_p = [[int(c) % p for c in row] for row in rows]
-    return rank(Fp, rows_p) == m
+    rows = [{k: e % p for k, q in enumerate(primes) if (e := exps.get(q, 0)) % p} for exps in vecs]
+    return rank(FiniteField(p, 1), rows) == m
 
 
 def is_field_p_primary(spec: GradedFieldSpec) -> Decision:
@@ -433,10 +431,9 @@ def is_field_by_frobenius(A: GradedAlgebra) -> bool:
     those factors: it is 1 iff A is a field."""
     F = A.field
     n = A.dim
-    cols = [A.dense(A.vec_power(A.basis_vec(j), F.q)) for j in range(n)]
-    phi = [[cols[j][i] for j in range(n)] for i in range(n)]
-    shifted = [[F.sub(v, F.one) if i == j else v for j, v in enumerate(row)] for i, row in enumerate(phi)]
-    return rank(F, phi) == n and len(nullspace(F, shifted)) == 1
+    phi = [A.vec_power(A.basis_vec(j), F.q) for j in range(n)]
+    shifted = [A.add_vec(col, {j: F.neg(F.one)}) for j, col in enumerate(phi)]
+    return rank(F, phi) == n and len(kernel(F, shifted)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +621,7 @@ def kummer_grading(spec: KummerSpec) -> tuple[GradedAlgebra, dict]:
         for t in range(F.ell):
             basis_elem = F.from_vec([0] * t + [1])
             prod_elem = big.mul(alpha, emb[basis_elem])
-            rows.append([c for c in big.to_vec(prod_elem)])
+            rows.append({k: c for k, c in enumerate(big.to_vec(prod_elem)) if c})
 
     if rank(Fp, rows) != F.ell * r:
         raise AssertionError("internal: components do not span the composite field")

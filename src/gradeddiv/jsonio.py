@@ -32,10 +32,6 @@ def field_from_json(data: dict):
     raise DescriptorError(f"unknown field kind {kind!r}")
 
 
-def group_to_json(G: FinAbGroup) -> dict:
-    return G.to_json()
-
-
 def group_from_json(data: dict) -> FinAbGroup:
     return FinAbGroup.from_json(data)
 

@@ -22,6 +22,7 @@ distinctness.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -897,17 +898,39 @@ def classify_stratum(T: FinAbGroup, items=("1", "2", "3", "4"), verify: bool = T
     return out
 
 
-def classify_all(G: FinAbGroup, items=("1", "2", "3", "4"), verify: bool = True) -> list[ClassifiedAlgebra]:
-    """Classification over every subgroup T of G, deterministically ordered."""
+def _classify_stratum_task(payload):
+    orders, items, verify = payload
+    return classify_stratum(FinAbGroup(tuple(orders)), items=items, verify=verify)
+
+
+def classify_all(G: FinAbGroup, items=("1", "2", "3", "4"), verify: bool = True, jobs: int = 1) -> list[ClassifiedAlgebra]:
+    """Classification over every subgroup T of G, deterministically ordered.
+
+    With jobs > 1 the strata are classified in a pool of
+    min(jobs, number of strata, CPU count) processes; the merge keeps the
+    serial order, so the result does not depend on jobs.
+    """
     from .abelian import all_subgroups
 
-    out = []
+    strata = []
+    tasks = []
     for S in all_subgroups(G):
-        pres = subgroup_presentation(S)
-        stratum = tuple(e.exponents for e in S.elements)
-        for entry in classify_stratum(pres.group, items=items, verify=verify):
-            out.append(ClassifiedAlgebra(stratum, entry.label, entry.algebra))
-    return out
+        strata.append(tuple(e.exponents for e in S.elements))
+        tasks.append((subgroup_presentation(S).group.orders, items, verify))
+    # more processes than strata or cores would only wait on each other
+    jobs = min(jobs, len(strata), os.cpu_count() or 1)
+    if jobs > 1:
+        from multiprocessing import Pool
+
+        with Pool(jobs) as pool:
+            chunks = pool.map(_classify_stratum_task, tasks)
+    else:
+        chunks = map(_classify_stratum_task, tasks)
+    return [
+        ClassifiedAlgebra(stratum, entry.label, entry.algebra)
+        for stratum, chunk in zip(strata, chunks)
+        for entry in chunk
+    ]
 
 
 def census(results: list[ClassifiedAlgebra]) -> dict:

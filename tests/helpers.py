@@ -7,7 +7,7 @@ from itertools import product
 
 from gradeddiv.abelian import FinAbGroup
 from gradeddiv.exactfield import FiniteField, RealField, _gfp_mod, _gfp_mul
-from gradeddiv.gradedalg import GradedAlgebra, left_mult_matrix
+from gradeddiv.gradedalg import GradedAlgebra
 from gradeddiv.gradedfield import GradedFieldError
 from gradeddiv.intutil import factorint, prime_divisors
 from gradeddiv.quasitorus import MuFunction
@@ -49,6 +49,111 @@ def real_mu_choices(G: FinAbGroup):
         for i, s in zip(slots, signs):
             values[i] = Fraction(s)
         yield MuFunction(G, tuple(values))
+
+
+# Dense exact linear algebra by reduced row echelon form: the reference that
+# gradeddiv.linalg's sparse echelon is compared with.
+
+
+def rref(field, rows):
+    """Row-reduce in place; returns (reduced rows, pivot column list)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if not field.is_zero(rows[i][c])), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, v) for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not field.is_zero(rows[i][c]):
+                factor = rows[i][c]
+                rows[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def rank(field, rows) -> int:
+    return len(rref(field, rows)[1])
+
+
+def solve(field, rows, rhs):
+    """One solution x of A x = b, or None if inconsistent."""
+    if not rows:
+        return [] if all(field.is_zero(v) for v in rhs) else None
+    ncols = len(rows[0])
+    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    red, pivots = rref(field, aug)
+    if ncols in pivots:
+        return None
+    x = [field.zero] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = red[i][ncols]
+    return x
+
+
+def nullspace(field, rows):
+    """Basis of the right kernel of A."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = rref(field, rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for i, c in enumerate(pivots):
+            v[c] = field.neg(red[i][f])
+        basis.append(v)
+    return basis
+
+
+
+def reference_commutant_basis(A: GradedAlgebra, unknown_idxs: list[int], targets: list) -> list:
+    """Basis of the x in span(b_k : k in unknown_idxs) commuting with every
+    target, from the dense nullspace of the commutation system with one row
+    per output coordinate and target: the reference for the commutants of
+    gradeddiv.gradedalg."""
+    F = A.field
+    rows = []
+    for t in targets:
+        # coefficient of unknown x_k in (x*t - t*x), per output coordinate
+        diff_cols = []
+        for k in unknown_idxs:
+            bk = A.basis_vec(k)
+            diff = A.add_vec(A.mul_vec(bk, t), A.scale_vec(F.neg(F.one), A.mul_vec(t, bk)))
+            diff_cols.append(diff)
+        for r in range(A.dim):
+            row = [col.get(r, F.zero) for col in diff_cols]
+            if any(not F.is_zero(c) for c in row):
+                rows.append(row)
+    if not rows:
+        rows = [[F.zero] * len(unknown_idxs)]
+    out = []
+    for sol in nullspace(F, rows):
+        out.append({unknown_idxs[i]: c for i, c in enumerate(sol) if not F.is_zero(c)})
+    return out
+
+
+def dense(field, vec: dict, n: int) -> list:
+    """The length-n list of a sparse vector's coordinates."""
+    return [vec.get(i, field.zero) for i in range(n)]
+
+
+def left_mult_matrix(A: GradedAlgebra, x) -> list[list]:
+    """Matrix of y -> x*y in the basis; rows indexed by output coordinate."""
+    n = A.dim
+    cols = [dense(A.field, A.mul_vec(x, A.basis_vec(j)), n) for j in range(n)]
+    return [[cols[j][r] for j in range(n)] for r in range(n)]
 
 
 def zero_divisor_search(A: GradedAlgebra):

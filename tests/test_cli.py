@@ -2,9 +2,14 @@ import json
 import time
 
 import pytest
+from helpers import dense, left_mult_matrix, solve
 
+from gradeddiv import jsonio
+from gradeddiv.abelian import FinAbGroup
 from gradeddiv.cli import main
 from gradeddiv.exactfield import FIELD_TABLE_BOUND
+from gradeddiv.gradedalg import FINITE_SCAN_BOUND, invert_vec
+from gradeddiv.realclass import classify_stratum
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +129,41 @@ def test_verify_reports_every_check_of_a_failing_algebra(capsys, tmp_path):
     assert all(checks[name]["ok"] for name in ("grading", "unit", "associative"))
     assert checks["graded_division"]["ok"] is False
     assert checks["graded_division"]["witness"] == {"degree": [1], "vector": {"1": "1/1"}}
+
+
+def test_verify_reports_a_non_associative_census_table(capsys, tmp_path):
+    # the 12-dimensional item-2 table on Z_3 with the constant of b_4 b_8 doubled:
+    # b_4 * y = 1 has a solution there, but b_4 has no two-sided inverse
+    A = classify_stratum(FinAbGroup((3,)), verify=False)[1].algebra
+    A.table[(4, 8)] = {0: A.field.mul(A.table[(4, 8)][0], A.field.from_int(2))}
+    assert solve(A.field, left_mult_matrix(A, {4: A.field.one}), dense(A.field, A.unit, A.dim)) is not None
+    assert invert_vec(A, {4: A.field.one}) is None
+    path = tmp_path / "broken.json"
+    path.write_text(jsonio.dumps_canonical(jsonio.algebra_to_json(A)))
+    code, report = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 0
+    assert report["verdict"] is False
+    assert report["checks"]["associative"]["ok"] is False
+
+
+def test_finite_component_scan_is_refused_above_its_bound(capsys, tmp_path):
+    # GF(7)[x]/(x^9), trivially graded: one 9-dimensional component of 7^9 vectors
+    n = 9
+    desc = {
+        "field": {"kind": "GF", "p": 7, "ell": 1, "modulus": [0, 1]},
+        "group": {"orders": []},
+        "basis_degrees": [[]] * n,
+        "unit": [[0, [1]]],
+        "constants": [{"i": i, "j": j, "k": i + j, "c": [1]} for i in range(n) for j in range(n - i)],
+    }
+    path = tmp_path / "truncated.json"
+    path.write_text(json.dumps(desc))
+    started = time.monotonic()
+    code, report = run_cli(capsys, "verify", "--in", str(path))
+    assert time.monotonic() - started < 5
+    assert 7**n > FINITE_SCAN_BOUND
+    assert code == 3 and report["error"]["code"] == "bad-parameters"
+    assert "FINITE_SCAN_BOUND" in report["error"]["message"] and str(FINITE_SCAN_BOUND) in report["error"]["message"]
 
 
 def test_classify_real_count_only(capsys):

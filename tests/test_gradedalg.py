@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from helpers import reference_commutant_basis
 
 from gradeddiv.abelian import FinAbGroup, Subgroup
 from gradeddiv.exactfield import FiniteField, RationalField, RealField
@@ -11,6 +12,7 @@ from gradeddiv.gradedalg import (
     OracleError,
     UnnormalizedAlgebra,
     center_dim,
+    centralizer_basis,
     certify,
     commutation_bicharacter,
     graded_center_e_dim,
@@ -321,3 +323,17 @@ def test_generating_set_is_small_on_census_tables(census_tables):
     assert big
     for A in big:
         assert len(_generating_basis(A)) <= 5
+
+
+def test_commutants_match_dense_reference_on_census_tables(census_tables):
+    for tables in census_tables.values():
+        for A in tables:
+            everything = list(range(A.dim))
+            basis = [A.basis_vec(j) for j in everything]
+            e_idxs = A.components()[A.group.identity()]
+            assert center_dim(A) == len(reference_commutant_basis(A, everything, basis))
+            assert graded_center_e_dim(A) == len(reference_commutant_basis(A, e_idxs, basis))
+            # the centralizer of A_e, basis vectors and their order included
+            targets = [A.basis_vec(j) for j in e_idxs]
+            expected = reference_commutant_basis(A, everything, targets)
+            assert [list(v.items()) for v in centralizer_basis(A, targets)] == [list(v.items()) for v in expected]

@@ -4,7 +4,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from helpers import zero_divisor_search
+from helpers import dense, rank, zero_divisor_search
 
 from gradeddiv.abelian import FinAbGroup, element_order
 from gradeddiv.exactfield import (
@@ -37,7 +37,6 @@ from gradeddiv.gradedfield import (
     spec_algebra,
 )
 from gradeddiv.intutil import factorint
-from gradeddiv.linalg import rank
 from gradeddiv.quasitorus import AltBicharacter, MuFunction, construct
 
 Q = RationalField()
@@ -303,7 +302,7 @@ def _frobenius_rank_and_fixed_dim(A):
     here to classify which half of Berlekamp's criterion decides A."""
     F = A.field
     n = A.dim
-    cols = [A.dense(A.vec_power(A.basis_vec(j), F.q)) for j in range(n)]
+    cols = [dense(F, A.vec_power(A.basis_vec(j), F.q), n) for j in range(n)]
     phi = [[cols[j][i] for j in range(n)] for i in range(n)]
     shifted = [[F.sub(phi[i][j], F.one if i == j else F.zero) for j in range(n)] for i in range(n)]
     return rank(F, phi), n - rank(F, shifted)
