@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="split into primary components")
     p.add_argument("--in", dest="infile", required=True)
 
-    p = sub.add_parser("iso", help="graded isomorphism search (1-dim components)")
+    p = sub.add_parser("iso", help="decide graded isomorphism from the cocycles (1-dim components)")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 

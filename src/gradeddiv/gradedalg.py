@@ -20,6 +20,25 @@ to generate A by exact linear algebra, trusting no other oracle.  Only when
 the certificate fails does the oracle scan every triple, so the witness it
 reports is still the first failing triple in lexicographic order.
 
+An algebra whose components X_t are 1-dimensional and cover the group is a
+twisted group algebra F^sigma K: X_s X_t = sigma(s, t) X_{s+t}.
+``GradedAlgebra.cocycle`` reads sigma off the table once, and every
+invariant of such an algebra is computed from it: the commutation
+bicharacter sigma(s, t) / sigma(t, s), and the power constant of t, the
+product of sigma(mt, t) over m < o(t).
+
+A graded isomorphism X_t -> lambda_t X'_t of two such algebras is a
+solution of lambda_s lambda_t sigma_B(s, t) = sigma_A(s, t) lambda_{s+t}.
+Along the multiples of a generator a_i of order o_i the equations
+telescope to lambda_{a_i}^{o_i} = r_i, the ratio of the power constants.
+Two solutions differ by a character of K, and a solution times a character
+is a solution, so the generator values of the solutions are exactly the
+tuples with c_i^{o_i} = r_i, or there is no solution.  ``graded_iso_1dim``
+therefore takes on each generator the first designated root of unity with
+c_i^{o_i} = r_i, extends it over K, and checks the n^2 equations once.  The
+answer needs no associativity, and the witness is the lexicographically
+first one among tuples of designated roots.
+
 Invertibility decisions:
 
 * an element x is invertible iff the stacked linear system x*y = 1,
@@ -55,7 +74,7 @@ class OracleError(ValueError):
 
 
 class UnnormalizedAlgebra(OracleError):
-    """Iso-search input whose constants are outside the designated coset set."""
+    """Iso input whose constants are outside the designated root-of-unity set."""
 
 
 class CannotCertify(OracleError):
@@ -73,6 +92,7 @@ class GradedAlgebra:
     table: dict  # (i, j) -> Vec, missing entries mean the zero product
     unit: Vec
     _components: dict | None = dc_field(default=None, repr=False, compare=False)
+    _cocycle: dict | None = dc_field(default=None, repr=False, compare=False)
 
     # Values are immutable by convention after construction; all oracles are
     # pure, so concurrent use is safe.
@@ -91,6 +111,32 @@ class GradedAlgebra:
 
     def support(self) -> set[GroupElement]:
         return set(self.components().keys())
+
+    def cocycle(self) -> dict[tuple[GroupElement, GroupElement], object]:
+        """sigma(s, t) with X_s X_t = sigma(s, t) X_{s+t}, keyed by degree pairs.
+
+        Requires 1-dimensional components X_t over the whole group, every
+        product of two of them nonzero and in its component, and the unit a
+        multiple of X_e; raises OracleError otherwise.  Read once and kept.
+        """
+        if self._cocycle is None:
+            comps = self.components()
+            if any(len(idxs) != 1 for idxs in comps.values()):
+                raise OracleError("operation requires 1-dimensional homogeneous components")
+            if set(comps) != set(self.group.elements()):
+                raise OracleError("support must be the whole group")
+            sigma = {}
+            for s, (i,) in comps.items():
+                for t, (j,) in comps.items():
+                    vec = self.entry(i, j)
+                    (k,) = comps[s + t]
+                    if set(vec) != {k}:
+                        raise OracleError("zero structure constant; the table is not graded-division")
+                    sigma[(s, t)] = vec[k]
+            if set(self.unit) != set(comps[self.group.identity()]):
+                raise OracleError("the unit is not a multiple of X_e")
+            self._cocycle = sigma
+        return self._cocycle
 
     def basis_vec(self, i: int) -> Vec:
         return {i: self.field.one}
@@ -515,11 +561,20 @@ _FAILURES = {
 def oracle_checks(A: GradedAlgebra):
     """Yield (name, ok, witness) for the grading, unit, associativity and
     graded-division oracles, in that order; each oracle runs only when its
-    result is asked for."""
+    result is asked for.
+
+    The graded-division certificates hold only for associative tables, so
+    after an associativity failure that check is undecided: ok is None and
+    the witness names the unmet precondition.
+    """
     yield ("grading", *verify_grading(A))
     yield ("unit", *verify_unit(A))
-    yield ("associative", *verify_associative(A))
-    yield ("graded_division", *is_graded_division(A))
+    associative, witness = verify_associative(A)
+    yield ("associative", associative, witness)
+    if associative:
+        yield ("graded_division", *is_graded_division(A))
+    else:
+        yield ("graded_division", None, "undecided: the table is not associative")
 
 
 def certify(A: GradedAlgebra) -> list[tuple]:
@@ -541,32 +596,11 @@ def certify(A: GradedAlgebra) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _one_dim_index(A: GradedAlgebra) -> dict[GroupElement, int]:
-    comps = A.components()
-    out = {}
-    for deg, idxs in comps.items():
-        if len(idxs) != 1:
-            raise OracleError("operation requires 1-dimensional homogeneous components")
-        out[deg] = idxs[0]
-    return out
-
-
-def structure_scalar(A: GradedAlgebra, idx: dict, s: GroupElement, t: GroupElement):
-    """c(s, t) with X_s X_t = c(s, t) X_{s+t}, for 1-dimensional components."""
-    vec = A.entry(idx[s], idx[t])
-    target = idx[s + t]
-    if set(vec) != {target}:
-        raise OracleError("zero structure constant; the table is not graded-division")
-    return vec[target]
-
-
 def commutation_bicharacter(A: GradedAlgebra):
-    """Read the commutation bicharacter off basis commutation (1-dim components)."""
+    """beta(a_i, a_j) = sigma(a_i, a_j) / sigma(a_j, a_i) on generator pairs."""
     from .quasitorus import AltBicharacter
 
-    idx = _one_dim_index(A)
-    if set(idx) != set(A.group.elements()):
-        raise OracleError("support must be the whole group")
+    sigma = A.cocycle()
     F = A.field
     G = A.group
     values = []
@@ -575,56 +609,42 @@ def commutation_bicharacter(A: GradedAlgebra):
             ai, aj = G.generator(i), G.generator(j)
             if ai.is_identity() or aj.is_identity():
                 continue
-            beta = F.div(structure_scalar(A, idx, ai, aj), structure_scalar(A, idx, aj, ai))
-            values.append((i, j, beta))
+            values.append((i, j, F.div(sigma[(ai, aj)], sigma[(aj, ai)])))
     return AltBicharacter.from_pairs(G, values, F)
 
 
+def power_constant(A: GradedAlgebra, t: GroupElement):
+    """The scalar c with 1 X_t X_t ... X_t (o(t) factors X_t, multiplied from
+    the left) = c 1: the product of sigma(mt, t) for m < o(t), since the
+    unit's own scalar cancels."""
+    F = A.field
+    sigma = A.cocycle()
+    c, s = F.one, A.group.identity()
+    for _ in range(element_order(t)):
+        c = F.mul(c, sigma[(s, t)])
+        s = s + t
+    return c
+
+
 def mu_invariant(A: GradedAlgebra):
-    """The power invariant on generators: the class of X_t^{o(t)} (1-dim components)."""
+    """The power invariant on generators: the power constants of the a_i."""
     from .quasitorus import MuFunction
 
-    idx = _one_dim_index(A)
-    F = A.field
     G = A.group
-    reps = []
-    for i in range(G.rank):
-        a = G.generator(i)
-        o = element_order(a)
-        w = A.vec_power(A.basis_vec(idx[a]), o)
-        rep = _unit_multiple(A, w)
-        reps.append(rep)
-    return MuFunction(G, tuple(reps))
+    return MuFunction(G, tuple(power_constant(A, G.generator(i)) for i in range(G.rank)))
 
 
 def mu_class_of_element(A: GradedAlgebra, t: GroupElement):
     """Class tag of X_t^{o(t)} for any support element t."""
-    idx = _one_dim_index(A)
-    o = element_order(t)
-    w = A.vec_power(A.basis_vec(idx[t]), o)
-    return A.field.nth_power_class(_unit_multiple(A, w), o)
-
-
-def _unit_multiple(A: GradedAlgebra, w: Vec):
-    """Express w as scalar * unit, raising if it is not."""
-    F = A.field
-    k, c = next(iter(A.unit.items()))
-    if not w:
-        raise OracleError("zero where a unit multiple was expected")
-    rho = F.div(w.get(k, F.zero), c)
-    if A.scale_vec(rho, A.unit) != w:
-        raise OracleError("element is not a scalar multiple of the unit")
-    return rho
+    return A.field.nth_power_class(power_constant(A, t), element_order(t))
 
 
 def graded_iso_1dim(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
-    """Search for a degree-preserving isomorphism X_t -> lambda_t X'_t.
+    """A degree-preserving isomorphism X_t -> lambda_t X'_t, or None.
 
     Requires both tables normalized so all structure constants lie in the
-    field's designated root-of-unity set; the witness search then runs over
-    that same finite set per generator (complete: any witness takes torsion
-    values because the support group is finite and the positive-scaling part
-    of the unit group is torsion free).
+    field's designated root-of-unity set, and looks for lambda in that set
+    on the generators (see the module doc for why one candidate decides).
     """
     if A.field != B.field:
         raise OracleError("algebras over different coefficient fields")
@@ -632,53 +652,39 @@ def graded_iso_1dim(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
         return None
     F = A.field
     G = A.group
-    idx_a = _one_dim_index(A)
-    idx_b = _one_dim_index(B)
-    if set(idx_a) != set(G.elements()) or set(idx_b) != set(G.elements()):
-        raise OracleError("support must be the whole group")
+    sigma_a, sigma_b = A.cocycle(), B.cocycle()
     roots = F.roots_of_unity()
     root_set = set(roots)
-    for M, idx in ((A, idx_a), (B, idx_b)):
-        for s in G.elements():
-            for t in G.elements():
-                if structure_scalar(M, idx, s, t) not in root_set:
-                    raise UnnormalizedAlgebra("structure constants outside the designated root set")
+    if any(c not in root_set for sigma in (sigma_a, sigma_b) for c in sigma.values()):
+        raise UnnormalizedAlgebra("structure constants outside the designated root set")
 
-    gens = [i for i in range(G.rank) if G.orders[i] > 1]
-    elements = list(G.elements())
-
-    def extend(gen_choice: dict) -> dict:
-        lam = {G.identity(): F.one}
-        for t in elements:
-            if t.is_identity():
-                continue
-            i = next(pos for pos, e in enumerate(t.exponents) if e)
-            if t == G.generator(i):
-                lam[t] = gen_choice[i]
-                continue
-            prev = t - G.generator(i)
+    # lambda_{a_i}^{o_i} is forced, and the first root with that power decides
+    choice = {}
+    for i, o in enumerate(G.orders):
+        if o > 1:
             a = G.generator(i)
-            val = F.mul(lam[prev], lam[a])
-            val = F.mul(val, F.div(structure_scalar(B, idx_b, prev, a), structure_scalar(A, idx_a, prev, a)))
-            lam[t] = val
-        return lam
-
-    for choice in product(roots, repeat=len(gens)):
-        gen_choice = dict(zip(gens, choice))
-        lam = extend(gen_choice)
-        ok = True
-        for s in elements:
-            for t in elements:
-                lhs = F.mul(F.mul(lam[s], lam[t]), structure_scalar(B, idx_b, s, t))
-                rhs = F.mul(structure_scalar(A, idx_a, s, t), lam[s + t])
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return lam
-    return None
+            ratio = F.div(power_constant(A, a), power_constant(B, a))
+            choice[i] = next((c for c in roots if F.power(c, o) == ratio), None)
+            if choice[i] is None:
+                return None
+    elements = list(G.elements())
+    lam = {G.identity(): F.one}
+    for t in elements:
+        if t.is_identity():
+            continue
+        i = next(pos for pos, e in enumerate(t.exponents) if e)
+        a = G.generator(i)
+        if t == a:
+            lam[t] = choice[i]
+        else:
+            prev = t - a
+            lam[t] = F.mul(F.mul(lam[prev], lam[a]), F.div(sigma_b[(prev, a)], sigma_a[(prev, a)]))
+    for s in elements:
+        for t in elements:
+            lhs = F.mul(F.mul(lam[s], lam[t]), sigma_b[(s, t)])
+            if lhs != F.mul(sigma_a[(s, t)], lam[s + t]):
+                return None
+    return lam
 
 
 def tensor_product(A: GradedAlgebra, B: GradedAlgebra, group: FinAbGroup, deg_a, deg_b) -> GradedAlgebra:

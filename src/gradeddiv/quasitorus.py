@@ -19,10 +19,11 @@ output against the associativity / grading / division oracles by default.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from itertools import product
+from math import gcd
 
-from .abelian import FinAbGroup, GroupElement, Subgroup, element_order
-from .gradedalg import GradedAlgebra, OracleError, certify
+from .abelian import FinAbGroup, GroupElement, Subgroup, element_order, torsion_p_part
+from .gradedalg import GradedAlgebra, OracleError, certify, subalgebra_on_indices
 from .intutil import prime_divisors
 
 
@@ -308,71 +309,43 @@ def construct(
 
 
 def primary_decompose(A: GradedAlgebra) -> list[tuple[int, GradedAlgebra]]:
-    """Split an algebra with 1-dim components into its primary parts.
+    """Split an algebra with 1-dimensional components into its primary parts.
 
-    Returns (p, subalgebra supported on the p-torsion) pairs; the tensor
-    product of the parts is verified isomorphic to A through the basis
-    bijection (g_1, ..., g_r) -> X^{g_1} ... X^{g_r}.
+    Returns (p, subalgebra supported on the p-torsion) pairs.  The
+    multiplication map from the tensor product of the parts,
+    (g_1, ..., g_r) -> 1 X_{g_1} ... X_{g_r} = lam(g) X_{g_1 + ... + g_r},
+    is verified to be a graded isomorphism: with 1-dimensional components
+    that is the scalar condition lam(u) lam(v) sigma(u, v) =
+    lam(u + v) prod_p sigma(u_p, v_p) on all pairs of tensor basis
+    elements, read off the cocycle sigma of A.
     """
-    from .gradedalg import subalgebra_on_indices
-
     K = A.group
-    comps = A.components()
-    primes = prime_divisors(K.order) if K.order > 1 else []
     parts = []
-    for p in primes:
-        from .abelian import torsion_p_part
-
-        sub = torsion_p_part(K, p)
-        idxs = sorted(i for i, d in enumerate(A.degrees) if d in sub.element_set())
-        degrees = tuple(A.degrees[i] for i in idxs)
-        parts.append((p, subalgebra_on_indices(A, idxs, K, degrees)))
-
+    supports = []
+    for p in prime_divisors(K.order) if K.order > 1 else []:
+        sub = torsion_p_part(K, p).element_set()
+        idxs = sorted(i for i, d in enumerate(A.degrees) if d in sub)
+        parts.append((p, subalgebra_on_indices(A, idxs, K, tuple(A.degrees[i] for i in idxs))))
+        supports.append(sorted(sub, key=lambda e: e.exponents))
     if not parts:
         return parts
 
-    # verification: the multiplication map from the tensor product is a
-    # graded isomorphism; with 1-dim components it suffices to check the
-    # scalar cocycle condition on all pairs of tensor basis elements
-    idx = {d: i for i, d in enumerate(A.degrees)}
     F = A.field
-
-    def monomial(parts_elems):
-        vec = A.unit
-        for g in parts_elems:
-            vec = A.mul_vec(vec, A.basis_vec(idx[g]))
-        return vec
-
-    from itertools import product as iproduct
-
-    supports = [[d for d in sorted(part.support(), key=lambda e: e.exponents)] for _, part in parts]
+    sigma = A.cocycle()
+    (unit_scalar,) = A.unit.values()
     lam = {}
-    for combo in iproduct(*supports):
-        total = K.identity()
+    for combo in product(*supports):
+        c, total = unit_scalar, K.identity()
         for g in combo:
+            c = F.mul(c, sigma[(total, g)])
             total = total + g
-        vec = monomial(combo)
-        if set(vec) != {idx[total]}:
-            raise OracleError("primary factor product escaped its component")
-        lam[combo] = vec[idx[total]]
-    part_idx = [{d: i for i, d in enumerate(part.degrees)} for _, part in parts]
-    for u in lam:
-        for v in lam:
-            # scalar of the product in the tensor algebra
+        lam[combo] = (total, c)
+    for u, (su, lam_u) in lam.items():
+        for v, (sv, lam_v) in lam.items():
             c_tensor = F.one
-            for (pi, (_, part)) in enumerate(parts):
-                vec = part.entry(part_idx[pi][u[pi]], part_idx[pi][v[pi]])
-                c_tensor = F.mul(c_tensor, next(iter(vec.values())))
-            su = K.identity()
-            sv = K.identity()
-            for g in u:
-                su = su + g
-            for g in v:
-                sv = sv + g
-            c_a = next(iter(A.entry(idx[su], idx[sv]).values()))
-            lhs = F.mul(F.mul(lam[u], lam[v]), c_a)
+            for ug, vg in zip(u, v):
+                c_tensor = F.mul(c_tensor, sigma[(ug, vg)])
             w = tuple(ug + vg for ug, vg in zip(u, v))
-            rhs = F.mul(lam[w], c_tensor)
-            if lhs != rhs:
+            if F.mul(F.mul(lam_u, lam_v), sigma[(su, sv)]) != F.mul(lam[w][1], c_tensor):
                 raise OracleError("tensor decomposition failed the isomorphism check")
     return parts

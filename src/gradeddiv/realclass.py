@@ -46,11 +46,9 @@ from .gradedalg import (
     centralizer_basis,
     certify,
     commutation_bicharacter,
-    structure_scalar,
+    power_constant,
     subalgebra_on_span,
     tensor_product,
-    _one_dim_index,
-    _unit_multiple,
 )
 from .quasitorus import AltBicharacter, MuFunction, construct
 
@@ -344,14 +342,12 @@ def construct_item1(T: FinAbGroup, beta: AltBicharacter, mu: QuadForm, verify: b
         else:
             gen_values.append(Fraction(1))
     A = construct(T, beta, MuFunction(T, tuple(gen_values)), REAL, verify=verify)
-    idx = _one_dim_index(A)
     for t in mu.domain():
         if t.is_identity():
             if mu(t) != 1:
                 raise ClassificationError("a quadratic form takes value 1 at the identity")
             continue
-        w = A.vec_power(A.basis_vec(idx[t]), 2)
-        if _sign(_unit_multiple(A, w)) != mu(t):
+        if _sign(power_constant(A, t)) != mu(t):
             raise ClassificationError("constructed table does not realize the quadratic form")
     return A
 
@@ -474,11 +470,10 @@ def construct_item3(
     coords = pres.coords()
     mu_pres = QuadForm.from_map(pres.group, {coords[h]: s for h, s in mu_t0.items()})
     # an intermediate table: only the emitted A is certified
-    C = construct_item1(pres.group, beta.chi, mu_pres, verify=False)
-    cidx = _one_dim_index(C)
+    sigma = construct_item1(pres.group, beta.chi, mu_pres, verify=False).cocycle()
 
     def cmul(s1: GroupElement, s2: GroupElement) -> Fraction:
-        return structure_scalar(C, cidx, coords[s1], coords[s2])
+        return sigma[(coords[s1], coords[s2])]
 
     t0sq = 2 * t0
 
@@ -730,14 +725,12 @@ def recover_label(A: GradedAlgebra) -> ClassLabel:
 
 def _signs_of_squares(A: GradedAlgebra) -> QuadForm:
     T = A.group
-    idx = _one_dim_index(A)
     mapping = {}
     for t in two_torsion(T).elements:
         if t.is_identity():
             mapping[t] = 1
         else:
-            w = A.vec_power(A.basis_vec(idx[t]), 2)
-            mapping[t] = _sign(_unit_multiple(A, w))
+            mapping[t] = _sign(power_constant(A, t))
     return QuadForm.from_map(T, mapping)
 
 
@@ -803,19 +796,15 @@ def _recover_item3(A: GradedAlgebra) -> ClassLabel:
         raise ClassificationError("Cent(d0) does not have full support")
     degs = sorted(by_degree, key=lambda x: x.exponents)
     sub = subalgebra_on_span(A, [by_degree[d] for d in degs], T, degs)
-    sidx = _one_dim_index(sub)
+    sigma = sub.cocycle()
 
     pres = subgroup_presentation(K)
-    coords = pres.coords()
     kg = pres.group
     beta_vals = []
     for i in range(kg.rank):
         for j in range(i + 1, kg.rank):
             gi, gj = pres.gens[i], pres.gens[j]
-            v = F.div(
-                structure_scalar(sub, sidx, gi, gj), structure_scalar(sub, sidx, gj, gi)
-            )
-            beta_vals.append((i, j, v))
+            beta_vals.append((i, j, F.div(sigma[(gi, gj)], sigma[(gj, gi)])))
     beta = SubBicharacter(pres, AltBicharacter.from_pairs(kg, beta_vals, F))
 
     k2 = sorted((g for g in t2 if g in kset), key=lambda x: x.exponents)
@@ -824,8 +813,7 @@ def _recover_item3(A: GradedAlgebra) -> ClassLabel:
         if h.is_identity():
             mu_t0[h] = 1
         else:
-            w = sub.vec_power(sub.basis_vec(sidx[h]), 2)
-            mu_t0[h] = _sign(_unit_multiple(sub, w))
+            mu_t0[h] = _sign(power_constant(sub, h))
     if case == "a":
         d0sq = A.mul_vec(d0, d0)
         delta = _sign(_unit_multiple(A, d0sq))
@@ -833,6 +821,18 @@ def _recover_item3(A: GradedAlgebra) -> ClassLabel:
         return ClassLabel("3a", T, (K, beta, nu))
     nu_class = canonicalize_item3(T, K, beta, mu_t0, t0, case="b")
     return ClassLabel("3b", T, (K, beta, nu_class))
+
+
+def _unit_multiple(A: GradedAlgebra, w):
+    """Express w as scalar * unit, raising if it is not."""
+    F = A.field
+    k, c = next(iter(A.unit.items()))
+    if not w:
+        raise OracleError("zero where a unit multiple was expected")
+    rho = F.div(w.get(k, F.zero), c)
+    if A.scale_vec(rho, A.unit) != w:
+        raise OracleError("element is not a scalar multiple of the unit")
+    return rho
 
 
 def _canonical_beta_pair(beta: AltBicharacter, cyc: CyclotomicField) -> tuple:

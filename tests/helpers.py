@@ -5,9 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from gradeddiv.abelian import FinAbGroup
+from gradeddiv.abelian import FinAbGroup, element_order, torsion_p_part
 from gradeddiv.exactfield import FiniteField, RealField, _gfp_mod, _gfp_mul
-from gradeddiv.gradedalg import GradedAlgebra
+from gradeddiv.gradedalg import GradedAlgebra, OracleError, UnnormalizedAlgebra, subalgebra_on_indices
 from gradeddiv.gradedfield import GradedFieldError
 from gradeddiv.intutil import factorint, prime_divisors
 from gradeddiv.quasitorus import MuFunction
@@ -258,3 +258,171 @@ def reference_field_tables(p: int, ell: int, modulus) -> tuple[list[int], dict[i
         acc = raw_mul(acc, gen)
         exp.append(acc)
     return exp, {v: i for i, v in enumerate(exp)}
+
+
+# The readers of the structure constants of 1-dimensional components that
+# GradedAlgebra.cocycle replaced: the lexicographic search over every tuple
+# of roots of unity for graded_iso_1dim, the power constant read off the
+# product X_e X_t ... X_t, and primary_decompose's check on monomials.
+
+
+def one_dim_index(A: GradedAlgebra) -> dict:
+    comps = A.components()
+    out = {}
+    for deg, idxs in comps.items():
+        if len(idxs) != 1:
+            raise OracleError("operation requires 1-dimensional homogeneous components")
+        out[deg] = idxs[0]
+    return out
+
+
+def structure_scalar(A: GradedAlgebra, idx: dict, s, t):
+    """c(s, t) with X_s X_t = c(s, t) X_{s+t}, for 1-dimensional components."""
+    vec = A.entry(idx[s], idx[t])
+    target = idx[s + t]
+    if set(vec) != {target}:
+        raise OracleError("zero structure constant; the table is not graded-division")
+    return vec[target]
+
+
+def reference_iso_search(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
+    """Search for a degree-preserving isomorphism X_t -> lambda_t X'_t.
+
+    Requires both tables normalized so all structure constants lie in the
+    field's designated root-of-unity set; the witness search then runs over
+    that same finite set per generator (complete: any witness takes torsion
+    values because the support group is finite and the positive-scaling part
+    of the unit group is torsion free).
+    """
+    if A.field != B.field:
+        raise OracleError("algebras over different coefficient fields")
+    if A.group.orders != B.group.orders:
+        return None
+    F = A.field
+    G = A.group
+    idx_a = one_dim_index(A)
+    idx_b = one_dim_index(B)
+    if set(idx_a) != set(G.elements()) or set(idx_b) != set(G.elements()):
+        raise OracleError("support must be the whole group")
+    roots = F.roots_of_unity()
+    root_set = set(roots)
+    for M, idx in ((A, idx_a), (B, idx_b)):
+        for s in G.elements():
+            for t in G.elements():
+                if structure_scalar(M, idx, s, t) not in root_set:
+                    raise UnnormalizedAlgebra("structure constants outside the designated root set")
+
+    gens = [i for i in range(G.rank) if G.orders[i] > 1]
+    elements = list(G.elements())
+
+    def extend(gen_choice: dict) -> dict:
+        lam = {G.identity(): F.one}
+        for t in elements:
+            if t.is_identity():
+                continue
+            i = next(pos for pos, e in enumerate(t.exponents) if e)
+            if t == G.generator(i):
+                lam[t] = gen_choice[i]
+                continue
+            prev = t - G.generator(i)
+            a = G.generator(i)
+            val = F.mul(lam[prev], lam[a])
+            val = F.mul(val, F.div(structure_scalar(B, idx_b, prev, a), structure_scalar(A, idx_a, prev, a)))
+            lam[t] = val
+        return lam
+
+    for choice in product(roots, repeat=len(gens)):
+        gen_choice = dict(zip(gens, choice))
+        lam = extend(gen_choice)
+        ok = True
+        for s in elements:
+            for t in elements:
+                lhs = F.mul(F.mul(lam[s], lam[t]), structure_scalar(B, idx_b, s, t))
+                rhs = F.mul(structure_scalar(A, idx_a, s, t), lam[s + t])
+                if lhs != rhs:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return lam
+    return None
+
+
+def _unit_multiple(A: GradedAlgebra, w: dict):
+    """Express w as scalar * unit, raising if it is not."""
+    F = A.field
+    k, c = next(iter(A.unit.items()))
+    if not w:
+        raise OracleError("zero where a unit multiple was expected")
+    rho = F.div(w.get(k, F.zero), c)
+    if A.scale_vec(rho, A.unit) != w:
+        raise OracleError("element is not a scalar multiple of the unit")
+    return rho
+
+
+def reference_power_constant(A: GradedAlgebra, t):
+    """The scalar of X_t^{o(t)}, multiplied out from the unit."""
+    idx = one_dim_index(A)
+    w = A.vec_power(A.basis_vec(idx[t]), element_order(t))
+    return _unit_multiple(A, w)
+
+
+def reference_primary_decompose(A: GradedAlgebra) -> list:
+    """primary_decompose with the tensor-isomorphism check on monomials
+    multiplied out from the unit."""
+    K = A.group
+    primes = prime_divisors(K.order) if K.order > 1 else []
+    parts = []
+    for p in primes:
+        sub = torsion_p_part(K, p)
+        idxs = sorted(i for i, d in enumerate(A.degrees) if d in sub.element_set())
+        degrees = tuple(A.degrees[i] for i in idxs)
+        parts.append((p, subalgebra_on_indices(A, idxs, K, degrees)))
+
+    if not parts:
+        return parts
+
+    # verification: the multiplication map from the tensor product is a
+    # graded isomorphism; with 1-dim components it suffices to check the
+    # scalar cocycle condition on all pairs of tensor basis elements
+    idx = {d: i for i, d in enumerate(A.degrees)}
+    F = A.field
+
+    def monomial(parts_elems):
+        vec = A.unit
+        for g in parts_elems:
+            vec = A.mul_vec(vec, A.basis_vec(idx[g]))
+        return vec
+
+    supports = [[d for d in sorted(part.support(), key=lambda e: e.exponents)] for _, part in parts]
+    lam = {}
+    for combo in product(*supports):
+        total = K.identity()
+        for g in combo:
+            total = total + g
+        vec = monomial(combo)
+        if set(vec) != {idx[total]}:
+            raise OracleError("primary factor product escaped its component")
+        lam[combo] = vec[idx[total]]
+    part_idx = [{d: i for i, d in enumerate(part.degrees)} for _, part in parts]
+    for u in lam:
+        for v in lam:
+            # scalar of the product in the tensor algebra
+            c_tensor = F.one
+            for (pi, (_, part)) in enumerate(parts):
+                vec = part.entry(part_idx[pi][u[pi]], part_idx[pi][v[pi]])
+                c_tensor = F.mul(c_tensor, next(iter(vec.values())))
+            su = K.identity()
+            sv = K.identity()
+            for g in u:
+                su = su + g
+            for g in v:
+                sv = sv + g
+            c_a = next(iter(A.entry(idx[su], idx[sv]).values()))
+            lhs = F.mul(F.mul(lam[u], lam[v]), c_a)
+            w = tuple(ug + vg for ug, vg in zip(u, v))
+            rhs = F.mul(lam[w], c_tensor)
+            if lhs != rhs:
+                raise OracleError("tensor decomposition failed the isomorphism check")
+    return parts

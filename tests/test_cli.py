@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -144,6 +145,120 @@ def test_verify_reports_a_non_associative_census_table(capsys, tmp_path):
     assert code == 0
     assert report["verdict"] is False
     assert report["checks"]["associative"]["ok"] is False
+    # the graded-division certificates need an associative table
+    assert report["checks"]["graded_division"] == {"ok": None, "witness": "undecided: the table is not associative"}
+
+
+def _construct(capsys, tmp_path, request: dict) -> dict:
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(request))
+    code, report = run_cli(capsys, "construct", "--in", str(path))
+    assert code == 0
+    return report["algebra"]
+
+
+def _write(tmp_path, name: str, desc: dict) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(desc))
+    return str(path)
+
+
+Z2xZ4_REQUEST = {
+    "group": {"orders": [2, 4]},
+    "beta": [[0, 1, "-1/1"]],
+    "mu": [[0, "-1/1"], [1, "1/1"]],
+    "field": {"kind": "R"},
+}
+
+
+def test_invariants_refuses_a_zero_product(capsys, tmp_path):
+    # X_(0,3) X_(0,3) = 0 in an otherwise graded-division table: no beta or mu is printed
+    desc = _construct(capsys, tmp_path, Z2xZ4_REQUEST)
+    desc["constants"] = [c for c in desc["constants"] if (c["i"], c["j"]) != (3, 3)]
+    code, report = run_cli(capsys, "invariants", "--in", _write(tmp_path, "zero.json", desc))
+    assert code == 3
+    assert report["error"] == {"code": "bad-parameters", "message": "zero structure constant; the table is not graded-division"}
+
+
+def test_unit_outside_the_identity_component_is_refused(capsys, tmp_path):
+    desc = _construct(capsys, tmp_path, Z2xZ4_REQUEST)
+    desc["unit"] = [[1, "1/1"]]
+    path = _write(tmp_path, "unit.json", desc)
+    for argv in (["iso", "--a", path, "--b", path], ["decompose", "--in", path]):
+        code, report = run_cli(capsys, *argv)
+        assert code == 3
+        assert report["error"] == {"code": "bad-parameters", "message": "the unit is not a multiple of X_e"}
+    # invariants stops earlier, at the identity component
+    code, report = run_cli(capsys, "invariants", "--in", path)
+    assert code == 3
+    assert report["error"]["message"] == "unit does not lie in the selected components"
+
+
+def test_decompose_needs_one_dimensional_components_on_the_whole_group(capsys, tmp_path):
+    # the item-2 table on Z_2: 4-dimensional components
+    A = classify_stratum(FinAbGroup((2,)), verify=False)[1].algebra
+    code, report = run_cli(capsys, "decompose", "--in", _write(tmp_path, "h.json", jsonio.algebra_to_json(A)))
+    assert code == 3
+    assert report["error"]["message"] == "operation requires 1-dimensional homogeneous components"
+    # Q graded by Z_6 with support Z_3
+    desc = {
+        "field": {"kind": "Q"},
+        "group": {"orders": [6]},
+        "basis_degrees": [[0], [2], [4]],
+        "unit": [[0, "1/1"]],
+        "constants": [{"i": i, "j": j, "k": (i + j) % 3, "c": "1/1"} for i in range(3) for j in range(3)],
+    }
+    code, report = run_cli(capsys, "decompose", "--in", _write(tmp_path, "z3.json", desc))
+    assert code == 3
+    assert report["error"]["message"] == "support must be the whole group"
+
+
+# sha256 and length of the stdout bytes of invariants, decompose and
+# iso --a X --b X on the construct output X of each request
+PINNED_REPORTS = [
+    (
+        Z2xZ4_REQUEST,
+        {
+            "invariants": ("b26cdbc5872f2d103c964b33c0e7f3903e592164d3880d3ee4790b0b35187ee0", 2360),
+            "decompose": ("97ae8e99cd7078b19c9a0a772f25083a19a59ed7074be12fdddc24921fab6685", 4230),
+            "iso": ("bc56cf31b3b4a11b723b4b2b76d357b9719cc865fbb3fccc607f9c2ac8cbf857", 4341),
+        },
+    ),
+    (
+        {"group": {"orders": [8]}, "beta": [], "mu": [[0, [0, 1]]], "field": {"kind": "GF", "p": 3, "ell": 2}},
+        {
+            "invariants": ("facf3dcc93568158edcfab89330286082896221f65efdbe79be6c93c4df5541b", 2292),
+            "decompose": ("87a7662ebfb619f0be8c7302c5e9af18c7a7eaf7359eae1cac4c0185be76008e", 4228),
+            "iso": ("4b32b132e2b491fe526eb93eb203ee5c6a157290283d1b0d6b5d608a78a108b7", 4323),
+        },
+    ),
+    (
+        {
+            "group": {"orders": [4, 2]},
+            "beta": [[0, 1, ["-1/1", "0/1"]]],
+            "mu": [[0, ["0/1", "1/1"]], [1, ["-1/1", "0/1"]]],
+            "field": {"kind": "CYC", "conductor": 4},
+        },
+        {
+            "invariants": ("69984655844ae9fa61ff31c57520c32de7b97ec400f8e37eec2a885bc65141ee", 2913),
+            "decompose": ("f465410973d8c171bc768114928d47c396d6e340b30307544ae46e84b8c8c4eb", 5302),
+            "iso": ("f06364e6edbfe9766eb1dc8c08cf4c28683ca565e7298e33c1937ac4dff35fee", 5477),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("request_, pinned", PINNED_REPORTS, ids=["R-Z2xZ4", "GF9-Z8", "Qzeta4-Z4xZ2"])
+def test_reports_on_1dim_algebras_are_pinned(capsys, tmp_path, request_, pinned):
+    path = _write(tmp_path, "alg.json", _construct(capsys, tmp_path, request_))
+    for command, argv in (
+        ("invariants", ["invariants", "--in", path]),
+        ("decompose", ["decompose", "--in", path]),
+        ("iso", ["iso", "--a", path, "--b", path]),
+    ):
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert (hashlib.sha256(out).hexdigest(), len(out)) == pinned[command], command
 
 
 def test_finite_component_scan_is_refused_above_its_bound(capsys, tmp_path):

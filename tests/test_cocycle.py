@@ -1,0 +1,202 @@
+"""The cocycle readers of gradedalg and quasitorus against the references in
+helpers: the lexicographic iso search, the power constant multiplied out
+from the unit, and primary_decompose's check on monomials."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from helpers import (
+    abelian_groups_upto,
+    one_dim_index,
+    reference_iso_search,
+    reference_power_constant,
+    reference_primary_decompose,
+    structure_scalar,
+)
+
+from gradeddiv.abelian import FinAbGroup
+from gradeddiv.exactfield import CyclotomicField, FiniteField, RationalField, RealField
+from gradeddiv.gradedalg import (
+    GradedAlgebra,
+    OracleError,
+    commutation_bicharacter,
+    graded_iso_1dim,
+    power_constant,
+)
+from gradeddiv.quasitorus import AltBicharacter, MuFunction, construct, primary_decompose
+
+# at most this many candidate tuples for the exhaustive reference search,
+# on a seeded sample of this many groups of order <= 16 per field
+SEARCH_BOUND = 64
+SHAPES_PER_FIELD = 5
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the OracleError it raises."""
+    try:
+        result = fn(*args)
+    except OracleError as exc:
+        return type(exc), str(exc)
+    return list(result.items()) if isinstance(result, dict) else result
+
+
+def random_algebra(rng, F, G, scalars):
+    """construct(G, beta, mu) with beta drawn from the roots of unity allowed
+    on each generator pair and mu drawn from scalars."""
+    roots = F.roots_of_unity()
+    pairs = []
+    for i in range(G.rank):
+        for j in range(i + 1, G.rank):
+            d = gcd(G.orders[i], G.orders[j])
+            pairs.append((i, j, rng.choice([c for c in roots if F.power(c, d) == F.one])))
+    beta = AltBicharacter.from_pairs(G, pairs, F)
+    return construct(G, beta, MuFunction(G, tuple(rng.choice(scalars) for _ in G.orders)), F, verify=False)
+
+
+def rescaled(A, lam):
+    """The same algebra on the basis Y_t = lam[t] X_t."""
+    F = A.field
+    table = {}
+    for (i, j), vec in A.table.items():
+        c = F.mul(lam[A.degrees[i]], lam[A.degrees[j]])
+        table[(i, j)] = {k: F.div(F.mul(c, v), lam[A.degrees[k]]) for k, v in vec.items()}
+    unit = {k: F.div(c, lam[A.degrees[k]]) for k, c in A.unit.items()}
+    return GradedAlgebra(F, A.group, A.degrees, table, unit)
+
+
+def perturbed(rng, A, scalars):
+    """A with one structure constant multiplied by a scalar other than 1."""
+    F = A.field
+    table = dict(A.table)
+    key = rng.choice(sorted(table))
+    c = rng.choice([s for s in scalars if s != F.one])
+    table[key] = {k: F.mul(c, v) for k, v in table[key].items()}
+    return GradedAlgebra(F, A.group, A.degrees, table, dict(A.unit))
+
+
+def cocycle_associative(A):
+    """Associativity of a table with 1-dimensional components:
+    sigma(s, t) sigma(s + t, u) = sigma(t, u) sigma(s, t + u)."""
+    F, sigma = A.field, A.cocycle()
+    elements = list(A.group.elements())
+    return all(
+        F.mul(sigma[(s, t)], sigma[(s + t, u)]) == F.mul(sigma[(t, u)], sigma[(s, t + u)])
+        for s in elements
+        for t in elements
+        for u in elements
+    )
+
+
+EXTRA_SHAPES = [(6,), (12,), (4, 2), (2, 6), (6, 2), (2, 2, 3)]
+
+
+def test_iso_matches_lexicographic_search():
+    rng = random.Random(20261018)
+    fields = [RealField(), FiniteField(5, 1), FiniteField(7, 1), FiniteField(3, 2), FiniteField(13, 1),
+              CyclotomicField(3), CyclotomicField(4)]
+    groups = list(abelian_groups_upto(16)) + [FinAbGroup(orders) for orders in EXTRA_SHAPES]
+    verdicts = {"true": 0, "none": 0, "non_associative": 0, "unnormalized": 0}
+    for F in fields:
+        roots = F.roots_of_unity()
+        searchable = [G for G in groups if len(roots) ** G.rank <= SEARCH_BOUND]
+        for G in rng.sample(searchable, SHAPES_PER_FIELD):
+            A = random_algebra(rng, F, G, roots)
+            lam = {t: rng.choice(roots) for t in G.elements()}
+            broken = perturbed(rng, A, roots)
+            verdicts["non_associative"] += not cocycle_associative(broken)
+            others = [A, rescaled(A, lam), random_algebra(rng, F, G, roots), broken]
+            if F.kind != "GF":
+                # constants outside the roots of unity
+                two = F.from_int(2)
+                others.append(rescaled(A, {t: two if any(t.exponents) else F.one for t in G.elements()}))
+            for B in others:
+                for X, Y in ((A, B), (B, A)):
+                    got = outcome(graded_iso_1dim, X, Y)
+                    assert got == outcome(reference_iso_search, X, Y), (F.descriptor(), G.orders)
+                    if isinstance(got, tuple):
+                        verdicts["unnormalized"] += 1
+                    else:
+                        verdicts["true" if got is not None else "none"] += 1
+    assert min(verdicts.values()) >= 10, verdicts
+
+
+def non_root_scalars(F):
+    if F.kind in ("Q", "R"):
+        return [Fraction(3), Fraction(-5, 2), Fraction(7), Fraction(1, 6)]
+    if F.kind == "CYC":
+        two = F.from_int(2)
+        return [F.add(F.one, F.zeta), two, F.mul(two, F.zeta), F.sub(F.zeta, two)]
+    return [u for u in F.units() if u != F.one]
+
+
+def test_readers_match_monomial_references():
+    rng = random.Random(7)
+    fields = [RationalField(), RealField(), FiniteField(5, 1), FiniteField(2, 3), FiniteField(3, 2),
+              CyclotomicField(3), CyclotomicField(4)]
+    shapes = [(2,), (4,), (6,), (2, 2), (2, 3), (4, 2), (3, 3), (2, 6), (12,)]
+    failed_checks = compared = 0
+    for F in fields:
+        scalars = non_root_scalars(F)
+        for orders in shapes:
+            G = FinAbGroup(orders)
+            A = random_algebra(rng, F, G, scalars)
+            lam = {t: rng.choice(scalars) for t in G.elements()}
+            for X in (A, rescaled(A, lam), perturbed(rng, A, scalars)):
+                idx = one_dim_index(X)
+                for t in G.elements():
+                    assert power_constant(X, t) == reference_power_constant(X, t)
+                beta = [
+                    (i, j, F.div(structure_scalar(X, idx, a, b), structure_scalar(X, idx, b, a)))
+                    for i, a in enumerate(G.generators())
+                    for j, b in enumerate(G.generators())
+                    if i < j
+                ]
+                assert commutation_bicharacter(X) == AltBicharacter.from_pairs(G, beta, F)
+                got = outcome(primary_decompose, X)
+                assert got == outcome(reference_primary_decompose, X), (F.descriptor(), orders)
+                failed_checks += isinstance(got, tuple)
+                assert outcome(graded_iso_1dim, X, X) == outcome(reference_iso_search, X, X)
+                compared += 1
+    assert compared == 3 * len(fields) * len(shapes)
+    assert failed_checks >= 10
+
+
+def test_cocycle_is_read_once():
+    G = FinAbGroup((2, 4))
+    A = construct(G, AltBicharacter.trivial(G), MuFunction(G, (Fraction(3), Fraction(5))), RationalField())
+    sigma = A.cocycle()
+    assert A.cocycle() is sigma
+    assert len(sigma) == 64
+    assert sigma[(G.element((1, 3)), G.element((1, 1)))] == 3 * 5
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ("two-dimensional", "operation requires 1-dimensional homogeneous components"),
+        ("partial support", "support must be the whole group"),
+        ("zero product", "zero structure constant; the table is not graded-division"),
+        ("wrong component", "zero structure constant; the table is not graded-division"),
+        ("unit outside A_e", "the unit is not a multiple of X_e"),
+    ],
+)
+def test_cocycle_shape_errors(change, message):
+    Q = RationalField()
+    G = FinAbGroup((2,))
+    e, a = G.element((0,)), G.element((1,))
+    table = {(0, 0): {0: Q.one}, (0, 1): {1: Q.one}, (1, 0): {1: Q.one}, (1, 1): {0: Q.one}}
+    degrees, unit = (e, a), {0: Q.one}
+    if change == "two-dimensional":
+        degrees = (e, e)
+    elif change == "partial support":
+        table, degrees = {(0, 0): {0: Q.one}}, (e,)
+    elif change == "zero product":
+        del table[(1, 1)]
+    elif change == "wrong component":
+        table[(1, 1)] = {1: Q.one}
+    else:
+        unit = {1: Q.one}
+    with pytest.raises(OracleError, match=f"^{message}$"):
+        GradedAlgebra(Q, G, degrees, table, unit).cocycle()
