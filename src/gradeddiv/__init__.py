@@ -1,11 +1,12 @@
 """Exact-arithmetic toolkit for finite-dimensional group-graded division algebras.
 
 Construction of twisted group algebras D(K, beta, mu) from their invariants,
-brute-force verification oracles (associativity, graded-division, centers,
-isomorphism search), the complete classification of real graded-division
-algebras with abelian support, and decision procedures for gradings on
-fields (binomial irreducibility, square-class independence, Frobenius
-eigenspace and Kummer gradings of finite fields).
+exact verification oracles (grading, unit, associativity, graded-division),
+centers, the graded-isomorphism decision read off the cocycles, the complete
+classification of real graded-division algebras with abelian support, and
+decision procedures for gradings on fields (binomial irreducibility,
+square-class independence, Frobenius eigenspace and Kummer gradings of
+finite fields).
 """
 
 from .abelian import FinAbGroup, GroupElement, Subgroup

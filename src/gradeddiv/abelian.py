@@ -2,9 +2,8 @@
 
 A group is a fixed tuple of cyclic factor orders; elements are exponent
 tuples with componentwise addition.  Two presentations of isomorphic groups
-are distinct values on purpose (every construction downstream is relative to
-a chosen decomposition); ``FinAbGroup.normalized`` gives the invariant-factor
-form for canonical comparison.
+are distinct values on purpose: every construction downstream is relative to
+a chosen decomposition.
 
 Subgroups store their full element lists.  Groups here are desk scale
 (hundreds of elements), so everything is decided by enumeration rather than
@@ -61,27 +60,6 @@ class FinAbGroup:
         """All elements in lexicographic exponent order."""
         for exps in product(*(range(n) for n in self.orders)):
             yield GroupElement(exps, self)
-
-    def normalized(self) -> FinAbGroup:
-        """Invariant-factor presentation d_1 | d_2 | ... of the same iso class."""
-        primary: dict[int, list[int]] = {}
-        for n in self.orders:
-            m = n
-            for p in prime_divisors(n) if n > 1 else []:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                primary.setdefault(p, []).append(p**e)
-        for p in primary:
-            primary[p].sort(reverse=True)
-        depth = max((len(v) for v in primary.values()), default=0)
-        factors = []
-        for i in range(depth):
-            d = prod(v[i] for v in primary.values() if len(v) > i)
-            factors.append(d)
-        factors.sort()
-        return FinAbGroup(tuple(factors))
 
     def to_json(self) -> dict:
         return {"orders": list(self.orders)}
@@ -243,19 +221,6 @@ def is_direct_summand(K: Subgroup, t0: GroupElement) -> bool:
     return (2 * t0) in doubled
 
 
-def coset_decomposition(T: FinAbGroup, K: Subgroup) -> list[tuple[GroupElement, ...]]:
-    """Disjoint cosets g + K covering T, each sorted, reps canonical (lex-min)."""
-    seen: set[GroupElement] = set()
-    cosets = []
-    for g in T.elements():
-        if g in seen:
-            continue
-        coset = sorted((g + k for k in K.elements), key=lambda e: e.exponents)
-        seen.update(coset)
-        cosets.append(tuple(coset))
-    return cosets
-
-
 def all_subgroups(G: FinAbGroup) -> list[Subgroup]:
     """Every subgroup, by closing generator sets; fine for |G| up to a few hundred."""
     found: dict[tuple, Subgroup] = {}
@@ -275,10 +240,10 @@ def all_subgroups(G: FinAbGroup) -> list[Subgroup]:
 
 
 # ---------------------------------------------------------------------------
-# Structure extraction: presenting subgroups and quotients as cyclic products.
-# Elements are opaque hashable tokens with caller-supplied operations, so the
-# same routine serves subgroups (tokens are group elements) and quotients
-# (tokens are canonical coset representatives).
+# Structure extraction: presenting a subgroup as a product of cyclic groups.
+# Elements are opaque hashable tokens with caller-supplied operations, because
+# _p_basis recurses on the quotient by a cyclic subgroup, whose tokens are
+# canonical coset representatives rather than group elements.
 # ---------------------------------------------------------------------------
 
 
@@ -411,40 +376,3 @@ def subgroup_presentation(S: Subgroup) -> SubgroupPresentation:
     pres = SubgroupPresentation(S, FinAbGroup(orders), gens)
     pres.coords()  # validates independence and coverage
     return pres
-
-
-@dataclass(frozen=True)
-class Quotient:
-    group: FinAbGroup
-    projection: dict  # ambient GroupElement -> quotient GroupElement
-
-    def project(self, g: GroupElement) -> GroupElement:
-        return self.projection[g]
-
-
-def quotient_group(T: FinAbGroup, K: Subgroup) -> Quotient:
-    """T/K with a canonical projection, presented as a product of cyclic groups."""
-    kset = K.element_set()
-
-    def canon(g: GroupElement) -> GroupElement:
-        return min((g + k for k in kset), key=lambda e: e.exponents)
-
-    reps = sorted({canon(g) for g in T.elements()}, key=lambda e: e.exponents)
-    add = lambda a, b: canon(a + b)
-    neg = lambda a: canon(-a)
-    zero = canon(T.identity())
-    basis = _sorted_presentation(_abelian_basis(reps, add, neg, zero, lambda e: e.exponents))
-    orders = tuple(o for _, o in basis)
-    Q = FinAbGroup(orders)
-    # coordinates of every representative in terms of the quotient basis
-    coord_of: dict[GroupElement, GroupElement] = {}
-    for exps in product(*(range(o) for o in orders)):
-        acc = zero
-        for e, (g, _) in zip(exps, basis):
-            for _ in range(e):
-                acc = add(acc, g)
-        coord_of[acc] = Q.element(exps)
-    if len(coord_of) != len(reps):
-        raise AssertionError("internal: quotient basis does not span")
-    projection = {g: coord_of[canon(g)] for g in T.elements()}
-    return Quotient(Q, projection)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, prod
+from math import gcd
 
 from .intutil import DEFAULT_FACTOR_BOUND, divisors, factor_bound, factorint, is_prime, prime_divisors
 
@@ -130,11 +130,6 @@ class RationalField:
         exps = tuple(sorted((p, e % n) for p, e in self._exponents(abs(x)).items() if e % n))
         return (n, sign, exps)
 
-    def class_representative(self, x, n: int) -> Fraction:
-        """Smallest positive integer representative of the class (times the sign)."""
-        _, sign, exps = self.nth_power_class(x, n)
-        return Fraction(sign * prod(p**e for p, e in exps))
-
     def elem_to_json(self, x):
         return f"{x.numerator}/{x.denominator}"
 
@@ -166,9 +161,6 @@ class RealField(RationalField):
         if x == 0:
             raise FieldError("power classes are defined on nonzero elements")
         return (n, 1 if n % 2 == 1 else _sign(x), ())
-
-    def class_representative(self, x, n: int) -> Fraction:
-        return Fraction(1 if self.is_nth_power(x, n) else -1)
 
     def __repr__(self):
         return "R"
@@ -278,7 +270,7 @@ class FiniteField:
 
     kind = "GF"
 
-    def __init__(self, p: int, ell: int, seed: int = 0, modulus=None):
+    def __init__(self, p: int, ell: int, modulus=None):
         # a prime above the bound would only be refused below, after a long trial division
         if p <= FIELD_TABLE_BOUND and not is_prime(p):
             raise FieldError(f"{p} is not prime")
@@ -286,7 +278,6 @@ class FiniteField:
             raise FieldError("extension degree must be >= 1")
         self.p = p
         self.ell = ell
-        self.seed = seed
         # ell is tested first so that a huge ell never computes p**ell
         if ell >= FIELD_TABLE_BOUND.bit_length() or p**ell > FIELD_TABLE_BOUND:
             raise FieldError(
@@ -294,7 +285,7 @@ class FiniteField:
             )
         self.q = p**ell
         if modulus is None:
-            modulus = self._find_modulus(p, ell, seed)
+            modulus = self._find_modulus(p, ell)
         else:
             modulus = list(int(c) % p for c in modulus)
             if len(modulus) != ell + 1 or modulus[-1] != 1:
@@ -307,12 +298,10 @@ class FiniteField:
         self._build_tables()
 
     @staticmethod
-    def _find_modulus(p, ell, seed):
-        if ell == 1:
-            return [seed % p, 1]
-        start = seed % p**ell
-        for t in range(p**ell):
-            idx = (start + t) % p**ell
+    def _find_modulus(p, ell):
+        """The first monic irreducible of degree ell, its lower coefficients
+        read as the base-p digits of 0, 1, 2, ..."""
+        for idx in range(p**ell):
             coeffs = FiniteField._digits(idx, p, ell) + [1]
             if gfp_is_irreducible(coeffs, p):
                 return coeffs
@@ -474,21 +463,6 @@ class FiniteField:
             raise FieldError("discrete log of 0")
         return self._log[x]
 
-    def frobenius(self, x: int) -> int:
-        return self.power(x, self.p)
-
-    def multiplicative_order(self, x: int) -> int:
-        if x == 0:
-            raise FieldError("multiplicative order of 0")
-        m = self.q - 1
-        if m == 0:
-            return 1
-        n = m
-        for r in prime_divisors(m):
-            while n % r == 0 and self.power(x, n // r) == self.one:
-                n //= r
-        return n
-
     def elements(self):
         return range(self.q)
 
@@ -534,14 +508,6 @@ class FiniteField:
 
     def __repr__(self):
         return f"GF({self.q})"
-
-
-def ff_construct(p: int, ell: int, seed: int = 0) -> FiniteField:
-    return FiniteField(p, ell, seed)
-
-
-def multiplicative_order(field: FiniteField, x) -> int:
-    return field.multiplicative_order(x)
 
 
 # ---------------------------------------------------------------------------
@@ -677,22 +643,6 @@ class CyclotomicField:
     def zeta_pow(self, k: int):
         return self.power(self.zeta, k % self.N)
 
-    def galois(self, x, k: int):
-        """The automorphism zeta -> zeta^k, for gcd(k, N) = 1."""
-        if gcd(k, self.N) != 1:
-            raise FieldError("galois twist requires gcd(k, N) = 1")
-        out = self.zero
-        for i, c in enumerate(x):
-            if c:
-                term = tuple(c * v for v in self.zeta_pow(i * k))
-                out = self.add(out, term)
-        return out
-
-    def conjugate(self, x):
-        if self.N <= 2:
-            return x
-        return self.galois(x, self.N - 1)
-
     def roots_of_unity(self):
         return tuple(self.power(self._zmu, i) for i in range(self.M))
 
@@ -700,15 +650,6 @@ class CyclotomicField:
         if n < 1 or self.M % n != 0:
             raise FieldError(f"no primitive {n}-th root of unity in Q(zeta_{self.N})")
         return self.power(self._zmu, self.M // n)
-
-    def unity_order(self, x) -> int | None:
-        """Multiplicative order of x if x is a root of unity, else None."""
-        acc = x
-        for k in range(1, self.M + 1):
-            if acc == self.one:
-                return k
-            acc = self.mul(acc, x)
-        return None
 
     def is_nth_power(self, x, n: int) -> bool:
         if self.is_zero(x):
@@ -733,26 +674,9 @@ class CyclotomicField:
         return f"Q(zeta_{self.N})"
 
 
-def cyclotomic_field(N: int) -> CyclotomicField:
-    return CyclotomicField(N)
-
-
-def zeta(N: int):
-    """The designated primitive N-th root of unity of Q(zeta_N)."""
-    return CyclotomicField(N).zeta
-
-
 # ---------------------------------------------------------------------------
-# Power residue helpers shared by the grading criteria
+# Power residue test of the binomial criterion
 # ---------------------------------------------------------------------------
-
-
-def is_nth_power(field, x, n: int) -> bool:
-    return field.is_nth_power(x, n)
-
-
-def nth_power_class(field, x, n: int):
-    return field.nth_power_class(x, n)
 
 
 def minus4_fourth_power_test(field, alpha) -> bool:
@@ -815,32 +739,6 @@ def poly_divmod(field, a, b):
     return poly_trim(field, q), a
 
 
-def poly_mod(field, a, f):
-    return poly_divmod(field, a, f)[1]
-
-
-def poly_powmod(field, base, e: int, f):
-    result = [field.one]
-    base = poly_mod(field, base, f)
-    while e:
-        if e & 1:
-            result = poly_mod(field, poly_mul(field, result, base), f)
-        base = poly_mod(field, poly_mul(field, base, base), f)
-        e >>= 1
-    return result
-
-
-def poly_gcd(field, a, b):
-    a = poly_trim(field, list(a))
-    b = poly_trim(field, list(b))
-    while b:
-        a, b = b, poly_mod(field, a, b)
-    if a:
-        inv = field.inv(a[-1])
-        a = [field.mul(c, inv) for c in a]
-    return a
-
-
 def poly_eval(field, f, x):
     acc = field.zero
     for c in reversed(f):
@@ -852,26 +750,3 @@ def binomial_poly(field, n: int, alpha):
     """X^n - alpha."""
     f = [field.neg(alpha)] + [field.zero] * (n - 1) + [field.one]
     return f
-
-
-def is_irreducible_ff(field: FiniteField, f) -> bool:
-    """Rabin irreducibility test over GF(q) for arbitrary monic input."""
-    f = poly_trim(field, list(f))
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if not field.is_zero(field.sub(f[-1], field.one)):
-        inv = field.inv(f[-1])
-        f = [field.mul(c, inv) for c in f]
-    if n == 1:
-        return True
-    x = [field.zero, field.one]
-    h = x
-    checkpoints = {n // r for r in prime_divisors(n)}
-    for i in range(1, n + 1):
-        h = poly_powmod(field, h, field.q, f)
-        if i in checkpoints:
-            diff = poly_sub(field, h, x)
-            if not diff or poly_gcd(field, f, diff) != [field.one]:
-                return False
-    return poly_sub(field, h, x) == []

@@ -634,11 +634,6 @@ def mu_invariant(A: GradedAlgebra):
     return MuFunction(G, tuple(power_constant(A, G.generator(i)) for i in range(G.rank)))
 
 
-def mu_class_of_element(A: GradedAlgebra, t: GroupElement):
-    """Class tag of X_t^{o(t)} for any support element t."""
-    return A.field.nth_power_class(power_constant(A, t), element_order(t))
-
-
 def graded_iso_1dim(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
     """A degree-preserving isomorphism X_t -> lambda_t X'_t, or None.
 

@@ -37,7 +37,7 @@ from .exactfield import (
     poly_mul,
 )
 from .gradedalg import GradedAlgebra, certify
-from .intutil import prime_divisors
+from .intutil import factorint, prime_divisors
 from .linalg import kernel, rank
 from .quasitorus import AltBicharacter, MuFunction, construct
 
@@ -444,7 +444,14 @@ def is_field_by_frobenius(A: GradedAlgebra) -> bool:
 def ff_grading_exists(p: int, ell: int, k: int) -> Decision:
     """Whether GF(p^{k ell}) admits a Z_k-grading with identity component
     GF(p^ell): every prime q | k must divide p^ell - 1, and 4 | k forces
-    4 | p^ell - 1."""
+    4 | p^ell - 1.  Refuses p not prime (through the bounded factorint, so a
+    p it cannot settle is refused naming the bound), ell < 1 and k < 1."""
+    if p < 2 or factorint(p) != {p: 1}:
+        raise GradedFieldError(f"{p} is not prime")
+    if ell < 1:
+        raise GradedFieldError("extension degree must be >= 1")
+    if k < 1:
+        raise GradedFieldError("k must be >= 1")
     m = p**ell - 1
     for q in prime_divisors(k):
         if m % q != 0:
@@ -503,11 +510,12 @@ def frobenius_grading(p: int, ell: int, q: int) -> tuple[GradedAlgebra, dict]:
     relative Frobenius x -> x^{p^ell}; q must be a prime divisor of p^ell - 1."""
     from .intutil import is_prime
 
+    F = FiniteField(p, ell)
+    # divisibility first: it bounds q by p^ell - 1 before the trial division
+    if q >= 1 and (F.q - 1) % q != 0:
+        raise GradedFieldError("q must divide p^ell - 1")
     if not is_prime(q):
         raise GradedFieldError("q must be prime")
-    F = FiniteField(p, ell)
-    if (F.q - 1) % q != 0:
-        raise GradedFieldError("q must divide p^ell - 1")
     big = FiniteField(p, ell * q)
     emb = embed_field(F, big)
     zeta_small = F.unity_root(q)
@@ -596,23 +604,10 @@ def kummer_grading(spec: KummerSpec) -> tuple[GradedAlgebra, dict]:
     emb = embed_field(F, big)
     inv_emb = {v: k for k, v in emb.items()}
     g = F.generator()
-    M = big.q - 1
 
     reps = [F.power(g, (j * d) % m if m else 0) for j in range(r)]
-    alphas = []
-    for rep in reps:
-        s = big.dlog(emb[rep]) if emb[rep] != big.one else 0
-        dd = gcd(n, M)
-        if s % dd:
-            raise AssertionError("internal: coset representative has no n-th root")
-        x = (s // dd) * pow(n // dd, -1, M // dd) % (M // dd)
-        alpha = big.power(big.generator(), x)
-        if big.power(alpha, n) != emb[rep]:
-            raise AssertionError("internal: root extraction failed")
-        alphas.append(alpha)
-    if alphas[0] != big.one:
-        # coset 0 is represented by 1; use alpha = 1
-        alphas[0] = big.one
+    # reps[0] = 1, and nth_root gives it the root 1
+    alphas = [nth_root(big, emb[rep], n) for rep in reps]
 
     # spanning check: the alphas times an F-basis span the big field over GF(p)
     rows = []

@@ -1,8 +1,9 @@
 """Integer helpers: primality, bounded factorization, divisors.
 
-Factorization is plain trial division with a hard bound; callers that feed
-user-supplied rationals must be prepared for FactorBoundExceeded instead of
-a silently wrong answer.  The bound is configurable via the environment
+Factorization is plain trial division with a hard bound; past it,
+FactorBoundExceeded is raised instead of a silently wrong answer.  It is a
+ValueError, so the CLI answers it like any other bad parameter (exit 3, with
+the bound in the message).  The bound is configurable via the environment
 variable GDA_FACTOR_BOUND.
 """
 
@@ -13,8 +14,8 @@ import os
 DEFAULT_FACTOR_BOUND = 10**7
 
 
-class FactorBoundExceeded(ArithmeticError):
-    """Trial division gave up before the bound; the input is too large."""
+class FactorBoundExceeded(ValueError):
+    """Trial division reached the bound before it finished; the input is too large."""
 
 
 def factor_bound() -> int:

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
 
-from .abelian import FinAbGroup, GroupElement, Subgroup, element_order, torsion_p_part
+from .abelian import FinAbGroup, GroupElement, element_order, torsion_p_part
 from .gradedalg import GradedAlgebra, OracleError, certify, subalgebra_on_indices
 from .intutil import prime_divisors
 
@@ -90,23 +89,9 @@ class AltBicharacter:
         return tuple((i, j, enc(v)) for i, j, v in self.values)
 
 
-def radical(beta: AltBicharacter, field) -> Subgroup:
-    """rad(beta) = elements pairing trivially with everything, found by
-    testing against the generators (bilinearity makes that sufficient)."""
-    G = beta.group
-    gens = [G.generator(i) for i in range(G.rank)]
-    members = [
-        s
-        for s in G.elements()
-        if all(beta.value(s, t, field) == field.one for t in gens)
-    ]
-    return Subgroup.from_elements(G, members)
-
-
 @dataclass(frozen=True)
 class MuFunction:
-    """Power constants on the generators; values extend to the whole torsion
-    group through the compatibility rules for powers and products."""
+    """Power constants on the generators: mu_i = X_i^{o(a_i)}."""
 
     group: FinAbGroup
     gen_values: tuple  # field elements, one per generator
@@ -117,149 +102,6 @@ class MuFunction:
         for v in self.gen_values:
             if field.is_zero(v):
                 raise ParameterError("mu values must be units")
-
-
-def _mu_generator_power(field, mu_value, order: int, n: int):
-    """Representative of mu(a^n) for a generator a of the given order.
-
-    Within a cyclic group the compatibility rules force
-    mu(a^n) = mu(a)^{n/gcd(n, o(a))} modulo (F^x)^{o(a^n)}.
-    """
-    n %= order
-    if n == 0:
-        return field.one
-    d = gcd(n, order)
-    return field.power(mu_value, n // d)
-
-
-def _primary_split(g: GroupElement) -> list[tuple[int, GroupElement]]:
-    """Decompose g into its p-parts, ordered by p."""
-    o = element_order(g)
-    if o == 1:
-        return []
-    out = []
-    for p in prime_divisors(o):
-        pe = 1
-        while o % (pe * p) == 0:
-            pe *= p
-        cof = o // pe
-        # c = cof * inverse(cof) mod pe gives the CRT projector coefficient
-        c = cof * pow(cof, -1, pe)
-        out.append((p, c * g))
-    return out
-
-
-def mu_value(
-    K: FinAbGroup,
-    beta: AltBicharacter,
-    mu: MuFunction,
-    g: GroupElement,
-    field,
-    reverse: bool = False,
-):
-    """Representative of mu(g), evaluated along the canonical factorization.
-
-    Each generator power contributes through the cyclic power rule; within a
-    primary component partial products combine by the unequal-order rule
-    (mu(xy) = mu(x) mu(y)^{p^{k-l}}) or the equal-order rule (with the
-    beta^{p^{k-1}} sign correction at p = 2); distinct primary components
-    combine by mu(xy) = mu(x)^{o(y)} mu(y)^{o(x)}.  `reverse` evaluates along
-    the reversed generator order, giving an independent factorization.
-    """
-    if element_order(g) == 1:
-        return field.one
-
-    gen_order = range(K.rank) if not reverse else range(K.rank - 1, -1, -1)
-
-    # per-prime lists of (element, representative)
-    primary: dict[int, tuple[GroupElement, object]] = {}
-    for i in gen_order:
-        e = g.exponents[i]
-        if e == 0:
-            continue
-        a = K.generator(i)
-        term = e * a
-        if term.is_identity():
-            continue
-        for p, part in _primary_split(term):
-            # part = a^{e*c}; a power of the generator, so the cyclic rule applies
-            exp_of_a = (e * _crt_coefficient(term, p)) % K.orders[i]
-            rep = _mu_generator_power(field, mu.gen_values[i], K.orders[i], exp_of_a)
-            if p not in primary:
-                primary[p] = (part, rep)
-            else:
-                prev_el, prev_rep = primary[p]
-                primary[p] = _combine_primary(field, beta, p, prev_el, prev_rep, part, rep)
-
-    # combine across primes (coprime orders commute, beta is trivial there)
-    items = sorted(primary.items())
-    acc_el, acc_rep = None, field.one
-    for _, (el, rep) in items:
-        if el.is_identity():
-            continue
-        if acc_el is None:
-            acc_el, acc_rep = el, rep
-        else:
-            o1, o2 = element_order(acc_el), element_order(el)
-            acc_rep = field.mul(field.power(acc_rep, o2), field.power(rep, o1))
-            acc_el = acc_el + el
-    if acc_el is None:
-        return field.one
-    if acc_el != g:
-        raise AssertionError("internal: primary recombination drifted")
-    return acc_rep
-
-
-def _crt_coefficient(term: GroupElement, p: int) -> int:
-    o = element_order(term)
-    pe = 1
-    while o % (pe * p) == 0:
-        pe *= p
-    cof = o // pe
-    return cof * pow(cof, -1, pe)
-
-
-def _combine_primary(field, beta, p, x, mx, y, my):
-    """mu of x+y from mu(x), mu(y) for two p-elements; returns (x+y, rep)."""
-    ox, oy = element_order(x), element_order(y)
-    if ox < oy:
-        x, y, mx, my, ox, oy = y, x, my, mx, oy, ox
-    z = x + y
-    if oy == 1:
-        return z, mx
-    if ox > oy:
-        return z, field.mul(mx, field.power(my, ox // oy))
-    oz = element_order(z)
-    if oz != ox:
-        # cannot happen along the canonical factorization: partial products
-        # have disjoint generator support, so orders never drop
-        raise OracleError("inconsistent extension: order dropped along the factorization")
-    rep = field.mul(mx, my)
-    if p == 2:
-        sign = field.power(beta.value(x, y, field), ox // 2)
-        rep = field.mul(sign, rep)
-    return z, rep
-
-
-def validate_mu(K: FinAbGroup, beta: AltBicharacter, mu: MuFunction, field) -> MuFunction:
-    """Validate generator data and the extension's consistency.
-
-    The extension is evaluated along two different factorizations (forward
-    and reversed generator order) for every element; a mismatch of power
-    classes is impossible for generator-driven input and raises as an
-    internal error.
-    """
-    mu.validate(field)
-    beta.validate(field)
-    for g in K.elements():
-        o = element_order(g)
-        fwd = mu_value(K, beta, mu, g, field)
-        rev = mu_value(K, beta, mu, g, field, reverse=True)
-        if field.nth_power_class(fwd, o) != field.nth_power_class(rev, o):
-            raise OracleError(
-                f"internal: inconsistent mu extension at {g.exponents}: {fwd} vs {rev}"
-            )
-    return mu
 
 
 def construct(

@@ -23,7 +23,7 @@ distinctness.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -73,50 +73,30 @@ def _sign(x) -> int:
 
 
 @dataclass(frozen=True)
-class QuadForm:
-    """A sign-valued quadratic form on the 2-torsion of a presented group,
-    with polarization equal to the (restricted) bicharacter:
-    mu(g + h) = beta(g, h) mu(g) mu(h)."""
+class SignMap:
+    """A +-1 map on a set of elements of a presented group.
 
-    group: FinAbGroup
-    values: tuple  # ((exponents, sign), ...) over all 2-torsion elements, sorted
-
-    def __call__(self, g: GroupElement) -> int:
-        for exps, s in self.values:
-            if exps == g.exponents:
-                return s
-        raise KeyError(f"{g.exponents} is not 2-torsion here")
-
-    def domain(self):
-        return [self.group.element(exps) for exps, _ in self.values]
-
-    @staticmethod
-    def from_map(group: FinAbGroup, mapping: dict) -> QuadForm:
-        vals = tuple(sorted((g.exponents, s) for g, s in mapping.items()))
-        return QuadForm(group, vals)
-
-
-@dataclass(frozen=True)
-class AdmissibleMap:
-    """Sign map nu on a coset domain, satisfying the coherence condition
-    nu(t+g+h) nu(t) = beta(g, h) nu(t+g) nu(t+h)."""
+    It carries both sign parameters of the classification: a quadratic form
+    mu on T_[2] whose polarization is the (restricted) bicharacter,
+    mu(g + h) = beta(g, h) mu(g) mu(h), and an admissible map nu on a coset
+    domain, nu(t+g+h) nu(t) = beta(g, h) nu(t+g) nu(t+h)."""
 
     group: FinAbGroup
     values: tuple  # ((exponents, sign), ...), sorted
+    _signs: dict = dc_field(init=False, repr=False, compare=False)
 
-    def __call__(self, t: GroupElement) -> int:
-        for exps, s in self.values:
-            if exps == t.exponents:
-                return s
-        raise KeyError(f"{t.exponents} is outside the domain of nu")
+    def __post_init__(self):
+        object.__setattr__(self, "_signs", dict(self.values))
+
+    def __call__(self, g: GroupElement) -> int:
+        return self._signs[g.exponents]
 
     def domain(self):
         return [self.group.element(exps) for exps, _ in self.values]
 
     @staticmethod
-    def from_map(group: FinAbGroup, mapping: dict) -> AdmissibleMap:
-        vals = tuple(sorted((t.exponents, s) for t, s in mapping.items()))
-        return AdmissibleMap(group, vals)
+    def from_map(group: FinAbGroup, mapping: dict) -> SignMap:
+        return SignMap(group, tuple(sorted((g.exponents, s) for g, s in mapping.items())))
 
 
 @dataclass(frozen=True)
@@ -162,10 +142,8 @@ def _data_key(obj):
         return tuple(_data_key(o) for o in obj)
     if isinstance(obj, AltBicharacter):
         return ("beta", tuple((i, j, str(v)) for i, j, v in obj.values))
-    if isinstance(obj, QuadForm):
-        return ("qf", obj.values)
-    if isinstance(obj, AdmissibleMap):
-        return ("nu", obj.values)
+    if isinstance(obj, SignMap):
+        return ("signs", obj.values)
     if isinstance(obj, SubBicharacter):
         return ("subbeta", obj.key())
     if isinstance(obj, Subgroup):
@@ -218,7 +196,7 @@ def two_torsion_basis(T: FinAbGroup) -> list[GroupElement]:
     return [(n // 2) * T.generator(i) for i, n in enumerate(T.orders) if n % 2 == 0]
 
 
-def enumerate_quadratic_forms(T: FinAbGroup, beta: AltBicharacter) -> list[QuadForm]:
+def enumerate_quadratic_forms(T: FinAbGroup, beta: AltBicharacter) -> list[SignMap]:
     """All sign maps on T_[2] with polarization beta, generated by free basis
     choices and the polarization extension rule."""
     basis = two_torsion_basis(T)
@@ -241,18 +219,42 @@ def enumerate_quadratic_forms(T: FinAbGroup, beta: AltBicharacter) -> list[QuadF
                     if coords[a] and coords[b_]:
                         val *= _sign(beta.value(basis[a], basis[b_], REAL))
             mapping[g] = val
-        qf = QuadForm.from_map(T, mapping)
+        qf = SignMap.from_map(T, mapping)
         _check_polarization(qf, beta)
         out.append(qf)
     return out
 
 
-def _check_polarization(mu: QuadForm, beta: AltBicharacter):
+def _check_polarization(mu: SignMap, beta: AltBicharacter):
     dom = mu.domain()
     for g in dom:
         for h in dom:
             if mu(g + h) != _sign(beta.value(g, h, REAL)) * mu(g) * mu(h):
                 raise ClassificationError("polarization identity failed")
+
+
+def _k2(T: FinAbGroup, K: Subgroup) -> list[GroupElement]:
+    """K_[2], the elements of K killed by doubling, sorted."""
+    kset = K.element_set()
+    return sorted((g for g in two_torsion(T).elements if g in kset), key=lambda e: e.exponents)
+
+
+def _coset_rep(t: GroupElement, k2: list[GroupElement]) -> GroupElement:
+    """The least element of the coset t + K_[2]."""
+    return min((t + h for h in k2), key=lambda e: e.exponents)
+
+
+def _item3_case(T: FinAbGroup, K: Subgroup) -> str:
+    """Case "a" when the index-2 subgroup K is a direct summand of T, else "b"."""
+    kset = K.element_set()
+    return "a" if is_direct_summand(K, next(t for t in T.elements() if t not in kset)) else "b"
+
+
+def _canonical_t0(T: FinAbGroup, K: Subgroup, case: str) -> GroupElement:
+    """The least element outside K, of order 2 in case "a"."""
+    kset = K.element_set()
+    pool = two_torsion(T).elements if case == "a" else T.elements()
+    return min((t for t in pool if t not in kset), key=lambda e: e.exponents)
 
 
 def enumerate_admissible(
@@ -261,9 +263,9 @@ def enumerate_admissible(
     """Brute-force enumeration of admissible sign maps.
 
     case "a": maps on T_[2] - K_[2] subject to the coherence condition of the
-    2-torsion triple; returns a list of AdmissibleMap.
+    2-torsion triple; returns a list of SignMap.
     case "b": maps on T - K subject to the full condition; returns a list of
-    equivalence classes (tuples of AdmissibleMap), where maps are equivalent
+    equivalence classes (tuples of SignMap), where maps are equivalent
     when their ratio is constant on each K_[2]-coset.
     """
     if K.index() != 2:
@@ -274,7 +276,7 @@ def enumerate_admissible(
             if beta.value_int(x, k) != 1:
                 raise ClassificationError("T^[2] must pair trivially under beta")
     kset = K.element_set()
-    k2 = sorted((g for g in two_torsion(T).elements if g in kset), key=lambda e: e.exponents)
+    k2 = _k2(T, K)
     if case == "a":
         t0_candidates = [t for t in two_torsion(T).elements if t not in kset]
         if not t0_candidates:
@@ -306,20 +308,16 @@ def enumerate_admissible(
             if not ok:
                 break
         if ok:
-            maps.append(AdmissibleMap.from_map(T, nu))
+            maps.append(SignMap.from_map(T, nu))
     if case == "a":
         return maps
 
     # group into classes: nu ~ nu' iff nu'/nu is constant on each K_[2]-coset
-    def coset_rep(t: GroupElement) -> GroupElement:
-        return min((t + h for h in k2), key=lambda e: e.exponents)
-
-    classes: dict[tuple, list[AdmissibleMap]] = {}
+    classes: dict[tuple, list[SignMap]] = {}
     for nu in maps:
         sig = []
         for t in domain:
-            r = coset_rep(t)
-            sig.append((t.exponents, nu(t) * nu(r)))
+            sig.append((t.exponents, nu(t) * nu(_coset_rep(t, k2))))
         classes.setdefault(tuple(sig), []).append(nu)
     return [tuple(sorted(cls, key=lambda m: m.values)) for _, cls in sorted(classes.items())]
 
@@ -329,7 +327,7 @@ def enumerate_admissible(
 # ---------------------------------------------------------------------------
 
 
-def construct_item1(T: FinAbGroup, beta: AltBicharacter, mu: QuadForm, verify: bool = True) -> GradedAlgebra:
+def construct_item1(T: FinAbGroup, beta: AltBicharacter, mu: SignMap, verify: bool = True) -> GradedAlgebra:
     """D(T, beta, mu) over exact real coefficients.
 
     The generator constant is the sign mu(a_i^{o(a_i)/2}) for even-order
@@ -375,7 +373,7 @@ def quaternion_table(field) -> GradedAlgebra:
     return GradedAlgebra(field, G, (e, e, e, e), t, {0: one})
 
 
-def construct_item2(T: FinAbGroup, beta: AltBicharacter, mu: QuadForm, verify: bool = True) -> GradedAlgebra:
+def construct_item2(T: FinAbGroup, beta: AltBicharacter, mu: SignMap, verify: bool = True) -> GradedAlgebra:
     """Item (1) tensored with the trivially graded quaternions."""
     # an intermediate table: only the emitted A is certified
     base = construct_item1(T, beta, mu, verify=False)
@@ -448,7 +446,7 @@ def construct_item3(
     2-dimensional components; mu and the remaining sign are read off nu
     relative to the canonical choice of t0.
 
-    nu is an AdmissibleMap for case "a" and either an AdmissibleMap or an
+    nu is a SignMap for case "a" and either a SignMap or an
     equivalence class (tuple) for case "b", where the canonical member is
     used."""
     if isinstance(nu, tuple):
@@ -456,19 +454,14 @@ def construct_item3(
             raise ClassificationError("equivalence classes only parametrize case (b)")
         nu = nu[0]
     kset = K.element_set()
-    t2 = two_torsion(T).element_set()
-    if case == "a":
-        t0 = min((t for t in t2 if t not in kset), key=lambda e: e.exponents)
-    else:
-        t0 = min((t for t in T.elements() if t not in kset), key=lambda e: e.exponents)
-    k2 = sorted((g for g in t2 if g in kset), key=lambda e: e.exponents)
-    mu_t0 = {h: nu(t0 + h) * nu(t0) for h in k2}
+    t0 = _canonical_t0(T, K, case)
+    mu_t0 = {h: nu(t0 + h) * nu(t0) for h in _k2(T, K)}
     lam = Fraction(nu(t0)) if case == "a" else Fraction(1)
 
     # the K-part table over exact reals, re-keyed by ambient elements
     pres = beta.pres
     coords = pres.coords()
-    mu_pres = QuadForm.from_map(pres.group, {coords[h]: s for h, s in mu_t0.items()})
+    mu_pres = SignMap.from_map(pres.group, {coords[h]: s for h, s in mu_t0.items()})
     # an intermediate table: only the emitted A is certified
     sigma = construct_item1(pres.group, beta.chi, mu_pres, verify=False).cocycle()
 
@@ -595,42 +588,34 @@ def canonicalize_item3(
     t0: GroupElement,
     delta_t0: int | None = None,
     case: str = "a",
-    check_all_t0: bool = False,
 ):
     """Turn t0-relative data (mu_{t0}, delta_{t0}) into the choice-free nu.
 
-    case "a" returns an AdmissibleMap on T_[2] - K_[2] via
+    case "a" returns a SignMap on T_[2] - K_[2] via
     nu(t) = delta * mu_{t0}(t - t0); case "b" returns the canonical
     equivalence-class representative built from the transition family
     mu_{t0 g}(h) = mu_{t0}(h) beta(g, h) with all coset signs +1.
 
-    The computation is always verified against a second choice of t0
-    (deriving the shifted data through the transition rules); with
-    check_all_t0 it is repeated from every admissible t0'.
+    The computation is verified against a second choice of t0, deriving
+    the shifted data through the transition rules.
     """
     kset = K.element_set()
-    t2 = two_torsion(T).element_set()
-    k2 = sorted((g for g in t2 if g in kset), key=lambda e: e.exponents)
+    k2 = _k2(T, K)
 
     if case == "a":
         if delta_t0 is None:
             raise ClassificationError("case (a) needs delta")
-        domain = sorted((t for t in t2 if t not in kset), key=lambda e: e.exponents)
+        domain = sorted((t for t in two_torsion(T).elements if t not in kset), key=lambda e: e.exponents)
 
         def build(mu, delta, base):
-            return AdmissibleMap.from_map(
-                T, {t: delta * mu[_k2_elem(t - base, k2)] for t in domain}
-            )
+            # t - base lies in K_[2]: both are 2-torsion and outside K
+            return SignMap.from_map(T, {t: delta * mu[t - base] for t in domain})
 
         nu = build({h: mu_t0[h] for h in k2}, delta_t0, t0)
-        shifts = [g for g in k2 if not g.is_identity()]
-        if not check_all_t0:
-            shifts = shifts[:1]
-        for g in shifts:
-            t0p = t0 + g
+        g = next((g for g in k2 if not g.is_identity()), None)
+        if g is not None:
             mu_p = {h: mu_t0[h] * beta.value_int(g, h) for h in k2}
-            delta_p = delta_t0 * mu_t0[g]
-            if build(mu_p, delta_p, t0p) != nu:
+            if build(mu_p, delta_t0 * mu_t0[g], t0 + g) != nu:
                 raise ClassificationError("nu depended on the choice of t0 (case a)")
         return nu
 
@@ -647,49 +632,26 @@ def canonicalize_item3(
         return fam
 
     family = family_from(mu_t0, t0)
-
-    def coset_rep(t: GroupElement) -> GroupElement:
-        return min((t + h for h in k2), key=lambda e: e.exponents)
-
-    def build_nu(fam: dict) -> AdmissibleMap:
-        mapping = {}
-        for t in outside:
-            r = coset_rep(t)
-            mapping[t] = fam[r][_k2_elem(t - r, k2)]
-        return AdmissibleMap.from_map(T, mapping)
-
-    nu = build_nu(family)
-    alternatives = [t for t in outside if t != t0]
-    if not check_all_t0:
-        alternatives = alternatives[:1]
-    for t0p in alternatives:
-        if family_from(family[t0p], t0p) != family:
-            raise ClassificationError("nu depended on the choice of t0 (case b)")
+    mapping = {}
+    for t in outside:
+        r = _coset_rep(t, k2)
+        mapping[t] = family[r][t - r]
+    nu = SignMap.from_map(T, mapping)
+    t0p = next((t for t in outside if t != t0), None)
+    if t0p is not None and family_from(family[t0p], t0p) != family:
+        raise ClassificationError("nu depended on the choice of t0 (case b)")
     return class_of_admissible(T, K, nu)
 
 
-def _k2_elem(g: GroupElement, k2: list[GroupElement]) -> GroupElement:
-    if g not in set(k2):
-        raise ClassificationError(f"{g.exponents} is not in K_[2]")
-    return g
-
-
-def class_of_admissible(T: FinAbGroup, K: Subgroup, nu: AdmissibleMap) -> tuple:
+def class_of_admissible(T: FinAbGroup, K: Subgroup, nu: SignMap) -> tuple:
     """The ~ equivalence class of nu (all coset-constant sign twists)."""
-    kset = K.element_set()
-    k2 = sorted((g for g in two_torsion(T).elements if g in kset), key=lambda e: e.exponents)
+    k2 = _k2(T, K)
     domain = nu.domain()
-
-    def coset_rep(t):
-        return min((t + h for h in k2), key=lambda e: e.exponents)
-
-    reps = sorted({coset_rep(t) for t in domain}, key=lambda e: e.exponents)
+    reps = sorted({_coset_rep(t, k2) for t in domain}, key=lambda e: e.exponents)
     members = []
     for signs in product((1, -1), repeat=len(reps)):
         tw = dict(zip(reps, signs))
-        members.append(
-            AdmissibleMap.from_map(T, {t: nu(t) * tw[coset_rep(t)] for t in domain})
-        )
+        members.append(SignMap.from_map(T, {t: nu(t) * tw[_coset_rep(t, k2)] for t in domain}))
     return tuple(sorted(members, key=lambda m: m.values))
 
 
@@ -714,7 +676,7 @@ def recover_label(A: GradedAlgebra) -> ClassLabel:
         mu = _signs_of_squares(A)
         return ClassLabel("1", T, (beta, mu))
     if len(e_idxs) == 4:
-        sub = _central_one_dim_subalgebra(A)
+        sub = _centralizer_subalgebra(A, [A.basis_vec(i) for i in e_idxs], "Cent(A_e)")
         beta = commutation_bicharacter(sub)
         mu = _signs_of_squares(sub)
         return ClassLabel("2", T, (beta, mu))
@@ -723,7 +685,7 @@ def recover_label(A: GradedAlgebra) -> ClassLabel:
     return _recover_item3(A)
 
 
-def _signs_of_squares(A: GradedAlgebra) -> QuadForm:
+def _signs_of_squares(A: GradedAlgebra) -> SignMap:
     T = A.group
     mapping = {}
     for t in two_torsion(T).elements:
@@ -731,25 +693,23 @@ def _signs_of_squares(A: GradedAlgebra) -> QuadForm:
             mapping[t] = 1
         else:
             mapping[t] = _sign(power_constant(A, t))
-    return QuadForm.from_map(T, mapping)
+    return SignMap.from_map(T, mapping)
 
 
-def _central_one_dim_subalgebra(A: GradedAlgebra) -> GradedAlgebra:
-    """The centralizer of A_e, re-expressed as a 1-dim-component algebra."""
-    e_idxs = A.components()[A.group.identity()]
-    targets = [A.basis_vec(i) for i in e_idxs]
-    basis = centralizer_basis(A, targets)
+def _centralizer_subalgebra(A: GradedAlgebra, targets: list, name: str) -> GradedAlgebra:
+    """The centralizer of targets as an algebra with 1-dimensional components;
+    it must have one homogeneous basis vector in every degree."""
     by_degree = {}
-    for v in basis:
+    for v in centralizer_basis(A, targets):
         degs = {A.degrees[i] for i in v}
         if len(degs) != 1:
-            raise ClassificationError("centralizer basis vector is not homogeneous")
+            raise ClassificationError(f"{name} vector is not homogeneous")
         d = degs.pop()
         if d in by_degree:
-            raise ClassificationError("centralizer of A_e is not 1-dimensional per degree")
+            raise ClassificationError(f"{name} is not 1-dimensional per degree")
         by_degree[d] = v
     if set(by_degree) != set(A.group.elements()):
-        raise ClassificationError("centralizer of A_e does not have full support")
+        raise ClassificationError(f"{name} does not have full support")
     degs = sorted(by_degree, key=lambda e: e.exponents)
     return subalgebra_on_span(A, [by_degree[d] for d in degs], A.group, degs)
 
@@ -771,31 +731,12 @@ def _recover_item3(A: GradedAlgebra) -> ClassLabel:
     K = Subgroup.from_elements(T, sorted(K_degrees, key=lambda x: x.exponents))
     if K.index() != 2:
         raise ClassificationError("Cent(A_e) does not have index-2 support")
-    kset = K.element_set()
-    t2 = two_torsion(T).element_set()
-    summand = is_direct_summand(K, next(t for t in T.elements() if t not in kset))
-    case = "a" if summand else "b"
-    if case == "a":
-        t0 = min((t for t in t2 if t not in kset), key=lambda x: x.exponents)
-    else:
-        t0 = min((t for t in T.elements() if t not in kset), key=lambda x: x.exponents)
+    case = _item3_case(T, K)
+    t0 = _canonical_t0(T, K, case)
 
     d0 = A.basis_vec(comps[t0][0])
     # the centralizer of d0 is an item-(1)-shaped subalgebra of full support
-    cent0 = centralizer_basis(A, [d0])
-    by_degree = {}
-    for v in cent0:
-        degs = {A.degrees[i] for i in v}
-        if len(degs) != 1:
-            raise ClassificationError("Cent(d0) vector is not homogeneous")
-        d = degs.pop()
-        if d in by_degree:
-            raise ClassificationError("Cent(d0) is not 1-dimensional per degree")
-        by_degree[d] = v
-    if set(by_degree) != set(T.elements()):
-        raise ClassificationError("Cent(d0) does not have full support")
-    degs = sorted(by_degree, key=lambda x: x.exponents)
-    sub = subalgebra_on_span(A, [by_degree[d] for d in degs], T, degs)
+    sub = _centralizer_subalgebra(A, [d0], "Cent(d0)")
     sigma = sub.cocycle()
 
     pres = subgroup_presentation(K)
@@ -807,9 +748,8 @@ def _recover_item3(A: GradedAlgebra) -> ClassLabel:
             beta_vals.append((i, j, F.div(sigma[(gi, gj)], sigma[(gj, gi)])))
     beta = SubBicharacter(pres, AltBicharacter.from_pairs(kg, beta_vals, F))
 
-    k2 = sorted((g for g in t2 if g in kset), key=lambda x: x.exponents)
     mu_t0 = {}
-    for h in k2:
+    for h in _k2(T, K):
         if h.is_identity():
             mu_t0[h] = 1
         else:
@@ -871,8 +811,7 @@ def classify_stratum(T: FinAbGroup, items=("1", "2", "3", "4"), verify: bool = T
     if "3" in items:
         for K in index2_subgroups(T):
             pres = subgroup_presentation(K)
-            t0_any = next(t for t in T.elements() if t not in K.element_set())
-            case = "a" if is_direct_summand(K, t0_any) else "b"
+            case = _item3_case(T, K)
             sqT = squares(T).element_set()
             for chi in enumerate_bicharacters_pm1(pres.group):
                 beta = SubBicharacter(pres, chi)

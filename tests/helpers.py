@@ -4,13 +4,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
-from gradeddiv.abelian import FinAbGroup, element_order, torsion_p_part
-from gradeddiv.exactfield import FiniteField, RealField, _gfp_mod, _gfp_mul
+from gradeddiv.abelian import FinAbGroup, GroupElement, element_order, torsion_p_part
+from gradeddiv.exactfield import (
+    FiniteField,
+    RealField,
+    _gfp_mod,
+    _gfp_mul,
+    poly_divmod,
+    poly_mul,
+    poly_sub,
+    poly_trim,
+)
 from gradeddiv.gradedalg import GradedAlgebra, OracleError, UnnormalizedAlgebra, subalgebra_on_indices
 from gradeddiv.gradedfield import GradedFieldError
 from gradeddiv.intutil import factorint, prime_divisors
-from gradeddiv.quasitorus import MuFunction
+from gradeddiv.quasitorus import AltBicharacter, MuFunction
 
 REAL = RealField()
 
@@ -426,3 +436,194 @@ def reference_primary_decompose(A: GradedAlgebra) -> list:
             if lhs != rhs:
                 raise OracleError("tensor decomposition failed the isomorphism check")
     return parts
+
+
+# Rabin's irreducibility test over GF(q), on the generic field polynomials:
+# the oracle that gradedfield.binomial_irreducible's power-residue criterion
+# is checked against.
+
+
+def poly_mod(field, a, f):
+    return poly_divmod(field, a, f)[1]
+
+
+def poly_powmod(field, base, e: int, f):
+    result = [field.one]
+    base = poly_mod(field, base, f)
+    while e:
+        if e & 1:
+            result = poly_mod(field, poly_mul(field, result, base), f)
+        base = poly_mod(field, poly_mul(field, base, base), f)
+        e >>= 1
+    return result
+
+
+def poly_gcd(field, a, b):
+    a = poly_trim(field, list(a))
+    b = poly_trim(field, list(b))
+    while b:
+        a, b = b, poly_mod(field, a, b)
+    if a:
+        inv = field.inv(a[-1])
+        a = [field.mul(c, inv) for c in a]
+    return a
+
+
+def is_irreducible_ff(field: FiniteField, f) -> bool:
+    """Rabin irreducibility test over GF(q) for arbitrary monic input."""
+    f = poly_trim(field, list(f))
+    n = len(f) - 1
+    if n <= 0:
+        return False
+    if not field.is_zero(field.sub(f[-1], field.one)):
+        inv = field.inv(f[-1])
+        f = [field.mul(c, inv) for c in f]
+    if n == 1:
+        return True
+    x = [field.zero, field.one]
+    h = x
+    checkpoints = {n // r for r in prime_divisors(n)}
+    for i in range(1, n + 1):
+        h = poly_powmod(field, h, field.q, f)
+        if i in checkpoints:
+            diff = poly_sub(field, h, x)
+            if not diff or poly_gcd(field, f, diff) != [field.one]:
+                return False
+    return poly_sub(field, h, x) == []
+
+
+# The mu extension rules: the power constant of every element, evaluated from
+# the generator values and beta along the canonical factorization.  The
+# oracle that construct's power classes are checked against.
+
+
+def _mu_generator_power(field, mu_value, order: int, n: int):
+    """Representative of mu(a^n) for a generator a of the given order.
+
+    Within a cyclic group the compatibility rules force
+    mu(a^n) = mu(a)^{n/gcd(n, o(a))} modulo (F^x)^{o(a^n)}.
+    """
+    n %= order
+    if n == 0:
+        return field.one
+    d = gcd(n, order)
+    return field.power(mu_value, n // d)
+
+
+def _primary_split(g: GroupElement) -> list[tuple[int, GroupElement]]:
+    """Decompose g into its p-parts, ordered by p."""
+    o = element_order(g)
+    if o == 1:
+        return []
+    out = []
+    for p in prime_divisors(o):
+        pe = 1
+        while o % (pe * p) == 0:
+            pe *= p
+        cof = o // pe
+        # c = cof * inverse(cof) mod pe gives the CRT projector coefficient
+        c = cof * pow(cof, -1, pe)
+        out.append((p, c * g))
+    return out
+
+
+def mu_value(
+    K: FinAbGroup,
+    beta: AltBicharacter,
+    mu: MuFunction,
+    g: GroupElement,
+    field,
+    reverse: bool = False,
+):
+    """Representative of mu(g), evaluated along the canonical factorization.
+
+    Each generator power contributes through the cyclic power rule; within a
+    primary component partial products combine by the unequal-order rule
+    (mu(xy) = mu(x) mu(y)^{p^{k-l}}) or the equal-order rule (with the
+    beta^{p^{k-1}} sign correction at p = 2); distinct primary components
+    combine by mu(xy) = mu(x)^{o(y)} mu(y)^{o(x)}.  `reverse` evaluates along
+    the reversed generator order, giving an independent factorization.
+    """
+    if element_order(g) == 1:
+        return field.one
+
+    gen_order = range(K.rank) if not reverse else range(K.rank - 1, -1, -1)
+
+    # per-prime lists of (element, representative)
+    primary: dict[int, tuple[GroupElement, object]] = {}
+    for i in gen_order:
+        e = g.exponents[i]
+        if e == 0:
+            continue
+        a = K.generator(i)
+        term = e * a
+        if term.is_identity():
+            continue
+        for p, part in _primary_split(term):
+            # part = a^{e*c}; a power of the generator, so the cyclic rule applies
+            exp_of_a = (e * _crt_coefficient(term, p)) % K.orders[i]
+            rep = _mu_generator_power(field, mu.gen_values[i], K.orders[i], exp_of_a)
+            if p not in primary:
+                primary[p] = (part, rep)
+            else:
+                prev_el, prev_rep = primary[p]
+                primary[p] = _combine_primary(field, beta, p, prev_el, prev_rep, part, rep)
+
+    # combine across primes (coprime orders commute, beta is trivial there)
+    items = sorted(primary.items())
+    acc_el, acc_rep = None, field.one
+    for _, (el, rep) in items:
+        if el.is_identity():
+            continue
+        if acc_el is None:
+            acc_el, acc_rep = el, rep
+        else:
+            o1, o2 = element_order(acc_el), element_order(el)
+            acc_rep = field.mul(field.power(acc_rep, o2), field.power(rep, o1))
+            acc_el = acc_el + el
+    if acc_el is None:
+        return field.one
+    if acc_el != g:
+        raise AssertionError("internal: primary recombination drifted")
+    return acc_rep
+
+
+def _crt_coefficient(term: GroupElement, p: int) -> int:
+    o = element_order(term)
+    pe = 1
+    while o % (pe * p) == 0:
+        pe *= p
+    cof = o // pe
+    return cof * pow(cof, -1, pe)
+
+
+def _combine_primary(field, beta, p, x, mx, y, my):
+    """mu of x+y from mu(x), mu(y) for two p-elements; returns (x+y, rep)."""
+    ox, oy = element_order(x), element_order(y)
+    if ox < oy:
+        x, y, mx, my, ox, oy = y, x, my, mx, oy, ox
+    z = x + y
+    if oy == 1:
+        return z, mx
+    if ox > oy:
+        return z, field.mul(mx, field.power(my, ox // oy))
+    oz = element_order(z)
+    if oz != ox:
+        # cannot happen along the canonical factorization: partial products
+        # have disjoint generator support, so orders never drop
+        raise OracleError("inconsistent extension: order dropped along the factorization")
+    rep = field.mul(mx, my)
+    if p == 2:
+        sign = field.power(beta.value(x, y, field), ox // 2)
+        rep = field.mul(sign, rep)
+    return z, rep
+
+
+def cyclotomic_conjugate(C, x):
+    """Complex conjugation of Q(zeta_N), zeta^i -> zeta^(-i) term by term:
+    the oracle for the item-(4) real isomorphism D(T, beta) ~ D(T, beta^-1)."""
+    out = C.zero
+    for i, c in enumerate(x):
+        if c:
+            out = C.add(out, tuple(c * v for v in C.zeta_pow(-i)))
+    return out

@@ -7,11 +7,9 @@ from gradeddiv.abelian import (
     FinAbGroup,
     Subgroup,
     all_subgroups,
-    coset_decomposition,
     element_order,
     index2_subgroups,
     is_direct_summand,
-    quotient_group,
     squares,
     subgroup_presentation,
     torsion_p_part,
@@ -119,36 +117,6 @@ def test_is_direct_summand_choice_free():
             assert len(answers) == 1
 
 
-def test_coset_decomposition():
-    Z4 = FinAbGroup((4,))
-    K = Subgroup.from_generators(Z4, [Z4.element((2,))])
-    cosets = coset_decomposition(Z4, K)
-    assert [[e.exponents for e in c] for c in cosets] == [[(0,), (2,)], [(1,), (3,)]]
-    whole = Subgroup.from_generators(Z4, [Z4.element((1,))])
-    assert len(coset_decomposition(Z4, whole)) == 1
-    Z22 = FinAbGroup((2, 2))
-    trivial = Subgroup.from_generators(Z22, ())
-    assert len(coset_decomposition(Z22, trivial)) == 4
-
-
-def test_quotient_group():
-    Z4 = FinAbGroup((4,))
-    K = Subgroup.from_generators(Z4, [Z4.element((2,))])
-    Q = quotient_group(Z4, K)
-    assert Q.group.orders == (2,)
-    assert Q.project(Z4.element((2,))).is_identity()
-    assert not Q.project(Z4.element((1,))).is_identity()
-    # projection is a homomorphism
-    for a in Z4.elements():
-        for b in Z4.elements():
-            assert Q.project(a + b) == Q.project(a) + Q.project(b)
-
-    Z82 = FinAbGroup((8, 2))
-    K2 = Subgroup.from_generators(Z82, [Z82.element((4, 0))])
-    Q2 = quotient_group(Z82, K2)
-    assert sorted(Q2.group.orders) == [2, 4]
-
-
 def test_subgroup_presentation_roundtrip():
     Z82 = FinAbGroup((8, 2))
     S = Subgroup.from_generators(Z82, [Z82.element((2, 0)), Z82.element((0, 1))])
@@ -176,14 +144,6 @@ def test_doubling_saturation_small_groups():
             assert ((2 * g) in sq) == (g in preimage)
         # the doubling image of the preimage is exactly the square subgroup
         assert {2 * g for g in preimage} == sq
-
-
-def test_normalized_invariant_factors():
-    assert FinAbGroup((2, 3)).normalized().orders == (6,)
-    assert FinAbGroup((4, 2, 3)).normalized().orders == (2, 12)
-    assert FinAbGroup((6, 4)).normalized().orders == (2, 12)
-    assert FinAbGroup((1, 5)).normalized().orders == (5,)
-    assert FinAbGroup(()).normalized().orders == ()
 
 
 def test_group_json_roundtrip():

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from helpers import REAL, abelian_groups_upto, real_mu_choices, zero_divisor_search
+from helpers import REAL, abelian_groups_upto, is_irreducible_ff, real_mu_choices, zero_divisor_search
 
 from gradeddiv.abelian import (
     FinAbGroup,
@@ -25,7 +25,6 @@ from gradeddiv.exactfield import (
     FiniteField,
     RationalField,
     binomial_poly,
-    is_irreducible_ff,
     poly_mul,
 )
 from gradeddiv.gradedalg import graded_iso_1dim

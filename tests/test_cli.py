@@ -430,6 +430,56 @@ def test_oversized_field_is_refused_at_once(capsys):
     assert str(FIELD_TABLE_BOUND) in report["error"]["message"]
 
 
+def test_factor_bound_is_refused_with_exit_3(capsys):
+    # a 19-digit prime: trial division stops at the default bound 10^7
+    big = "1000000000000000003"
+    for argv in (
+        ["is-field", "--field", "Q", "--group", "2", f"--mu={big}"],
+        ["ff-grade", "--p", "2", "--ell", "3", "--k", big],
+        ["ff-grade", "--p", big, "--ell", "1", "--k", "2"],
+    ):
+        code, report = run_cli(capsys, *argv)
+        assert code == 3 and report["error"]["code"] == "bad-parameters", argv
+        assert "10000000" in report["error"]["message"], argv
+
+
+def test_ff_grade_refuses_bad_field_parameters(capsys):
+    cases = [
+        (("--p", "4", "--ell", "1", "--k", "3"), "4 is not prime"),
+        (("--p", "1", "--ell", "1", "--k", "2"), "1 is not prime"),
+        (("--p", "2", "--ell", "0", "--k", "3"), "extension degree must be >= 1"),
+        (("--p", "2", "--ell", "-2", "--k", "3"), "extension degree must be >= 1"),
+        (("--p", "7", "--ell", "1", "--k", "0"), "k must be >= 1"),
+        (("--p", "7", "--ell", "1", "--k", "-2"), "k must be >= 1"),
+    ]
+    for args, message in cases:
+        for extra in ((), ("--list-mu",)):
+            code, report = run_cli(capsys, "ff-grade", *args, *extra)
+            assert code == 3, args + extra
+            assert report["error"] == {"code": "bad-parameters", "message": message}
+
+
+def test_frobenius_grade_tests_divisibility_before_primality(capsys, monkeypatch):
+    from gradeddiv import intutil
+
+    seen = []
+    real_is_prime = intutil.is_prime
+
+    def recording_is_prime(n):
+        seen.append(n)
+        # a large n would take the trial division minutes
+        return n < 10**6 and real_is_prime(n)
+
+    monkeypatch.setattr(intutil, "is_prime", recording_is_prime)
+    code, report = run_cli(capsys, "frobenius-grade", "--p", "2", "--ell", "1", "--q", "1000000000000000003")
+    assert code == 3 and report["error"]["message"] == "q must divide p^ell - 1"
+    assert seen == []
+    # a divisor of p^ell - 1 is still tested for primality
+    code, report = run_cli(capsys, "frobenius-grade", "--p", "13", "--ell", "1", "--q", "4")
+    assert code == 3 and report["error"]["message"] == "q must be prime"
+    assert seen == [4]
+
+
 def test_reports_byte_identical(capsys):
     main(["classify-real", "--group", "2", "--count-only"])
     first = capsys.readouterr().out

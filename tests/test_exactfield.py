@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
-from helpers import reference_field_tables
+from helpers import cyclotomic_conjugate, is_irreducible_ff, reference_field_tables
 from hypothesis import given, settings, strategies as st
 
 from gradeddiv.exactfield import (
@@ -15,13 +16,9 @@ from gradeddiv.exactfield import (
     _gfp_mod,
     _gfp_mul,
     binomial_poly,
-    cyclotomic_field,
     cyclotomic_polynomial,
-    ff_construct,
     gfp_is_irreducible,
-    is_irreducible_ff,
     minus4_fourth_power_test,
-    multiplicative_order,
     poly_eval,
 )
 from gradeddiv.intutil import is_prime
@@ -34,24 +31,41 @@ nonzero_rationals = st.fractions(
 ).filter(lambda x: x != 0)
 
 
+def _order(F, x) -> int:
+    """Least k >= 1 with x^k = 1, by repeated multiplication."""
+    k, acc = 1, x
+    while acc != F.one:
+        acc = F.mul(acc, x)
+        k += 1
+    return k
+
+
+def _square_class_rep(x: Fraction) -> Fraction:
+    """The squarefree integer, with the sign of x, in the square class of x."""
+    _, sign, exps = Q.nth_power_class(x, 2)
+    return Fraction(sign * prod(p**e for p, e in exps))
+
+
 def test_ff_construct_examples():
-    assert ff_construct(2, 1, 0).q == 2
-    F7 = ff_construct(7, 1, 0)
+    assert FiniteField(2, 1).q == 2
+    F7 = FiniteField(7, 1)
     assert [F7.mul(3, x) for x in range(7)] == [(3 * x) % 7 for x in range(7)]
-    F9 = ff_construct(3, 2, 0)
+    F9 = FiniteField(3, 2)
     assert F9.q == 9
     for x in F9.elements():
         assert F9.power(x, 9) == x
     with pytest.raises(FieldError):
-        ff_construct(6, 1, 0)
+        FiniteField(6, 1)
 
 
 def test_ff_modulus_deterministic():
-    a = ff_construct(3, 2, 0)
-    b = ff_construct(3, 2, 0)
+    a = FiniteField(3, 2)
+    b = FiniteField(3, 2)
     assert a.modulus == b.modulus
-    c = ff_construct(3, 2, 5)
-    assert c.q == 9  # different seed still yields a valid field
+    # the default modulus is the first monic irreducible in digit order
+    assert a.modulus == (1, 0, 1)
+    c = FiniteField(3, 2, modulus=(2, 2, 1))
+    assert c.q == 9 and c != a  # another modulus still yields a valid field
 
 
 def test_field_axioms_exhaustive_small():
@@ -104,9 +118,9 @@ def test_rational_powers():
 @settings(max_examples=80, deadline=None)
 def test_square_class_multiplicative(x, y):
     # class(xy) is determined by class(x) * class(y): compare squarefree parts
-    cx = Q.class_representative(x, 2)
-    cy = Q.class_representative(y, 2)
-    cxy = Q.class_representative(x * y, 2)
+    cx = _square_class_rep(x)
+    cy = _square_class_rep(y)
+    cxy = _square_class_rep(x * y)
     assert Q.nth_power_class(cx * cy, 2) == Q.nth_power_class(cxy, 2)
 
 
@@ -125,23 +139,13 @@ def test_real_field_sign_classes():
     assert R.nth_power_class(Fraction(-5), 2) != R.nth_power_class(Fraction(7), 2)
 
 
-def test_multiplicative_order():
-    F7 = FiniteField(7, 1)
-    assert multiplicative_order(F7, 1) == 1
-    assert multiplicative_order(F7, 3) == 6
-    F4 = FiniteField(2, 2)
-    for x in F4.elements():
-        if x not in (0, 1):
-            assert F4.multiplicative_order(x) == 3
-
-
 def test_ff_roots_of_unity_and_generator():
     F7 = FiniteField(7, 1)
     g = F7.generator()
-    assert F7.multiplicative_order(g) == 6
+    assert _order(F7, g) == 6
     assert set(F7.roots_of_unity()) == set(F7.units())
     z = F7.unity_root(3)
-    assert F7.multiplicative_order(z) == 3
+    assert _order(F7, z) == 3
 
 
 def test_cyclotomic_polynomials():
@@ -154,13 +158,13 @@ def test_cyclotomic_polynomials():
 
 
 def test_cyclotomic_field_basics():
-    assert cyclotomic_field(1).zeta == cyclotomic_field(1).one
-    C2 = cyclotomic_field(2)
+    assert CyclotomicField(1).zeta == CyclotomicField(1).one
+    C2 = CyclotomicField(2)
     assert C2.zeta == C2.neg(C2.one)
-    C4 = cyclotomic_field(4)
+    C4 = CyclotomicField(4)
     assert C4.mul(C4.zeta, C4.zeta) == C4.neg(C4.one)
 
-    C8 = cyclotomic_field(8)
+    C8 = CyclotomicField(8)
     z = C8.zeta
     assert C8.power(z, 4) == C8.neg(C8.one)
     for k in range(1, 8):
@@ -175,23 +179,31 @@ def test_cyclotomic_field_basics():
 
 
 def test_cyclotomic_inverse_and_conjugation():
-    C8 = cyclotomic_field(8)
+    C8 = CyclotomicField(8)
     x = C8.add(C8.zeta, C8.from_int(3))
     assert C8.mul(x, C8.inv(x)) == C8.one
-    conj = C8.conjugate
+
+    def conj(v):
+        return cyclotomic_conjugate(C8, v)
+
     assert conj(conj(x)) == x
     y = C8.add(C8.zeta_pow(3), C8.from_int(-2))
     assert conj(C8.mul(x, y)) == C8.mul(conj(x), conj(y))
+    # zeta_4 = i goes to -i; below N = 3 every element is real
+    C4 = CyclotomicField(4)
+    assert cyclotomic_conjugate(C4, C4.zeta) == C4.neg(C4.zeta)
+    for C in (CyclotomicField(1), CyclotomicField(2)):
+        assert cyclotomic_conjugate(C, C.add(C.zeta, C.from_int(3))) == C.add(C.zeta, C.from_int(3))
 
 
 def test_cyclotomic_roots_of_unity():
-    C3 = cyclotomic_field(3)
+    C3 = CyclotomicField(3)
     roots = C3.roots_of_unity()
     assert len(roots) == 6 == len(set(roots))
     for r in roots:
         assert C3.power(r, 6) == C3.one
-    assert C3.unity_order(C3.neg(C3.zeta)) == 6
-    C4 = cyclotomic_field(4)
+    assert _order(C3, C3.neg(C3.zeta)) == 6
+    C4 = CyclotomicField(4)
     assert len(C4.roots_of_unity()) == 4
 
 
@@ -223,7 +235,7 @@ def test_elem_json_roundtrip():
     F9 = FiniteField(3, 2)
     for x in F9.elements():
         assert F9.elem_from_json(F9.elem_to_json(x)) == x
-    C8 = cyclotomic_field(8)
+    C8 = CyclotomicField(8)
     x = C8.add(C8.zeta, C8.from_int(3))
     assert C8.elem_from_json(C8.elem_to_json(x)) == x
     assert Q.elem_from_json(Q.elem_to_json(Fraction(-3, 7))) == Fraction(-3, 7)

@@ -4,14 +4,13 @@ from itertools import product as iproduct
 
 import pytest
 
-from helpers import dense, rank, zero_divisor_search
+from helpers import dense, is_irreducible_ff, rank, zero_divisor_search
 
 from gradeddiv.abelian import FinAbGroup, element_order
 from gradeddiv.exactfield import (
     FiniteField,
     RationalField,
     binomial_poly,
-    is_irreducible_ff,
     poly_divmod,
     poly_mul,
 )

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from helpers import mu_value
 
 from gradeddiv.abelian import FinAbGroup, element_order
 from gradeddiv.exactfield import CyclotomicField, FiniteField, RationalField, RealField
@@ -8,18 +9,15 @@ from gradeddiv.gradedalg import (
     commutation_bicharacter,
     graded_iso_1dim,
     is_graded_division,
-    mu_class_of_element,
     mu_invariant,
+    power_constant,
 )
 from gradeddiv.quasitorus import (
     AltBicharacter,
     MuFunction,
     ParameterError,
     construct,
-    mu_value,
     primary_decompose,
-    radical,
-    validate_mu,
 )
 
 Q = RationalField()
@@ -80,39 +78,30 @@ def test_construct_rejects_zero_mu():
 
 
 def test_validate_mu_examples():
+    # each extension rule, on the reference mu_value and on the power
+    # constant of the constructed table
+    def classes(G, beta, mu, g, field):
+        o = element_order(g)
+        reference = mu_value(G, beta, mu, g, field)
+        A = construct(G, beta, mu, field)
+        return field.nth_power_class(reference, o), field.nth_power_class(power_constant(A, g), o)
+
     # Z_4 over R: mu(a^2) is the image of mu(a) under squaring classes
     G = FinAbGroup((4,))
     mu = MuFunction(G, (Fraction(-1),))
-    validate_mu(G, AltBicharacter.trivial(G), mu, R)
-    v = mu_value(G, AltBicharacter.trivial(G), mu, G.element((2,)), R)
-    assert R.nth_power_class(v, 2) == (2, -1, ())
+    assert classes(G, AltBicharacter.trivial(G), mu, G.element((2,)), R) == ((2, -1, ()),) * 2
 
     # coprime orders: Z_2 x Z_3 over Q with mu = (2, 1): order-6 element gets 2^3 * 1^2 = 8
     G6 = FinAbGroup((2, 3))
     mu6 = MuFunction(G6, (Fraction(2), Fraction(1)))
-    validate_mu(G6, AltBicharacter.trivial(G6), mu6, Q)
-    v = mu_value(G6, AltBicharacter.trivial(G6), mu6, G6.element((1, 1)), Q)
-    assert Q.nth_power_class(v, 6) == Q.nth_power_class(Fraction(8), 6)
+    expect = Q.nth_power_class(Fraction(8), 6)
+    assert classes(G6, AltBicharacter.trivial(G6), mu6, G6.element((1, 1)), Q) == (expect, expect)
 
     # p = 2 equal orders with beta = -1: mu(gh) = -mu(g)mu(h)
     G22 = FinAbGroup((2, 2))
     beta = AltBicharacter.from_pairs(G22, [(0, 1, Fraction(-1))], R)
     mu22 = MuFunction(G22, (Fraction(1), Fraction(1)))
-    v = mu_value(G22, beta, mu22, G22.element((1, 1)), R)
-    assert R.nth_power_class(v, 2) == (2, -1, ())
-
-
-def test_validate_mu_two_factorizations_agree_everywhere():
-    cases = [
-        (FinAbGroup((4, 2)), [(0, 1, Fraction(-1))], (Fraction(-1), Fraction(1)), R),
-        (FinAbGroup((2, 2, 2)), [(0, 1, Fraction(-1)), (1, 2, Fraction(-1))],
-         (Fraction(1), Fraction(-1), Fraction(1)), R),
-        (FinAbGroup((6, 2)), [(0, 1, Fraction(-1))], (Fraction(3), Fraction(-1)), Q),
-        (FinAbGroup((12,)), [], (Fraction(5),), Q),
-    ]
-    for G, pairs, mus, field in cases:
-        beta = AltBicharacter.from_pairs(G, pairs, field)
-        validate_mu(G, beta, MuFunction(G, mus), field)
+    assert classes(G22, beta, mu22, G22.element((1, 1)), R) == ((2, -1, ()),) * 2
 
 
 def test_mu_roundtrip_against_constructed_table():
@@ -129,7 +118,7 @@ def test_mu_roundtrip_against_constructed_table():
         for g in G.elements():
             o = element_order(g)
             rec = mu_value(G, beta, mu, g, R)
-            assert R.nth_power_class(rec, o) == mu_class_of_element(A, g)
+            assert R.nth_power_class(rec, o) == R.nth_power_class(power_constant(A, g), o)
 
 
 def test_invariant_roundtrip():
@@ -211,22 +200,6 @@ def test_primary_decomposition():
     parts = primary_decompose(A)
     assert [(p, part.dim) for p, part in parts] == [(2, 4), (3, 9)]
     assert A.dim == 36
-
-
-def test_radical():
-    G = FinAbGroup((2, 2))
-    assert radical(AltBicharacter.trivial(G), R).order == 4
-    nondeg = AltBicharacter.from_pairs(G, [(0, 1, Fraction(-1))], R)
-    assert radical(nondeg, R).order == 1
-    G42 = FinAbGroup((4, 2))
-    b = AltBicharacter.from_pairs(G42, [(0, 1, Fraction(-1))], R)
-    rad = radical(b, R)
-    # computed by exhaustive bicharacter evaluation
-    assert sorted(e.exponents for e in rad.elements) == [(0, 0), (2, 0)]
-    # the doubled subgroup always pairs trivially when beta is sign-valued
-    from gradeddiv.abelian import squares
-
-    assert squares(G42).element_set() <= rad.element_set()
 
 
 def test_cyclotomic_coefficients():

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from helpers import cyclotomic_conjugate
 
 from gradeddiv.abelian import (
     FinAbGroup,
@@ -22,8 +23,7 @@ from gradeddiv.gradedalg import (
 )
 from gradeddiv.quasitorus import AltBicharacter
 from gradeddiv.realclass import (
-    AdmissibleMap,
-    QuadForm,
+    SignMap,
     SubBicharacter,
     canonicalize_item3,
     census,
@@ -97,7 +97,7 @@ def test_quadratic_forms_match_exhaustive_filter():
                 for g in t2
                 for h in t2
             ):
-                brute.add(QuadForm.from_map(T, mapping).values)
+                brute.add(SignMap.from_map(T, mapping).values)
         assert forms == brute
 
 
@@ -137,7 +137,7 @@ def test_admissible_case_validation():
 
 def test_construct_item1_examples():
     Z2 = FinAbGroup((2,))
-    mu_neg = QuadForm.from_map(Z2, {Z2.element((0,)): 1, Z2.element((1,)): -1})
+    mu_neg = SignMap.from_map(Z2, {Z2.element((0,)): 1, Z2.element((1,)): -1})
     A = construct_item1(Z2, AltBicharacter.trivial(Z2), mu_neg)
     # this is C as a Z_2-graded real algebra: x^2 = -1
     idx = {d.exponents: i for i, d in enumerate(A.degrees)}
@@ -149,7 +149,7 @@ def test_construct_item1_examples():
 
 def test_construct_item2_identity_component_is_quaternion():
     Z2 = FinAbGroup((2,))
-    mu = QuadForm.from_map(Z2, {Z2.element((0,)): 1, Z2.element((1,)): 1})
+    mu = SignMap.from_map(Z2, {Z2.element((0,)): 1, Z2.element((1,)): 1})
     A = construct_item2(Z2, AltBicharacter.trivial(Z2), mu)
     assert A.dim == 8
     Ae = identity_component(A)
@@ -163,7 +163,7 @@ def test_construct_item3a_quaternions():
     K = Subgroup.from_generators(Z2, ())
     beta = trivial_subbeta(Z2, K)
     t0 = Z2.element((1,))
-    nu_minus = AdmissibleMap.from_map(Z2, {t0: -1})
+    nu_minus = SignMap.from_map(Z2, {t0: -1})
     A = construct_item3(Z2, K, beta, nu_minus, "a")
     assert A.dim == 4
     assert identity_component(A).dim == 2
@@ -324,7 +324,7 @@ def test_item4_conjugation_is_explicit_table_iso():
         A = construct_item4(T, beta, cyc, verify=False)
         B = construct_item4(T, inv, cyc, verify=False)
         for key, vec in A.table.items():
-            expect = {k: cyc.conjugate(c) for k, c in vec.items()}
+            expect = {k: cyclotomic_conjugate(cyc, c) for k, c in vec.items()}
             assert B.table[key] == expect
 
 
