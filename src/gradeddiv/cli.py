@@ -258,7 +258,8 @@ def _cmd_ff_grade(args) -> dict:
     }
     if args.list_mu:
         F = FiniteField(args.p, args.ell)
-        report["mu"] = [F.elem_to_json(m) for m in ff_grading_mus(args.p, args.ell, args.k)]
+        mus = ff_grading_mus(F, args.k) if decision.is_true else []
+        report["mu"] = [F.elem_to_json(m) for m in mus]
     return report
 
 

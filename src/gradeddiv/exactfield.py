@@ -1,7 +1,12 @@
 """Exact coefficient fields shared by every construction in the package.
 
 Four contexts implement one duck-typed protocol (add, mul, inv, power,
-is_nth_power, nth_power_class, roots_of_unity, JSON encoding):
+is_nth_power, nth_power_class, roots_of_unity, integer_image, JSON
+encoding).  ``integer_image`` maps vectors of elements to vectors of Python
+ints and names the modulus in which sums of products of those ints compare
+as the field elements do: 0 over Q and R (every element scaled by one
+common denominator), p over GF(p); it returns None over GF(p^ell) with
+ell > 1 and over Q(zeta_N), whose elements are not single residues.
 
 * ``RationalField``    - plain rationals; elements are ``fractions.Fraction``.
 * ``RealField``        - exact model of a real closed field.  Elements are
@@ -33,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .intutil import DEFAULT_FACTOR_BOUND, divisors, factor_bound, factorint, is_prime, prime_divisors
 
@@ -129,6 +134,14 @@ class RationalField:
         sign = 1 if n % 2 == 1 else _sign(x)
         exps = tuple(sorted((p, e % n) for p, e in self._exponents(abs(x)).items() if e % n))
         return (n, sign, exps)
+
+    def integer_image(self, vecs: list[dict]) -> tuple[list[dict], int]:
+        """Each vector times D, the common denominator of all their entries,
+        as int vectors, with modulus 0: a sum of products of two entries is
+        D^2 times its rational value, so two such sums are equal iff their
+        integer images are."""
+        D = lcm(*{c.denominator for vec in vecs for c in vec.values()})
+        return [{k: c.numerator * (D // c.denominator) for k, c in vec.items()} for vec in vecs], 0
 
     def elem_to_json(self, x):
         return f"{x.numerator}/{x.denominator}"
@@ -495,6 +508,13 @@ class FiniteField:
         d = gcd(n, self.q - 1)
         return (n, self.power(x, (self.q - 1) // d))
 
+    def integer_image(self, vecs: list[dict]) -> tuple[list[dict], int] | None:
+        """Over GF(p) the elements are their residues, to compare mod p; None
+        for ell > 1, where an int encodes a coefficient vector."""
+        if self.ell > 1:
+            return None
+        return vecs, self.p
+
     def elem_to_json(self, x: int):
         return list(self.to_vec(x))
 
@@ -660,6 +680,10 @@ class CyclotomicField:
         if self.is_zero(x):
             raise FieldError("power classes are defined on nonzero elements")
         return (n, 1)
+
+    def integer_image(self, vecs: list[dict]) -> None:
+        """None: elements are coefficient tuples, not single integers."""
+        return None
 
     def elem_to_json(self, x):
         return [f"{c.numerator}/{c.denominator}" for c in x]

@@ -20,6 +20,15 @@ to generate A by exact linear algebra, trusting no other oracle.  Only when
 the certificate fails does the oracle scan every triple, so the witness it
 reports is still the first failing triple in lexicographic order.
 
+Over Q and R each triple is compared on integers.  Write every structure
+constant as a/D over one common denominator D (``integer_image`` of the
+field).  Coefficient l of (b_i b_j) b_k is the sum over m of
+c_ij^m c_mk^l = a_ij^m a_mk^l / D^2, and that of b_i (b_j b_k) the sum of
+c_jk^m c_im^l = a_jk^m a_im^l / D^2, so the two are equal iff the integer
+sums of a a are; no Fraction is formed.  Over GF(p) the elements are
+residues already, and the integer sums are compared mod p.  Over GF(p^ell)
+with ell > 1 and Q(zeta_N) the triples multiply field vectors.
+
 An algebra whose components X_t are 1-dimensional and cover the group is a
 twisted group algebra F^sigma K: X_s X_t = sigma(s, t) X_{s+t}.
 ``GradedAlgebra.cocycle`` reads sigma off the table once, and every
@@ -207,19 +216,39 @@ def verify_associative(A: GradedAlgebra) -> tuple[bool, tuple | None]:
     vectors (``_generating_basis``): they pass iff those vectors lie in the
     middle nucleus, which is a subalgebra, so then it is all of A.  Otherwise
     every j is scanned and the first failing triple (i, j, k) in
-    lexicographic order is the witness.
+    lexicographic order is the witness.  Where the field has an integer
+    image (Q, R, GF(p)), each triple compares integer sums; elsewhere it
+    multiplies field vectors.
     """
     n = A.dim
-    rows = [[A.entry(i, j) for j in range(n)] for i in range(n)]
+    image = A.field.integer_image(list(A.table.values()))
+    if image is None:
+
+        def differs(i, j, k):
+            return A.mul_vec(A.entry(i, j), A.basis_vec(k)) != A.mul_vec(A.basis_vec(i), A.entry(j, k))
+
+    else:
+        vecs, modulus = image
+        rows = [[{} for _ in range(n)] for _ in range(n)]
+        for (i, j), vec in zip(A.table, vecs):
+            rows[i][j] = vec
+
+        def differs(i, j, k):
+            # coefficient l of (b_i b_j) b_k - b_i (b_j b_k)
+            acc = {}
+            for m, c in rows[i][j].items():
+                for l, d in rows[m][k].items():
+                    acc[l] = acc.get(l, 0) + c * d
+            for m, c in rows[j][k].items():
+                for l, d in rows[i][m].items():
+                    acc[l] = acc.get(l, 0) - c * d
+            return any(v % modulus for v in acc.values()) if modulus else any(acc.values())
 
     def first_failure(js):
         for i in range(n):
             for j in js:
-                ij = rows[i][j]
                 for k in range(n):
-                    left = A.mul_vec(ij, A.basis_vec(k))
-                    right = A.mul_vec(A.basis_vec(i), rows[j][k])
-                    if left != right:
+                    if differs(i, j, k):
                         return i, j, k
         return None
 

@@ -461,18 +461,14 @@ def ff_grading_exists(p: int, ell: int, k: int) -> Decision:
     return Decision("true", "both divisibility conditions hold")
 
 
-def ff_grading_mus(p: int, ell: int, k: int) -> list[int]:
-    """All mu in GF(p^ell)^x whose graded-field F[X]/(X^k - mu) is a field:
-    mu^{(p^ell - 1)/q} != 1 for every prime q | k."""
-    if not ff_grading_exists(p, ell, k).is_true:
-        return []
-    F = FiniteField(p, ell)
+def ff_grading_mus(F: FiniteField, k: int) -> list[int]:
+    """All mu in F^x whose graded-field F[X]/(X^k - mu) is a field:
+    mu^{(|F| - 1)/q} != 1 for every prime q | k.  Valid when
+    ``ff_grading_exists(F.p, F.ell, k)`` holds, which puts each such q in
+    |F| - 1."""
     m = F.q - 1
-    out = []
-    for mu in F.units():
-        if all(F.power(mu, m // q) != F.one for q in prime_divisors(k)):
-            out.append(mu)
-    return out
+    exponents = [m // q for q in prime_divisors(k)]
+    return [mu for mu in F.units() if all(F.power(mu, e) != F.one for e in exponents)]
 
 
 def embed_field(small: FiniteField, big: FiniteField) -> dict:

@@ -53,19 +53,32 @@ def algebra_to_json(A: GradedAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict) -> GradedAlgebra:
+    """The algebra a descriptor states; refuses basis indices outside
+    [0, dim) and drops zero constants and zero unit coefficients."""
     F = field_from_json(data["field"])
     G = group_from_json(data["group"])
     degrees = tuple(G.element(exps) for exps in data["basis_degrees"])
+    dim = len(degrees)
+
+    def index(value, name: str) -> int:
+        i = int(value)
+        if not 0 <= i < dim:
+            raise DescriptorError(f"{name} = {i} is outside the basis indices [0, {dim})")
+        return i
+
     table: dict = {}
     for entry in data["constants"]:
-        i, j, k = int(entry["i"]), int(entry["j"]), int(entry["k"])
+        i, j, k = (index(entry[name], f"constant index {name}") for name in "ijk")
         c = F.elem_from_json(entry["c"])
         if F.is_zero(c):
             continue
         table.setdefault((i, j), {})[k] = c
     unit = {}
     for k, c in data["unit"]:
-        unit[int(k)] = F.elem_from_json(c)
+        k = index(k, "unit index k")
+        c = F.elem_from_json(c)
+        if not F.is_zero(c):
+            unit[k] = c
     return GradedAlgebra(F, G, degrees, table, unit)
 
 

@@ -149,6 +149,48 @@ def test_verify_reports_a_non_associative_census_table(capsys, tmp_path):
     assert report["checks"]["graded_division"] == {"ok": None, "witness": "undecided: the table is not associative"}
 
 
+def _q_z2_minus_one(constants=(), unit=(("0", "1/1"),)) -> dict:
+    """Q[Z_2] twisted to X_1^2 = -1, with extra constants and a given unit."""
+    return {
+        "field": {"kind": "Q"},
+        "group": {"orders": [2]},
+        "basis_degrees": [[0], [1]],
+        "unit": [[int(k), c] for k, c in unit],
+        "constants": [
+            {"i": 0, "j": 0, "k": 0, "c": "1/1"},
+            {"i": 0, "j": 1, "k": 1, "c": "1/1"},
+            {"i": 1, "j": 0, "k": 1, "c": "1/1"},
+            {"i": 1, "j": 1, "k": 0, "c": "-1/1"},
+            *constants,
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "desc, named",
+    [
+        (_q_z2_minus_one([{"i": 1, "j": 1, "k": 5, "c": "1/1"}]), "constant index k = 5"),
+        (_q_z2_minus_one([{"i": 7, "j": 1, "k": 0, "c": "1/1"}]), "constant index i = 7"),
+        (_q_z2_minus_one([{"i": -1, "j": 1, "k": 0, "c": "1/1"}]), "constant index i = -1"),
+        (_q_z2_minus_one([{"i": 0, "j": 2, "k": 0, "c": "0/1"}]), "constant index j = 2"),
+        (_q_z2_minus_one(unit=[(0, "1/1"), (2, "1/1")]), "unit index k = 2"),
+    ],
+)
+def test_verify_refuses_basis_indices_outside_the_basis(capsys, tmp_path, desc, named):
+    code, report = run_cli(capsys, "verify", "--in", _write(tmp_path, "alg.json", desc))
+    assert code == 3
+    assert report["error"]["code"] == "bad-parameters"
+    assert report["error"]["message"] == f"{named} is outside the basis indices [0, 2)"
+
+
+def test_verify_drops_zero_unit_coefficients(capsys, tmp_path):
+    desc = _q_z2_minus_one(unit=[(0, "1/1"), (1, "0/1")])
+    code, report = run_cli(capsys, "verify", "--in", _write(tmp_path, "alg.json", desc))
+    assert code == 0
+    assert report["verdict"] is True
+    assert all(check == {"ok": True, "witness": None} for check in report["checks"].values())
+
+
 def _construct(capsys, tmp_path, request: dict) -> dict:
     path = tmp_path / "req.json"
     path.write_text(json.dumps(request))
@@ -371,6 +413,35 @@ def test_ff_grade_reports(capsys):
     code, report = run_cli(capsys, "ff-grade", "--p", "7", "--ell", "1", "--k", "3", "--list-mu")
     assert report["verdict"] is True
     assert report["mu"] == [[2], [3], [4], [5]]
+
+
+def test_ff_grade_builds_the_field_once_and_decides_once(capsys, monkeypatch):
+    from gradeddiv import cli, exactfield, gradedfield
+
+    decisions, builds = [], []
+    decide = cli.ff_grading_exists
+    build = exactfield.FiniteField.__init__
+
+    def counting_decide(*args):
+        decisions.append(args)
+        return decide(*args)
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "ff_grading_exists", counting_decide)
+    monkeypatch.setattr(gradedfield, "ff_grading_exists", counting_decide)
+    monkeypatch.setattr(exactfield.FiniteField, "__init__", counting_build)
+    for argv, mus in (
+        (("--p", "7", "--ell", "1", "--k", "3"), [[2], [3], [4], [5]]),
+        (("--p", "3", "--ell", "1", "--k", "4"), []),
+    ):
+        decisions.clear()
+        builds.clear()
+        code, report = run_cli(capsys, "ff-grade", *argv, "--list-mu")
+        assert code == 0 and report["mu"] == mus
+        assert len(decisions) == 1 and len(builds) == 1
 
 
 def test_frobenius_and_kummer_commands(capsys, tmp_path):

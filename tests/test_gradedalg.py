@@ -1,12 +1,14 @@
 import re
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from helpers import reference_commutant_basis
+from hypothesis import given, settings, strategies as st
 
 from gradeddiv.abelian import FinAbGroup, Subgroup
-from gradeddiv.exactfield import FiniteField, RationalField, RealField
+from gradeddiv.exactfield import CyclotomicField, FiniteField, RationalField, RealField
 from gradeddiv.gradedalg import (
     GradedAlgebra,
     OracleError,
@@ -254,11 +256,11 @@ def census_tables():
 
 
 def scaled_constant(A, rng, factor):
-    """Copy of A with one seeded structure constant multiplied by factor."""
+    """Copy of A with one seeded structure constant multiplied by the field element factor."""
     (i, j), vec = rng.choice(sorted(A.table.items()))
     k = rng.choice(sorted(vec))
     table = dict(A.table)
-    table[(i, j)] = {**vec, k: A.field.mul(vec[k], A.field.from_int(factor))}
+    table[(i, j)] = {**vec, k: A.field.mul(vec[k], factor)}
     return GradedAlgebra(A.field, A.group, A.degrees, table, A.unit)
 
 
@@ -270,12 +272,115 @@ def test_associativity_matches_triple_scan_on_census_tables(census_tables):
     for tables in census_tables.values():
         for A in tables:
             assert verify_associative(A) == scan_associative(A) == (True, None)
-            for factor in (-1, 2, 3):
-                B = scaled_constant(A, rng, factor)
+            # the non-integer factors give the table a common denominator D > 1
+            F = A.field
+            for num, den in ((-1, 1), (2, 1), (3, 1), (1, 2), (-5, 3)):
+                B = scaled_constant(A, rng, F.div(F.from_int(num), F.from_int(den)))
                 expected = scan_associative(B)
                 assert verify_associative(B) == expected
                 failing += not expected[0]
-    assert failing > 200
+    assert failing > 300
+
+
+def finite_quasitorus_tables():
+    """D(K, beta, mu) over GF(5) and GF(13) with |K| <= 16."""
+    F5, F13 = FiniteField(5, 1), FiniteField(13, 1)
+    cases = [
+        (F5, (4, 4), [(0, 1, 2)], (3, 2)),  # 2 has order 4 mod 5
+        (F5, (2, 2, 2), [(0, 1, 4), (1, 2, 4)], (2, 3, 4)),
+        (F13, (3, 3), [(0, 1, 3)], (2, 5)),  # 3 has order 3 mod 13
+        (F13, (6, 2), [(0, 1, 12)], (7, 11)),
+        (F13, (12,), [], (2,)),
+    ]
+    out = []
+    for F, orders, pairs, mu in cases:
+        G = FinAbGroup(orders)
+        out.append(construct(G, AltBicharacter.from_pairs(G, pairs, F), MuFunction(G, mu), F, verify=False))
+    return out
+
+
+def test_associativity_matches_triple_scan_over_prime_fields():
+    import random
+
+    rng = random.Random(5)
+    for A in finite_quasitorus_tables():
+        assert verify_associative(A) == scan_associative(A) == (True, None)
+        for factor in (2, 3):
+            B = scaled_constant(A, rng, A.field.from_int(factor))
+            expected = scan_associative(B)
+            assert not expected[0]
+            assert verify_associative(B) == expected
+
+
+def test_prime_field_integer_sums_are_compared_mod_p():
+    # with beta = -1 = 4: (X_b X_a) X_a has integer coefficient 4 * 4 * mu_a, X_b (X_a X_a) has mu_a
+    F5 = FiniteField(5, 1)
+    G = FinAbGroup((2, 2))
+    A = construct(G, AltBicharacter.from_pairs(G, [(0, 1, 4)], F5), MuFunction(G, (2, 3)), F5, verify=False)
+    vecs, modulus = F5.integer_image(list(A.table.values()))
+    rows = dict(zip(A.table, vecs))
+
+    def integer_sum(x, y):
+        out = {}
+        for m, c in x.items():
+            for l, d in y(m).items():
+                out[l] = out.get(l, 0) + c * d
+        return out
+
+    unreduced = [
+        (i, j, k)
+        for i, j, k in product(range(A.dim), repeat=3)
+        if integer_sum(rows[(i, j)], lambda m: rows[(m, k)]) != integer_sum(rows[(j, k)], lambda m: rows[(i, m)])
+    ]
+    assert modulus == 5 and unreduced
+    assert verify_associative(A) == scan_associative(A) == (True, None)
+
+
+PROPERTY_FIELDS = [
+    Q,
+    R,
+    FiniteField(2, 1),
+    FiniteField(5, 1),
+    FiniteField(13, 1),
+    FiniteField(2, 2),
+    FiniteField(3, 2),
+    CyclotomicField(3),
+    CyclotomicField(4),
+]
+PROPERTY_GROUPS = [(2,), (3,), (4,), (6,), (8,), (2, 2), (4, 2), (3, 3), (2, 2, 2), (6, 2), (4, 4), (2, 2, 2, 2)]
+
+
+def nonzero_elements(F):
+    small = st.integers(-9, 9).filter(bool)
+    if F.kind == "GF":
+        return st.sampled_from(list(F.units()))
+    if F.kind == "CYC":
+        return st.builds(lambda r, n: F.mul(r, F.from_int(n)), st.sampled_from(F.roots_of_unity()), small)
+    return st.builds(Fraction, small, st.integers(1, 9))
+
+
+@st.composite
+def perturbed_quasitorus(draw):
+    """A random D(K, beta, mu) with |K| <= 16 and one constant multiplied by a unit."""
+    F = draw(st.sampled_from(PROPERTY_FIELDS))
+    G = FinAbGroup(draw(st.sampled_from(PROPERTY_GROUPS)))
+    pairs = []
+    for i in range(G.rank):
+        for j in range(i + 1, G.rank):
+            o = gcd(G.orders[i], G.orders[j])
+            pairs.append((i, j, draw(st.sampled_from([r for r in F.roots_of_unity() if F.power(r, o) == F.one]))))
+    mu = MuFunction(G, tuple(draw(nonzero_elements(F)) for _ in G.orders))
+    A = construct(G, AltBicharacter.from_pairs(G, pairs, F), mu, F, verify=False)
+    key = draw(st.sampled_from(sorted(A.table)))
+    ((k, c),) = A.table[key].items()
+    table = {**A.table, key: {k: F.mul(c, draw(nonzero_elements(F)))}}
+    return GradedAlgebra(F, G, A.degrees, table, A.unit)
+
+
+@given(perturbed_quasitorus())
+@settings(max_examples=200, deadline=None)
+def test_associativity_matches_triple_scan_on_random_tables(A):
+    assert verify_associative(A) == scan_associative(A)
 
 
 def octonions_z222():
