@@ -50,10 +50,15 @@ first one among tuples of designated roots.
 
 Invertibility decisions:
 
-* an element x is invertible iff the stacked linear system x*y = 1,
-  y*x = 1 has a solution y, decided on one sparse echelon form
-  (``linalg``).  That needs no associativity, so ``verify``, which runs
-  this oracle also on tables that failed associativity, gets an answer;
+* a homogeneous x of degree t is invertible iff the stacked linear system
+  x*y = 1, y*x = 1 has a solution y in the component A_{-t}, decided on one
+  sparse echelon form (``linalg``) with d unknowns, d = dim A_{-t}.  The
+  restriction rests on the grading and the unit law: together they put the
+  unit in A_e (each homogeneous part u_s of the unit with s != e sends every
+  basis vector to 0, so u_s = u_s * 1 = 0), and then the degree -t part of
+  any inverse is an inverse too; the two-sided inverse in an associative
+  algebra is unique, so it is that part.  ``oracle_checks`` therefore
+  decides graded division only on graded, unital, associative tables;
 * over a finite field, "every nonzero element of a component is invertible"
   is decided by exhaustive enumeration, refused with CannotCertify when the
   component has more than FINITE_SCAN_BOUND vectors;
@@ -67,6 +72,7 @@ Invertibility decisions:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
@@ -291,20 +297,31 @@ def _generating_basis(A: GradedAlgebra) -> list[int]:
 
 
 def invert_vec(A: GradedAlgebra, x: Vec) -> Vec | None:
-    """Two-sided inverse of x, or None: a solution y of the stacked system
-    x*y = 1, y*x = 1, whose right half sits at indices shifted by dim."""
+    """Two-sided inverse of the homogeneous x, or None.
+
+    For x of degree t the inverse lies in A_{-t} (module doc), so the
+    unknowns are the columns of A_{-t}: a solution of the stacked system
+    x*y = 1, y*x = 1, whose right half sits at indices shifted by dim.
+    """
     if not x:
+        return None
+    degrees = {A.degrees[i] for i in x}
+    if len(degrees) != 1:
+        raise OracleError("invert_vec needs a homogeneous vector; this one has parts in several degrees")
+    idxs = A.components().get(-degrees.pop())
+    if idxs is None:
         return None
     n = A.dim
     cols = []
-    for j in range(n):
+    for j in idxs:
         b = A.basis_vec(j)
         col = A.mul_vec(x, b)
         col.update((n + k, c) for k, c in A.mul_vec(b, x).items())
         cols.append(col)
     target = dict(A.unit)
     target.update((n + k, c) for k, c in A.unit.items())
-    return express(echelon(A.field, cols), target)
+    sol = express(echelon(A.field, cols), target)
+    return None if sol is None else {idxs[p]: c for p, c in sol.items()}
 
 
 def identity_component(A: GradedAlgebra) -> GradedAlgebra:
@@ -356,27 +373,33 @@ def subalgebra_on_span(A: GradedAlgebra, vecs: list[Vec], group: FinAbGroup, deg
 
 def center_basis(A: GradedAlgebra) -> list[Vec]:
     """Basis of Z(A), by solving the linear commutation system."""
-    return _commutant_basis(A, list(range(A.dim)), [A.basis_vec(j) for j in range(A.dim)])
+    return _commutant_basis(A, range(A.dim), range(A.dim))
 
 
-def centralizer_basis(A: GradedAlgebra, targets: list[Vec]) -> list[Vec]:
-    return _commutant_basis(A, list(range(A.dim)), targets)
+def centralizer_basis(A: GradedAlgebra, target_idxs: Sequence[int]) -> list[Vec]:
+    """Basis of the centralizer of the basis vectors b_j, j in target_idxs."""
+    return _commutant_basis(A, range(A.dim), target_idxs)
 
 
-def _commutant_basis(A: GradedAlgebra, unknown_idxs: list[int], targets: list[Vec]) -> list[Vec]:
-    """Basis of the x in span(b_k : k in unknown_idxs) with x*t = t*x for
-    every target t: the kernel of the columns b_k*t - t*b_k, one block of
-    dim coordinates per target."""
+def _commutant_basis(A: GradedAlgebra, unknown_idxs: Sequence[int], target_idxs: Sequence[int]) -> list[Vec]:
+    """Basis of the x in span(b_k : k in unknown_idxs) with x*b_j = b_j*x
+    for every target index j: the kernel of the columns b_k*b_j - b_j*b_k,
+    one block of dim coordinates per target.
+
+    The targets are basis vectors, so each column is read off the table as
+    entry(k, j) - entry(j, k), one subtraction per shared output index; no
+    product is formed."""
     F = A.field
     n = A.dim
-    minus_one = F.neg(F.one)
     cols = []
     for k in unknown_idxs:
-        bk = A.basis_vec(k)
         col = {}
-        for ti, t in enumerate(targets):
-            diff = A.add_vec(A.mul_vec(bk, t), A.scale_vec(minus_one, A.mul_vec(t, bk)))
-            col.update((ti * n + r, c) for r, c in diff.items())
+        for ti, j in enumerate(target_idxs):
+            base = ti * n
+            diff = dict(A.entry(k, j))
+            for r, c in A.entry(j, k).items():
+                diff[r] = F.sub(diff[r], c) if r in diff else F.neg(c)
+            col.update((base + r, c) for r, c in diff.items() if not F.is_zero(c))
         cols.append(col)
     return [{unknown_idxs[i]: c for i, c in rel.items()} for rel in kernel(F, cols)]
 
@@ -387,14 +410,10 @@ def center_dim(A: GradedAlgebra) -> int:
 
 def graded_center_e_dim(A: GradedAlgebra) -> int:
     """dim of Z(A) intersected with the identity component."""
-    e = A.group.identity()
-    e_idxs = A.components().get(e, [])
+    e_idxs = A.components().get(A.group.identity(), [])
     if not e_idxs:
         return 0
-    basis = _commutant_basis(
-        A, e_idxs, [A.basis_vec(j) for j in range(A.dim)]
-    )
-    return len(basis)
+    return len(_commutant_basis(A, e_idxs, range(A.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -592,18 +611,25 @@ def oracle_checks(A: GradedAlgebra):
     graded-division oracles, in that order; each oracle runs only when its
     result is asked for.
 
-    The graded-division certificates hold only for associative tables, so
-    after an associativity failure that check is undecided: ok is None and
-    the witness names the unmet precondition.
+    The graded-division certificates hold only for graded, unital,
+    associative tables (module doc), so after a failure of any of those
+    oracles that check is undecided: ok is None and the witness names the
+    first unmet precondition.
     """
-    yield ("grading", *verify_grading(A))
-    yield ("unit", *verify_unit(A))
-    associative, witness = verify_associative(A)
-    yield ("associative", associative, witness)
-    if associative:
-        yield ("graded_division", *is_graded_division(A))
-    else:
+    graded = verify_grading(A)
+    yield ("grading", *graded)
+    unital = verify_unit(A)
+    yield ("unit", *unital)
+    associative = verify_associative(A)
+    yield ("associative", *associative)
+    if not graded[0]:
+        yield ("graded_division", None, "undecided: the table is not graded")
+    elif not unital[0]:
+        yield ("graded_division", None, "undecided: the unit law fails")
+    elif not associative[0]:
         yield ("graded_division", None, "undecided: the table is not associative")
+    else:
+        yield ("graded_division", *is_graded_division(A))
 
 
 def certify(A: GradedAlgebra) -> list[tuple]:

@@ -19,6 +19,12 @@ class DescriptorError(ValueError):
     pass
 
 
+def _required(data: dict, key: str, where: str):
+    if key not in data:
+        raise DescriptorError(f"{where} has no {key!r}")
+    return data[key]
+
+
 def field_from_json(data: dict):
     kind = data.get("kind")
     if kind == "Q":
@@ -26,13 +32,15 @@ def field_from_json(data: dict):
     if kind == "R":
         return RealField()
     if kind == "GF":
-        return FiniteField(int(data["p"]), int(data["ell"]), modulus=data.get("modulus"))
+        p, ell = (int(_required(data, key, "the GF field descriptor")) for key in ("p", "ell"))
+        return FiniteField(p, ell, modulus=data.get("modulus"))
     if kind == "CYC":
-        return CyclotomicField(int(data["conductor"]))
+        return CyclotomicField(int(_required(data, "conductor", "the CYC field descriptor")))
     raise DescriptorError(f"unknown field kind {kind!r}")
 
 
 def group_from_json(data: dict) -> FinAbGroup:
+    _required(data, "orders", "the group descriptor")
     return FinAbGroup.from_json(data)
 
 
@@ -53,29 +61,40 @@ def algebra_to_json(A: GradedAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict) -> GradedAlgebra:
-    """The algebra a descriptor states; refuses basis indices outside
-    [0, dim) and drops zero constants and zero unit coefficients."""
-    F = field_from_json(data["field"])
-    G = group_from_json(data["group"])
-    degrees = tuple(G.element(exps) for exps in data["basis_degrees"])
+    """The algebra a descriptor states; drops zero constants and zero unit
+    coefficients.  Refuses a missing key, a basis index that is not a JSON
+    integer in [0, dim), and a second entry for one constant (i, j, k) or
+    one unit index."""
+    F = field_from_json(_required(data, "field", "the algebra descriptor"))
+    G = group_from_json(_required(data, "group", "the algebra descriptor"))
+    degrees = tuple(G.element(exps) for exps in _required(data, "basis_degrees", "the algebra descriptor"))
     dim = len(degrees)
 
     def index(value, name: str) -> int:
-        i = int(value)
-        if not 0 <= i < dim:
-            raise DescriptorError(f"{name} = {i} is outside the basis indices [0, {dim})")
-        return i
+        # bool is an int subclass, but true is no basis index
+        if type(value) is not int:
+            raise DescriptorError(f"{name} = {value!r} is not an integer")
+        if not 0 <= value < dim:
+            raise DescriptorError(f"{name} = {value} is outside the basis indices [0, {dim})")
+        return value
 
     table: dict = {}
-    for entry in data["constants"]:
-        i, j, k = (index(entry[name], f"constant index {name}") for name in "ijk")
-        c = F.elem_from_json(entry["c"])
-        if F.is_zero(c):
-            continue
-        table.setdefault((i, j), {})[k] = c
+    seen_constants = set()
+    for entry in _required(data, "constants", "the algebra descriptor"):
+        i, j, k = (index(_required(entry, name, "a constant"), f"constant index {name}") for name in "ijk")
+        c = F.elem_from_json(_required(entry, "c", f"constant (i, j, k) = ({i}, {j}, {k})"))
+        if (i, j, k) in seen_constants:
+            raise DescriptorError(f"constant (i, j, k) = ({i}, {j}, {k}) is given twice")
+        seen_constants.add((i, j, k))
+        if not F.is_zero(c):
+            table.setdefault((i, j), {})[k] = c
     unit = {}
-    for k, c in data["unit"]:
+    seen_units = set()
+    for k, c in _required(data, "unit", "the algebra descriptor"):
         k = index(k, "unit index k")
+        if k in seen_units:
+            raise DescriptorError(f"unit index k = {k} is given twice")
+        seen_units.add(k)
         c = F.elem_from_json(c)
         if not F.is_zero(c):
             unit[k] = c

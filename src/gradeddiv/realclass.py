@@ -406,7 +406,7 @@ def _complex_conj(z):
 
 class _CMatrix:
     """2x2 matrix over the complexification of the K-part table; entries map
-    K-elements to complex coefficient pairs of Fractions."""
+    K-elements to Gaussian integers (re, im), pairs of ints."""
 
     __slots__ = ("m",)
 
@@ -448,7 +448,11 @@ def construct_item3(
 
     nu is a SignMap for case "a" and either a SignMap or an
     equivalence class (tuple) for case "b", where the canonical member is
-    used."""
+    used.
+
+    The K-part cocycle takes only the values +-1 (checked), and lam is a
+    sign, so every matrix entry is a Gaussian integer: the products run on
+    ints, and a constant becomes a Fraction only when it is stored."""
     if isinstance(nu, tuple):
         if case != "b":
             raise ClassificationError("equivalence classes only parametrize case (b)")
@@ -456,7 +460,7 @@ def construct_item3(
     kset = K.element_set()
     t0 = _canonical_t0(T, K, case)
     mu_t0 = {h: nu(t0 + h) * nu(t0) for h in _k2(T, K)}
-    lam = Fraction(nu(t0)) if case == "a" else Fraction(1)
+    lam = nu(t0) if case == "a" else 1
 
     # the K-part table over exact reals, re-keyed by ambient elements
     pres = beta.pres
@@ -464,9 +468,12 @@ def construct_item3(
     mu_pres = SignMap.from_map(pres.group, {coords[h]: s for h, s in mu_t0.items()})
     # an intermediate table: only the emitted A is certified
     sigma = construct_item1(pres.group, beta.chi, mu_pres, verify=False).cocycle()
+    if any(c not in (1, -1) for c in sigma.values()):
+        raise ClassificationError("the K-part cocycle takes a value other than +-1")
+    signs = {key: int(c) for key, c in sigma.items()}
 
-    def cmul(s1: GroupElement, s2: GroupElement) -> Fraction:
-        return sigma[(coords[s1], coords[s2])]
+    def cmul(s1: GroupElement, s2: GroupElement) -> int:
+        return signs[(coords[s1], coords[s2])]
 
     t0sq = 2 * t0
 
@@ -474,25 +481,18 @@ def construct_item3(
     pos = {t: 2 * i for i, t in enumerate(elems)}
 
     def mat(t: GroupElement, with_j: bool) -> _CMatrix:
-        one = (Fraction(1), Fraction(0))
         if t in kset:
-            d0 = {t: one}
-            d1 = {t: one}
-            m = [[d0, {}], [{}, d1]]
+            m = [[{t: (1, 0)}, {}], [{}, {t: (1, 0)}]]
         else:
             s = t - t0
-            u = {t0sq + s: (cmul(t0sq, s), Fraction(0))}
-            v = {s: (lam, Fraction(0))}
-            m = [[{}, u], [v, {}]]
+            m = [[{}, {t0sq + s: (cmul(t0sq, s), 0)}], [{s: (lam, 0)}, {}]]
         if with_j:
             # left-multiply by J = diag(i, -i)
-            i_ = (Fraction(0), Fraction(1))
-            mi = (Fraction(0), Fraction(-1))
             m = [
-                [{s: _complex_pair_mul(i_, z) for s, z in m[0][0].items()},
-                 {s: _complex_pair_mul(i_, z) for s, z in m[0][1].items()}],
-                [{s: _complex_pair_mul(mi, z) for s, z in m[1][0].items()},
-                 {s: _complex_pair_mul(mi, z) for s, z in m[1][1].items()}],
+                [{s: _complex_pair_mul((0, 1), z) for s, z in m[0][0].items()},
+                 {s: _complex_pair_mul((0, 1), z) for s, z in m[0][1].items()}],
+                [{s: _complex_pair_mul((0, -1), z) for s, z in m[1][0].items()},
+                 {s: _complex_pair_mul((0, -1), z) for s, z in m[1][1].items()}],
             ]
         return _CMatrix(m)
 
@@ -501,6 +501,14 @@ def construct_item3(
         mats[pos[t]] = mat(t, False)
         mats[pos[t] + 1] = mat(t, True)
 
+    def stored(z, target: GroupElement) -> dict:
+        out = {}
+        if z[0]:
+            out[pos[target]] = Fraction(z[0])
+        if z[1]:
+            out[pos[target] + 1] = Fraction(z[1])
+        return out
+
     def decompose(P: _CMatrix, target: GroupElement) -> dict:
         if target in kset:
             if P.m[0][1] or P.m[1][0]:
@@ -508,15 +516,10 @@ def construct_item3(
             d0 = P.m[0][0]
             if set(d0) - {target} or set(P.m[1][1]) - {target}:
                 raise OracleError("product escaped its component")
-            z = d0.get(target, (Fraction(0), Fraction(0)))
-            if P.m[1][1].get(target, (Fraction(0), Fraction(0))) != _complex_conj(z):
+            z = d0.get(target, (0, 0))
+            if P.m[1][1].get(target, (0, 0)) != _complex_conj(z):
                 raise OracleError("diagonal entries are not conjugate")
-            out = {}
-            if z[0]:
-                out[pos[target]] = z[0]
-            if z[1]:
-                out[pos[target] + 1] = z[1]
-            return out
+            return stored(z, target)
         if P.m[0][0] or P.m[1][1]:
             raise OracleError("off-diagonal component expected")
         s = target - t0
@@ -525,18 +528,13 @@ def construct_item3(
         v = P.m[1][0]
         if set(u) - {ukey} or set(v) - {s}:
             raise OracleError("product escaped its component")
-        zu = u.get(ukey, (Fraction(0), Fraction(0)))
+        zu = u.get(ukey, (0, 0))
+        # c = +-1, so dividing by c is multiplying by it
         c = cmul(t0sq, s)
-        z = (zu[0] / c, zu[1] / c)
-        expect_v = _complex_pair_mul((lam, Fraction(0)), _complex_conj(z))
-        if v.get(s, (Fraction(0), Fraction(0))) != expect_v:
+        z = (zu[0] * c, zu[1] * c)
+        if v.get(s, (0, 0)) != _complex_pair_mul((lam, 0), _complex_conj(z)):
             raise OracleError("lower entry inconsistent with the real form")
-        out = {}
-        if z[0]:
-            out[pos[target]] = z[0]
-        if z[1]:
-            out[pos[target] + 1] = z[1]
-        return out
+        return stored(z, target)
 
     degrees = []
     for t in elems:
@@ -676,7 +674,7 @@ def recover_label(A: GradedAlgebra) -> ClassLabel:
         mu = _signs_of_squares(A)
         return ClassLabel("1", T, (beta, mu))
     if len(e_idxs) == 4:
-        sub = _centralizer_subalgebra(A, [A.basis_vec(i) for i in e_idxs], "Cent(A_e)")
+        sub = _centralizer_subalgebra(A, e_idxs, "Cent(A_e)")
         beta = commutation_bicharacter(sub)
         mu = _signs_of_squares(sub)
         return ClassLabel("2", T, (beta, mu))
@@ -696,11 +694,12 @@ def _signs_of_squares(A: GradedAlgebra) -> SignMap:
     return SignMap.from_map(T, mapping)
 
 
-def _centralizer_subalgebra(A: GradedAlgebra, targets: list, name: str) -> GradedAlgebra:
-    """The centralizer of targets as an algebra with 1-dimensional components;
-    it must have one homogeneous basis vector in every degree."""
+def _centralizer_subalgebra(A: GradedAlgebra, target_idxs: list[int], name: str) -> GradedAlgebra:
+    """The centralizer of the basis vectors at target_idxs as an algebra with
+    1-dimensional components; it must have one homogeneous basis vector in
+    every degree."""
     by_degree = {}
-    for v in centralizer_basis(A, targets):
+    for v in centralizer_basis(A, target_idxs):
         degs = {A.degrees[i] for i in v}
         if len(degs) != 1:
             raise ClassificationError(f"{name} vector is not homogeneous")
@@ -719,9 +718,8 @@ def _recover_item3(A: GradedAlgebra) -> ClassLabel:
     F = A.field
     e = T.identity()
     comps = A.components()
-    e_targets = [A.basis_vec(i) for i in comps[e]]
     # K = support of the centralizer of A_e
-    cent = centralizer_basis(A, e_targets)
+    cent = centralizer_basis(A, comps[e])
     K_degrees = set()
     for v in cent:
         degs = {A.degrees[i] for i in v}
@@ -734,7 +732,7 @@ def _recover_item3(A: GradedAlgebra) -> ClassLabel:
     case = _item3_case(T, K)
     t0 = _canonical_t0(T, K, case)
 
-    d0 = A.basis_vec(comps[t0][0])
+    d0 = comps[t0][0]
     # the centralizer of d0 is an item-(1)-shaped subalgebra of full support
     sub = _centralizer_subalgebra(A, [d0], "Cent(d0)")
     sigma = sub.cocycle()
@@ -755,8 +753,7 @@ def _recover_item3(A: GradedAlgebra) -> ClassLabel:
         else:
             mu_t0[h] = _sign(power_constant(sub, h))
     if case == "a":
-        d0sq = A.mul_vec(d0, d0)
-        delta = _sign(_unit_multiple(A, d0sq))
+        delta = _sign(_unit_multiple(A, A.entry(d0, d0)))
         nu = canonicalize_item3(T, K, beta, mu_t0, t0, delta_t0=delta, case="a")
         return ClassLabel("3a", T, (K, beta, nu))
     nu_class = canonicalize_item3(T, K, beta, mu_t0, t0, case="b")

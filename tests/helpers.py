@@ -20,6 +20,7 @@ from gradeddiv.exactfield import (
 from gradeddiv.gradedalg import GradedAlgebra, OracleError, UnnormalizedAlgebra, subalgebra_on_indices
 from gradeddiv.gradedfield import GradedFieldError
 from gradeddiv.intutil import factorint, prime_divisors
+from gradeddiv.linalg import echelon, express
 from gradeddiv.quasitorus import AltBicharacter, MuFunction
 
 REAL = RealField()
@@ -152,6 +153,25 @@ def reference_commutant_basis(A: GradedAlgebra, unknown_idxs: list[int], targets
     for sol in nullspace(F, rows):
         out.append({unknown_idxs[i]: c for i, c in enumerate(sol) if not F.is_zero(c)})
     return out
+
+
+def reference_invert_vec(A: GradedAlgebra, x) -> dict | None:
+    """Two-sided inverse of x, or None: a solution y of the stacked system
+    x*y = 1, y*x = 1 over all dim basis vectors, whose right half sits at
+    indices shifted by dim.  x need not be homogeneous.  The reference for
+    gradeddiv.gradedalg.invert_vec, which solves inside one component."""
+    if not x:
+        return None
+    n = A.dim
+    cols = []
+    for j in range(n):
+        b = A.basis_vec(j)
+        col = A.mul_vec(x, b)
+        col.update((n + k, c) for k, c in A.mul_vec(b, x).items())
+        cols.append(col)
+    target = dict(A.unit)
+    target.update((n + k, c) for k, c in A.unit.items())
+    return express(echelon(A.field, cols), target)
 
 
 def dense(field, vec: dict, n: int) -> list:

@@ -183,6 +183,62 @@ def test_verify_refuses_basis_indices_outside_the_basis(capsys, tmp_path, desc, 
     assert report["error"]["message"] == f"{named} is outside the basis indices [0, 2)"
 
 
+@pytest.mark.parametrize(
+    "desc, named",
+    [
+        (_q_z2_minus_one([{"i": 1, "j": 1, "k": 0, "c": "1/1"}]), "constant (i, j, k) = (1, 1, 0) is given twice"),
+        (_q_z2_minus_one(unit=[(0, "1/1"), (0, "1/1")]), "unit index k = 0 is given twice"),
+        (_q_z2_minus_one([{"i": 1.5, "j": 1, "k": 0, "c": "1/1"}]), "constant index i = 1.5 is not an integer"),
+        (_q_z2_minus_one([{"i": 1, "j": True, "k": 0, "c": "1/1"}]), "constant index j = True is not an integer"),
+        (_q_z2_minus_one([{"i": 1, "j": 1, "k": "0", "c": "1/1"}]), "constant index k = '0' is not an integer"),
+        ({**_q_z2_minus_one(), "unit": [[0.0, "1/1"]]}, "unit index k = 0.0 is not an integer"),
+        (_q_z2_minus_one([{"i": 0, "j": 0, "k": 0}]), "constant (i, j, k) = (0, 0, 0) has no 'c'"),
+        (_q_z2_minus_one([{"i": 0, "k": 0, "c": "1/1"}]), "a constant has no 'j'"),
+        ({k: v for k, v in _q_z2_minus_one().items() if k != "unit"}, "the algebra descriptor has no 'unit'"),
+        ({k: v for k, v in _q_z2_minus_one().items() if k != "constants"}, "the algebra descriptor has no 'constants'"),
+        ({**_q_z2_minus_one(), "field": {"kind": "GF", "ell": 1}}, "the GF field descriptor has no 'p'"),
+        ({**_q_z2_minus_one(), "field": {"kind": "CYC"}}, "the CYC field descriptor has no 'conductor'"),
+        ({**_q_z2_minus_one(), "group": {}}, "the group descriptor has no 'orders'"),
+    ],
+    ids=["duplicate-constant", "duplicate-unit", "float-index", "bool-index", "string-index", "float-unit-index",
+         "no-c", "no-j", "no-unit", "no-constants", "no-p", "no-conductor", "no-orders"],
+)
+def test_verify_refuses_ambiguous_or_incomplete_descriptors(capsys, tmp_path, desc, named):
+    # the duplicate X_1^2 entry once replaced the first, and i = 1.5 was read as 1
+    code, report = run_cli(capsys, "verify", "--in", _write(tmp_path, "alg.json", desc))
+    assert code == 3
+    assert report["error"] == {"code": "bad-parameters", "message": named}
+
+
+@pytest.mark.parametrize(
+    "constants, unit, failed, reason",
+    [
+        # Q[Z_2] with X_1^2 = X_1: associative and unital, the product lies in degree 1, not 0
+        ([(1, 1, 1, "1/1")], [[0, "1/1"]], "grading", "the table is not graded"),
+        # Q[Z_2] with X_1^2 = -1 and the unit doubled
+        ([(1, 1, 0, "-1/1")], [[0, "2/1"]], "unit", "the unit law fails"),
+    ],
+)
+def test_verify_leaves_graded_division_undecided_without_grading_or_unit(capsys, tmp_path, constants, unit, failed, reason):
+    desc = {
+        "field": {"kind": "Q"},
+        "group": {"orders": [2]},
+        "basis_degrees": [[0], [1]],
+        "unit": unit,
+        "constants": [
+            {"i": i, "j": j, "k": k, "c": c}
+            for i, j, k, c in [(0, 0, 0, "1/1"), (0, 1, 1, "1/1"), (1, 0, 1, "1/1"), *constants]
+        ],
+    }
+    code, report = run_cli(capsys, "verify", "--in", _write(tmp_path, "alg.json", desc))
+    assert code == 0
+    assert report["verdict"] is False
+    checks = report["checks"]
+    assert checks[failed]["ok"] is False
+    assert checks["associative"] == {"ok": True, "witness": None}
+    assert checks["graded_division"] == {"ok": None, "witness": f"undecided: {reason}"}
+
+
 def test_verify_drops_zero_unit_coefficients(capsys, tmp_path):
     desc = _q_z2_minus_one(unit=[(0, "1/1"), (1, "0/1")])
     code, report = run_cli(capsys, "verify", "--in", _write(tmp_path, "alg.json", desc))
@@ -301,6 +357,25 @@ def test_reports_on_1dim_algebras_are_pinned(capsys, tmp_path, request_, pinned)
         assert main(argv) == 0
         out = capsys.readouterr().out.encode()
         assert (hashlib.sha256(out).hexdigest(), len(out)) == pinned[command], command
+
+
+# sha256 and length of the stdout bytes of classify-real --group G
+PINNED_CENSUS = {
+    "2,2": ("b97c417b3e8e74b6212f631b6e205fce08bd447f7df9ed88d36772905fecbe53", 132380),
+    "4": ("48add01200e1773933d901f496f30dd7eb49c0384af03b390ea879f6bcd98a00", 34229),
+    "6": ("09abb1e9048c6fc55a4c5d5d9c55b76e4426e328ce7162a75efbe86bec03ee05", 68687),
+    "3,3": ("1416e2195e1131b78d68ea2580461615c391f86a543800a54ae04b16ee2e3563", 79722),
+    "5": ("f23a613bc9a756db971cab66f05841785f533a933308b85bbf723a8dee9f5f59", 17790),
+    "7": ("d94bb61da3854959a80de021281d24b5a6c43f2fca70b7932987fcc073ca6bba", 32966),
+    "9": ("561d663ab022736adeb2dd095e3781bcb00c2817f497c2f9df6171a7b7b4ebf6", 59070),
+}
+
+
+@pytest.mark.parametrize("group", PINNED_CENSUS)
+def test_census_reports_are_pinned(capsys, group):
+    assert main(["classify-real", "--group", group]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == PINNED_CENSUS[group]
 
 
 def test_finite_component_scan_is_refused_above_its_bound(capsys, tmp_path):

@@ -4,7 +4,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from helpers import reference_commutant_basis
+from helpers import reference_commutant_basis, reference_invert_vec
 from hypothesis import given, settings, strategies as st
 
 from gradeddiv.abelian import FinAbGroup, Subgroup
@@ -178,7 +178,8 @@ def test_support_is_subgroup_for_graded_division():
 
 
 def test_inverse_stays_in_subgroup_components():
-    # invertible elements of A_H have inverses in A_H, up to 16 dimensions
+    # invertible elements of A_H have inverses in A_H, up to 16 dimensions;
+    # the elements are not homogeneous, so the stacked reference solves it
     import random
 
     from gradeddiv.abelian import all_subgroups
@@ -203,7 +204,7 @@ def test_inverse_stays_in_subgroup_components():
                         vec[idx[g]] = Fraction(c)
                 if not vec:
                     continue
-                inv = invert_vec(A, vec)
+                inv = reference_invert_vec(A, vec)
                 if inv is None:
                     continue
                 found += 1
@@ -439,6 +440,58 @@ def test_commutants_match_dense_reference_on_census_tables(census_tables):
             assert center_dim(A) == len(reference_commutant_basis(A, everything, basis))
             assert graded_center_e_dim(A) == len(reference_commutant_basis(A, e_idxs, basis))
             # the centralizer of A_e, basis vectors and their order included
-            targets = [A.basis_vec(j) for j in e_idxs]
-            expected = reference_commutant_basis(A, everything, targets)
-            assert [list(v.items()) for v in centralizer_basis(A, targets)] == [list(v.items()) for v in expected]
+            expected = reference_commutant_basis(A, everything, [A.basis_vec(j) for j in e_idxs])
+            assert [list(v.items()) for v in centralizer_basis(A, e_idxs)] == [list(v.items()) for v in expected]
+
+
+# ---------------------------------------------------------------------------
+# invert_vec inside A_{-t} against the stacked solve over the whole basis
+# ---------------------------------------------------------------------------
+
+
+def random_homogeneous(A, rng):
+    """A nonzero vector of a seeded component of A with small integer coordinates."""
+    F = A.field
+    idxs = A.components()[rng.choice(sorted(A.components(), key=lambda d: d.exponents))]
+    while True:
+        vec = {i: F.from_int(c) for i in idxs if (c := rng.randint(-2, 2))}
+        if vec:
+            return vec
+
+
+def test_inverse_matches_the_stacked_reference(census_tables):
+    import random
+
+    rng = random.Random(17)
+    q_tables = [
+        construct(G, AltBicharacter.trivial(G), MuFunction(G, mu), Q, verify=False)
+        for G, mu in ((FinAbGroup((3, 2)), (Fraction(2), Fraction(-3))), (FinAbGroup((4,)), (Fraction(5, 7),)))
+    ]
+    gf5_tables = [A for A in finite_quasitorus_tables() if A.field.q == 5]
+
+    def truncated_polynomials(n, G):
+        """Q[x]/(x^n) graded by the cyclic G with deg x = 1."""
+        degrees = tuple(G.element((d,)) for d in range(n))
+        table = {(i, j): {i + j: Q.one} for i in range(n) for j in range(n - i)}
+        return GradedAlgebra(Q, G, degrees, table, {0: Q.one})
+
+    # not graded-division: x is nilpotent; in Q[x]/(x^3) graded by Z_4 the
+    # support {0, 1, 2} also misses -1
+    nilpotent = [truncated_polynomials(2, FinAbGroup((2,))), truncated_polynomials(3, FinAbGroup((4,)))]
+    invertible = missing = 0
+    for A in [A for tables in census_tables.values() for A in tables] + q_tables + gf5_tables + nilpotent:
+        vecs = [A.basis_vec(i) for i in range(A.dim)] + [random_homogeneous(A, rng) for _ in range(4)]
+        for x in vecs:
+            inv = invert_vec(A, x)
+            assert inv == reference_invert_vec(A, x)
+            if inv is None:
+                missing += 1
+            else:
+                invertible += 1
+    assert invertible > 1000 and missing >= 3
+
+
+def test_invert_vec_refuses_a_non_homogeneous_vector():
+    H = quaternions_z22()
+    with pytest.raises(OracleError, match="^invert_vec needs a homogeneous vector"):
+        invert_vec(H, {0: R.one, 1: R.one})

@@ -182,6 +182,30 @@ def test_construct_item3a_quaternions():
     assert A.mul_vec(mix, mix) == {0: (a * a + b * b) * Fraction(-1)}
 
 
+def test_construct_item3_refuses_a_cocycle_value_other_than_a_sign(monkeypatch):
+    from gradeddiv import realclass
+    from gradeddiv.gradedalg import GradedAlgebra
+
+    T = FinAbGroup((2, 2))
+    K = index2_subgroups(T)[0]
+    beta = trivial_subbeta(T, K)
+    nu = enumerate_admissible(T, K, beta, "a")[0]
+    assert construct_item3(T, K, beta, nu, "a").dim == 8
+    item1 = realclass.construct_item1
+
+    def doubled(*args, **kwargs):
+        # the K-part table with its last constant doubled, which keeps it a twisted group algebra
+        A = item1(*args, **kwargs)
+        table = dict(A.table)
+        key = max(table)
+        table[key] = {k: 2 * c for k, c in table[key].items()}
+        return GradedAlgebra(A.field, A.group, A.degrees, table, A.unit)
+
+    monkeypatch.setattr(realclass, "construct_item1", doubled)
+    with pytest.raises(realclass.ClassificationError, match="^the K-part cocycle takes a value other than \\+-1$"):
+        construct_item3(T, K, beta, nu, "a")
+
+
 def test_construct_item4_pauli():
     Z22 = FinAbGroup((2, 2))
     cyc = CyclotomicField(item4_conductor(Z22))
@@ -308,7 +332,7 @@ def test_identity_component_types_per_item():
                 # noncentral complex identity component, graded-central overall
                 assert dim_e == 2 and ze == 1
                 e_idxs = A.components()[A.group.identity()]
-                cent = centralizer_basis(A, [A.basis_vec(i) for i in e_idxs])
+                cent = centralizer_basis(A, e_idxs)
                 assert len(cent) < A.dim  # A_e is not central
             else:
                 assert dim_e == 1 and ze == 1  # over the C-model coefficient field
