@@ -96,12 +96,6 @@ class GroupElement:
     def is_identity(self) -> bool:
         return all(a == 0 for a in self.exponents)
 
-    def order(self) -> int:
-        return element_order(self)
-
-    def key(self) -> tuple[int, ...]:
-        return self.exponents
-
 
 def element_order(g: GroupElement) -> int:
     """Least n >= 1 with n*g = 0, i.e. lcm over i of n_i / gcd(n_i, e_i)."""

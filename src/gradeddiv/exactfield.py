@@ -2,11 +2,10 @@
 
 Four contexts implement one duck-typed protocol (add, mul, inv, power,
 is_nth_power, nth_power_class, roots_of_unity, integer_image, JSON
-encoding).  ``integer_image`` maps vectors of elements to vectors of Python
-ints and names the modulus in which sums of products of those ints compare
-as the field elements do: 0 over Q and R (every element scaled by one
-common denominator), p over GF(p); it returns None over GF(p^ell) with
-ell > 1 and over Q(zeta_N), whose elements are not single residues.
+encoding).  ``integer_image`` maps vectors of elements to int vectors and a
+test ``is_zero`` that decides on the ints whether a signed sum of products
+of two entries is 0 in the field: over Q and R by one common denominator,
+over GF(p) mod p, and over GF(p^ell) and Q(zeta_N) by ``_packed_image``.
 
 * ``RationalField``    - plain rationals; elements are ``fractions.Fraction``.
 * ``RealField``        - exact model of a real closed field.  Elements are
@@ -39,6 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
+from operator import not_
 
 from .intutil import DEFAULT_FACTOR_BOUND, divisors, factor_bound, factorint, is_prime, prime_divisors
 
@@ -135,22 +135,22 @@ class RationalField:
         exps = tuple(sorted((p, e % n) for p, e in self._exponents(abs(x)).items() if e % n))
         return (n, sign, exps)
 
-    def integer_image(self, vecs: list[dict]) -> tuple[list[dict], int]:
+    def integer_image(self, vecs: list[dict]) -> tuple:
         """Each vector times D, the common denominator of all their entries,
-        as int vectors, with modulus 0: a sum of products of two entries is
-        D^2 times its rational value, so two such sums are equal iff their
-        integer images are."""
+        as int vectors: a sum of products of two entries is D^2 times its
+        rational value, so it is 0 iff the int is."""
         D = lcm(*{c.denominator for vec in vecs for c in vec.values()})
-        return [{k: c.numerator * (D // c.denominator) for k, c in vec.items()} for vec in vecs], 0
+        return [{k: c.numerator * (D // c.denominator) for k, c in vec.items()} for vec in vecs], not_
 
     def elem_to_json(self, x):
         return f"{x.numerator}/{x.denominator}"
 
     def elem_from_json(self, data) -> Fraction:
-        if isinstance(data, str):
-            return Fraction(data)
-        if isinstance(data, int):
-            return Fraction(data)
+        if isinstance(data, (str, int)):
+            try:
+                return Fraction(data)
+            except ZeroDivisionError:  # "1/0"
+                pass
         raise FieldError(f"bad rational encoding: {data!r}")
 
     def descriptor(self) -> dict:
@@ -267,6 +267,32 @@ def _zip_pad(a, b):
 
 def _poly_sub_int(a, b, p):
     return _gfp_trim([(x - y) % p for x, y in _zip_pad(a, b)])
+
+
+def _packed_image(coeff_vecs: list[dict], modulus, p: int) -> tuple:
+    """``integer_image`` over F[x]/(f), f = modulus monic of degree d in Z[x],
+    F = GF(p) or, for p = 0, Q with D-scaled coefficients.  Each coefficient
+    list is packed into sum c_i 2^(k i).  A signed sum of at most 2w products
+    (w the most entries in one vector) is sum_t e_t 2^(k t) over t < 2d - 1,
+    |e_t| <= 2 w d c^2 < 2^(k-1) for c the largest |c_i|, so its balanced
+    base-2^k digits are the e_t; ``is_zero`` reduces them modulo f (exact, f
+    is monic) and tests the d low ones, mod p when p > 0."""
+    d = len(modulus) - 1
+    w = max(map(len, coeff_vecs), default=0)
+    c = max((abs(x) for vec in coeff_vecs for xs in vec.values() for x in xs), default=0)
+    k = (2 * w * d * c * c).bit_length() + 1
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    offset = sum(half << (k * t) for t in range(2 * d - 1))  # makes every digit e_t + half >= 0
+
+    def is_zero(v) -> bool:
+        v += offset
+        e = [((v >> (k * t)) & mask) - half for t in range(2 * d - 1)]
+        for t in range(2 * d - 2, d - 1, -1):
+            for i in range(d):
+                e[t - d + i] -= e[t] * modulus[i]
+        return not any(x % p for x in e[:d]) if p else not any(e[:d])
+
+    return [{key: sum(x << (k * i) for i, x in enumerate(xs)) for key, xs in vec.items()} for vec in coeff_vecs], is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +534,12 @@ class FiniteField:
         d = gcd(n, self.q - 1)
         return (n, self.power(x, (self.q - 1) // d))
 
-    def integer_image(self, vecs: list[dict]) -> tuple[list[dict], int] | None:
-        """Over GF(p) the elements are their residues, to compare mod p; None
-        for ell > 1, where an int encodes a coefficient vector."""
-        if self.ell > 1:
-            return None
-        return vecs, self.p
+    def integer_image(self, vecs: list[dict]) -> tuple:
+        """Over GF(p) the residues, zero when divisible by p; over GF(p^ell)
+        the base-p digit vectors, packed modulo the modulus (``_packed_image``)."""
+        if self.ell == 1:
+            return vecs, lambda v: v % self.p == 0
+        return _packed_image([{k: self.to_vec(x) for k, x in vec.items()} for vec in vecs], self.modulus, self.p)
 
     def elem_to_json(self, x: int):
         return list(self.to_vec(x))
@@ -521,6 +547,8 @@ class FiniteField:
     def elem_from_json(self, data) -> int:
         if isinstance(data, int):
             return self.coerce(data % self.p if self.ell == 1 else data)
+        if not isinstance(data, list):
+            raise FieldError(f"bad finite-field encoding: {data!r}")
         return self.from_vec([int(c) for c in data])
 
     def descriptor(self) -> dict:
@@ -681,15 +709,21 @@ class CyclotomicField:
             raise FieldError("power classes are defined on nonzero elements")
         return (n, 1)
 
-    def integer_image(self, vecs: list[dict]) -> None:
-        """None: elements are coefficient tuples, not single integers."""
-        return None
+    def integer_image(self, vecs: list[dict]) -> tuple:
+        """The coefficient tuples times D, the common denominator of all their
+        coefficients, packed modulo Phi_N (``_packed_image``); a sum of
+        products of two entries is D^2 times its field value."""
+        D = lcm(*{c.denominator for vec in vecs for x in vec.values() for c in x})
+        scaled = [{k: [c.numerator * (D // c.denominator) for c in x] for k, x in vec.items()} for vec in vecs]
+        return _packed_image(scaled, cyclotomic_polynomial(self.N), 0)
 
     def elem_to_json(self, x):
         return [f"{c.numerator}/{c.denominator}" for c in x]
 
     def elem_from_json(self, data):
-        return self._tup([Fraction(c) for c in data])
+        if not isinstance(data, list):
+            raise FieldError(f"bad cyclotomic encoding: {data!r}")
+        return self._tup([_QQ.elem_from_json(c) for c in data])
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "conductor": self.N}

@@ -20,14 +20,13 @@ to generate A by exact linear algebra, trusting no other oracle.  Only when
 the certificate fails does the oracle scan every triple, so the witness it
 reports is still the first failing triple in lexicographic order.
 
-Over Q and R each triple is compared on integers.  Write every structure
-constant as a/D over one common denominator D (``integer_image`` of the
-field).  Coefficient l of (b_i b_j) b_k is the sum over m of
-c_ij^m c_mk^l = a_ij^m a_mk^l / D^2, and that of b_i (b_j b_k) the sum of
-c_jk^m c_im^l = a_jk^m a_im^l / D^2, so the two are equal iff the integer
-sums of a a are; no Fraction is formed.  Over GF(p) the elements are
-residues already, and the integer sums are compared mod p.  Over GF(p^ell)
-with ell > 1 and Q(zeta_N) the triples multiply field vectors.
+Each triple is compared on integers, over every field.  The field's
+``integer_image`` maps the table's vectors to int vectors (over Q and R,
+D times each constant for one common denominator D) and gives a test
+``is_zero``.  Coefficient l of (b_i b_j) b_k - b_i (b_j b_k) is a signed
+sum of at most 2w products c_ij^m c_mk^l and c_jk^m c_im^l (w the most
+entries in one table vector); the same sum formed on the ints is its image
+(D^2 times it over Q), and ``is_zero`` decides whether it is 0.
 
 An algebra whose components X_t are 1-dimensional and cover the group is a
 twisted group algebra F^sigma K: X_s X_t = sigma(s, t) X_{s+t}.
@@ -222,33 +221,25 @@ def verify_associative(A: GradedAlgebra) -> tuple[bool, tuple | None]:
     vectors (``_generating_basis``): they pass iff those vectors lie in the
     middle nucleus, which is a subalgebra, so then it is all of A.  Otherwise
     every j is scanned and the first failing triple (i, j, k) in
-    lexicographic order is the witness.  Where the field has an integer
-    image (Q, R, GF(p)), each triple compares integer sums; elsewhere it
-    multiplies field vectors.
+    lexicographic order is the witness.  Each triple tests integer sums on
+    the field's ``integer_image`` of the table with its ``is_zero``.
     """
     n = A.dim
-    image = A.field.integer_image(list(A.table.values()))
-    if image is None:
+    vecs, is_zero = A.field.integer_image(list(A.table.values()))
+    rows = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j), vec in zip(A.table, vecs):
+        rows[i][j] = vec
 
-        def differs(i, j, k):
-            return A.mul_vec(A.entry(i, j), A.basis_vec(k)) != A.mul_vec(A.basis_vec(i), A.entry(j, k))
-
-    else:
-        vecs, modulus = image
-        rows = [[{} for _ in range(n)] for _ in range(n)]
-        for (i, j), vec in zip(A.table, vecs):
-            rows[i][j] = vec
-
-        def differs(i, j, k):
-            # coefficient l of (b_i b_j) b_k - b_i (b_j b_k)
-            acc = {}
-            for m, c in rows[i][j].items():
-                for l, d in rows[m][k].items():
-                    acc[l] = acc.get(l, 0) + c * d
-            for m, c in rows[j][k].items():
-                for l, d in rows[i][m].items():
-                    acc[l] = acc.get(l, 0) - c * d
-            return any(v % modulus for v in acc.values()) if modulus else any(acc.values())
+    def differs(i, j, k):
+        # coefficient l of (b_i b_j) b_k - b_i (b_j b_k)
+        acc = {}
+        for m, c in rows[i][j].items():
+            for l, d in rows[m][k].items():
+                acc[l] = acc.get(l, 0) + c * d
+        for m, c in rows[j][k].items():
+            for l, d in rows[i][m].items():
+                acc[l] = acc.get(l, 0) - c * d
+        return not all(map(is_zero, acc.values()))
 
     def first_failure(js):
         for i in range(n):
@@ -371,11 +362,6 @@ def subalgebra_on_span(A: GradedAlgebra, vecs: list[Vec], group: FinAbGroup, deg
     return GradedAlgebra(A.field, group, tuple(degrees), table, in_span(A.unit))
 
 
-def center_basis(A: GradedAlgebra) -> list[Vec]:
-    """Basis of Z(A), by solving the linear commutation system."""
-    return _commutant_basis(A, range(A.dim), range(A.dim))
-
-
 def centralizer_basis(A: GradedAlgebra, target_idxs: Sequence[int]) -> list[Vec]:
     """Basis of the centralizer of the basis vectors b_j, j in target_idxs."""
     return _commutant_basis(A, range(A.dim), target_idxs)
@@ -405,7 +391,7 @@ def _commutant_basis(A: GradedAlgebra, unknown_idxs: Sequence[int], target_idxs:
 
 
 def center_dim(A: GradedAlgebra) -> int:
-    return len(center_basis(A))
+    return len(_commutant_basis(A, range(A.dim), range(A.dim)))
 
 
 def graded_center_e_dim(A: GradedAlgebra) -> int:

@@ -20,12 +20,38 @@ class DescriptorError(ValueError):
 
 
 def _required(data: dict, key: str, where: str):
+    if not isinstance(data, dict):
+        raise DescriptorError(f"{where} is not a JSON object: {data!r}")
     if key not in data:
         raise DescriptorError(f"{where} has no {key!r}")
     return data[key]
 
 
+def _array(value, where: str, length: int | None = None) -> list:
+    """value, refused unless it is a JSON array (of length entries, if given)."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f" of {length} entries"
+        raise DescriptorError(f"{where} is not a JSON array{size}: {value!r}")
+    return value
+
+
+def _required_array(data: dict, key: str, where: str) -> list:
+    return _array(_required(data, key, where), f"{where}'s {key!r}")
+
+
+def _index(value, name: str, bound: int, what: str) -> int:
+    """value, refused unless it is a JSON integer in [0, bound)."""
+    # bool is an int subclass, but true is no index
+    if type(value) is not int:
+        raise DescriptorError(f"{name} = {value!r} is not an integer")
+    if not 0 <= value < bound:
+        raise DescriptorError(f"{name} = {value} is outside the {what} indices [0, {bound})")
+    return value
+
+
 def field_from_json(data: dict):
+    if not isinstance(data, dict):
+        raise DescriptorError(f"the field descriptor is not a JSON object: {data!r}")
     kind = data.get("kind")
     if kind == "Q":
         return RationalField()
@@ -33,14 +59,15 @@ def field_from_json(data: dict):
         return RealField()
     if kind == "GF":
         p, ell = (int(_required(data, key, "the GF field descriptor")) for key in ("p", "ell"))
-        return FiniteField(p, ell, modulus=data.get("modulus"))
+        modulus = data.get("modulus")
+        return FiniteField(p, ell, modulus=None if modulus is None else _array(modulus, "the GF field descriptor's 'modulus'"))
     if kind == "CYC":
         return CyclotomicField(int(_required(data, "conductor", "the CYC field descriptor")))
     raise DescriptorError(f"unknown field kind {kind!r}")
 
 
 def group_from_json(data: dict) -> FinAbGroup:
-    _required(data, "orders", "the group descriptor")
+    _required_array(data, "orders", "the group descriptor")
     return FinAbGroup.from_json(data)
 
 
@@ -62,26 +89,19 @@ def algebra_to_json(A: GradedAlgebra) -> dict:
 
 def algebra_from_json(data: dict) -> GradedAlgebra:
     """The algebra a descriptor states; drops zero constants and zero unit
-    coefficients.  Refuses a missing key, a basis index that is not a JSON
-    integer in [0, dim), and a second entry for one constant (i, j, k) or
-    one unit index."""
+    coefficients.  Refuses a missing key, a part of the wrong JSON type, a
+    basis index that is not a JSON integer in [0, dim), and a second entry
+    for one constant (i, j, k) or one unit index."""
     F = field_from_json(_required(data, "field", "the algebra descriptor"))
     G = group_from_json(_required(data, "group", "the algebra descriptor"))
-    degrees = tuple(G.element(exps) for exps in _required(data, "basis_degrees", "the algebra descriptor"))
+    degrees = tuple(
+        G.element(_array(exps, "a basis degree")) for exps in _required_array(data, "basis_degrees", "the algebra descriptor")
+    )
     dim = len(degrees)
-
-    def index(value, name: str) -> int:
-        # bool is an int subclass, but true is no basis index
-        if type(value) is not int:
-            raise DescriptorError(f"{name} = {value!r} is not an integer")
-        if not 0 <= value < dim:
-            raise DescriptorError(f"{name} = {value} is outside the basis indices [0, {dim})")
-        return value
-
     table: dict = {}
     seen_constants = set()
-    for entry in _required(data, "constants", "the algebra descriptor"):
-        i, j, k = (index(_required(entry, name, "a constant"), f"constant index {name}") for name in "ijk")
+    for entry in _required_array(data, "constants", "the algebra descriptor"):
+        i, j, k = (_index(_required(entry, name, "a constant"), f"constant index {name}", dim, "basis") for name in "ijk")
         c = F.elem_from_json(_required(entry, "c", f"constant (i, j, k) = ({i}, {j}, {k})"))
         if (i, j, k) in seen_constants:
             raise DescriptorError(f"constant (i, j, k) = ({i}, {j}, {k}) is given twice")
@@ -90,8 +110,9 @@ def algebra_from_json(data: dict) -> GradedAlgebra:
             table.setdefault((i, j), {})[k] = c
     unit = {}
     seen_units = set()
-    for k, c in _required(data, "unit", "the algebra descriptor"):
-        k = index(k, "unit index k")
+    for entry in _required_array(data, "unit", "the algebra descriptor"):
+        k, c = _array(entry, "a unit entry", 2)
+        k = _index(k, "unit index k", dim, "basis")
         if k in seen_units:
             raise DescriptorError(f"unit index k = {k} is given twice")
         seen_units.add(k)
@@ -102,13 +123,29 @@ def algebra_from_json(data: dict) -> GradedAlgebra:
 
 
 def quasitorus_params_from_json(data: dict):
+    """(G, beta, mu, F) of a construct request.  Refuses a part of the wrong
+    JSON type, a generator index that is not a JSON integer in [0, rank),
+    and a second beta entry for one pair or mu entry for one generator."""
     from .quasitorus import AltBicharacter, MuFunction
 
-    F = field_from_json(data["field"])
-    G = group_from_json(data["group"])
-    beta_pairs = [(int(i), int(j), F.elem_from_json(v)) for i, j, v in data.get("beta", [])]
-    beta = AltBicharacter.from_pairs(G, beta_pairs, F)
-    mu_entries = {int(i): F.elem_from_json(v) for i, v in data.get("mu", [])}
+    F = field_from_json(_required(data, "field", "the construct request"))
+    G = group_from_json(_required(data, "group", "the construct request"))
+    beta_entries: dict = {}
+    for entry in _array(data.get("beta", []), "the construct request's 'beta'"):
+        i, j, v = _array(entry, "a beta entry", 3)
+        i = _index(i, "beta generator index i", G.rank, "generator")
+        j = _index(j, "beta generator index j", G.rank, "generator")
+        if (i, j) in beta_entries:
+            raise DescriptorError(f"beta entry (i, j) = ({i}, {j}) is given twice")
+        beta_entries[(i, j)] = F.elem_from_json(v)
+    beta = AltBicharacter.from_pairs(G, [(i, j, v) for (i, j), v in beta_entries.items()], F)
+    mu_entries: dict = {}
+    for entry in _array(data.get("mu", []), "the construct request's 'mu'"):
+        i, v = _array(entry, "a mu entry", 2)
+        i = _index(i, "mu generator index i", G.rank, "generator")
+        if i in mu_entries:
+            raise DescriptorError(f"mu entry i = {i} is given twice")
+        mu_entries[i] = F.elem_from_json(v)
     gen_values = tuple(mu_entries.get(i, F.one) for i in range(G.rank))
     mu = MuFunction(G, gen_values)
     return G, beta, mu, F

@@ -247,6 +247,67 @@ def test_verify_drops_zero_unit_coefficients(capsys, tmp_path):
     assert all(check == {"ok": True, "witness": None} for check in report["checks"].values())
 
 
+Z2xZ2_R_REQUEST = {"group": {"orders": [2, 2]}, "field": {"kind": "R"}}
+
+
+@pytest.mark.parametrize(
+    "beta, mu, named",
+    [
+        ([[0, 1.5, "-1/1"]], [], "beta generator index j = 1.5 is not an integer"),
+        ([["0", 1, "-1/1"]], [], "beta generator index i = '0' is not an integer"),
+        ([[0, 2, "-1/1"]], [], "beta generator index j = 2 is outside the generator indices [0, 2)"),
+        ([[0, 1, "-1/1"], [0, 1, "1/1"]], [], "beta entry (i, j) = (0, 1) is given twice"),
+        ([], [[0, "-1/1"], [0, "1/1"], [1, "-1/1"]], "mu entry i = 0 is given twice"),
+        ([], [[True, "-1/1"]], "mu generator index i = True is not an integer"),
+        ([], [[2, "-1/1"]], "mu generator index i = 2 is outside the generator indices [0, 2)"),
+        ([], [[-1, "-1/1"]], "mu generator index i = -1 is outside the generator indices [0, 2)"),
+    ],
+    ids=["float-beta-index", "string-beta-index", "beta-index-out-of-range", "duplicate-beta", "duplicate-mu",
+         "bool-mu-index", "mu-index-out-of-range", "negative-mu-index"],
+)
+def test_construct_refuses_ambiguous_generator_entries(capsys, tmp_path, beta, mu, named):
+    # beta index 1.5 was once read as 1, and of two mu entries for one generator the last one won
+    path = _write(tmp_path, "req.json", {**Z2xZ2_R_REQUEST, "beta": beta, "mu": mu})
+    code, report = run_cli(capsys, "construct", "--in", path)
+    assert code == 3
+    assert report["error"] == {"code": "bad-parameters", "message": named}
+
+
+CYC4_ONE = {
+    "field": {"kind": "CYC", "conductor": 4},
+    "group": {"orders": [1]},
+    "basis_degrees": [[0]],
+    "unit": [[0, ["1/1", "0/1"]]],
+    "constants": [{"i": 0, "j": 0, "k": 0, "c": ["1/1", "0/1"]}],
+}
+
+
+@pytest.mark.parametrize(
+    "command, desc, named",
+    [
+        ("verify", {**_q_z2_minus_one(), "field": "Q"}, "the field descriptor is not a JSON object: 'Q'"),
+        ("verify", {**CYC4_ONE, "constants": [{"i": 0, "j": 0, "k": 0, "c": 5}]}, "bad cyclotomic encoding: 5"),
+        ("verify", _q_z2_minus_one([{"i": 0, "j": 0, "k": 1, "c": "1/0"}]), "bad rational encoding: '1/0'"),
+        ("verify", {**_q_z2_minus_one(), "constants": ["0 0 0 1/1"]}, "a constant is not a JSON object: '0 0 0 1/1'"),
+        ("verify", {**_q_z2_minus_one(), "constants": 5}, "the algebra descriptor's 'constants' is not a JSON array: 5"),
+        ("verify", {**_q_z2_minus_one(), "unit": [5]}, "a unit entry is not a JSON array of 2 entries: 5"),
+        ("verify", {**_q_z2_minus_one(), "basis_degrees": [5, [1]]}, "a basis degree is not a JSON array: 5"),
+        ("verify", {**_q_z2_minus_one(), "group": {"orders": 2}}, "the group descriptor's 'orders' is not a JSON array: 2"),
+        ("verify", [1], "the algebra descriptor is not a JSON object: [1]"),
+        ("construct", {**Z2xZ2_R_REQUEST, "beta": 5}, "the construct request's 'beta' is not a JSON array: 5"),
+        ("construct", {**Z2xZ2_R_REQUEST, "mu": [5]}, "a mu entry is not a JSON array of 2 entries: 5"),
+        ("construct", [1], "the construct request is not a JSON object: [1]"),
+    ],
+    ids=["field-string", "cyc-number", "rational-1/0", "constant-string", "constants-number", "unit-entry-number",
+         "degree-number", "orders-number", "algebra-list", "beta-number", "mu-entry-number", "request-list"],
+)
+def test_descriptor_parts_of_the_wrong_json_type_are_refused(capsys, tmp_path, command, desc, named):
+    # the first two once escaped as a traceback with exit 1 (AttributeError, TypeError)
+    code, report = run_cli(capsys, command, "--in", _write(tmp_path, "desc.json", desc))
+    assert code == 3
+    assert report["error"] == {"code": "bad-parameters", "message": named}
+
+
 def _construct(capsys, tmp_path, request: dict) -> dict:
     path = tmp_path / "req.json"
     path.write_text(json.dumps(request))

@@ -313,12 +313,11 @@ def test_associativity_matches_triple_scan_over_prime_fields():
             assert verify_associative(B) == expected
 
 
-def test_prime_field_integer_sums_are_compared_mod_p():
-    # with beta = -1 = 4: (X_b X_a) X_a has integer coefficient 4 * 4 * mu_a, X_b (X_a X_a) has mu_a
-    F5 = FiniteField(5, 1)
-    G = FinAbGroup((2, 2))
-    A = construct(G, AltBicharacter.from_pairs(G, [(0, 1, 4)], F5), MuFunction(G, (2, 3)), F5, verify=False)
-    vecs, modulus = F5.integer_image(list(A.table.values()))
+def unreduced_differences(A):
+    """Per triple (i, j, k) whose two integer sums on the field's
+    ``integer_image`` differ as ints, the nonzero differences, and the
+    field's ``is_zero``."""
+    vecs, is_zero = A.field.integer_image(list(A.table.values()))
     rows = dict(zip(A.table, vecs))
 
     def integer_sum(x, y):
@@ -328,13 +327,78 @@ def test_prime_field_integer_sums_are_compared_mod_p():
                 out[l] = out.get(l, 0) + c * d
         return out
 
-    unreduced = [
-        (i, j, k)
-        for i, j, k in product(range(A.dim), repeat=3)
-        if integer_sum(rows[(i, j)], lambda m: rows[(m, k)]) != integer_sum(rows[(j, k)], lambda m: rows[(i, m)])
-    ]
-    assert modulus == 5 and unreduced
+    out = {}
+    for i, j, k in product(range(A.dim), repeat=3):
+        left = integer_sum(rows.get((i, j), {}), lambda m: rows.get((m, k), {}))
+        right = integer_sum(rows.get((j, k), {}), lambda m: rows.get((i, m), {}))
+        diff = [left.get(l, 0) - right.get(l, 0) for l in left.keys() | right.keys()]
+        if any(diff):
+            out[(i, j, k)] = [v for v in diff if v]
+    return out, is_zero
+
+
+def test_prime_field_integer_sums_are_compared_mod_p():
+    # with beta = -1 = 4: (X_b X_a) X_a has integer coefficient 4 * 4 * mu_a, X_b (X_a X_a) has mu_a
+    F5 = FiniteField(5, 1)
+    G = FinAbGroup((2, 2))
+    A = construct(G, AltBicharacter.from_pairs(G, [(0, 1, 4)], F5), MuFunction(G, (2, 3)), F5, verify=False)
+    unreduced, is_zero = unreduced_differences(A)
+    assert is_zero(5) and not is_zero(1) and unreduced
     assert verify_associative(A) == scan_associative(A) == (True, None)
+
+
+def test_cyclotomic_integer_sums_are_reduced_modulo_phi():
+    # zeta^4 is stored as -1 - x - x^2 - x^3, so zeta^4 * zeta packs as -x - x^2 - x^3 - x^4: 1 only modulo Phi_5
+    C5 = CyclotomicField(5)
+    G = FinAbGroup((5, 5))
+    A = construct(G, AltBicharacter.from_pairs(G, [(0, 1, C5.zeta)], C5), MuFunction(G, (C5.zeta, C5.one)), C5, verify=False)
+    unreduced, is_zero = unreduced_differences(A)
+    assert unreduced and all(is_zero(v) for diffs in unreduced.values() for v in diffs)
+    assert verify_associative(A) == scan_associative(A) == (True, None)
+
+
+def transported_group_algebra(F, scales):
+    """F[Z_4] on the basis s_i b_i for b = 1, 1 + x, x + x^2, x^2 + x^3:
+    every product of two basis vectors has several terms."""
+    basis = [{0: 1}, {0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}]  # b_i in the powers of x
+    powers = [{0: 1}, {0: -1, 1: 1}, {0: 1, 1: -1, 2: 1}, {0: -1, 1: 1, 2: -1, 3: 1}]  # x^e in the b_i
+    table = {}
+    for i, j in product(range(4), repeat=2):
+        vec = {}
+        for a, ca in basis[i].items():
+            for b, cb in basis[j].items():
+                for k, ck in powers[(a + b) % 4].items():
+                    vec[k] = vec.get(k, 0) + ca * cb * ck
+        # (s_i b_i)(s_j b_j) = sum of c s_i s_j / s_k (s_k b_k)
+        scaled = {k: F.div(F.mul(F.from_int(c), F.mul(scales[i], scales[j])), scales[k]) for k, c in vec.items()}
+        table[(i, j)] = {k: c for k, c in scaled.items() if not F.is_zero(c)}
+    G = FinAbGroup((1,))
+    return GradedAlgebra(F, G, (G.identity(),) * 4, table, {0: F.inv(scales[0])})
+
+
+def multi_term_tables():
+    C5, F9 = CyclotomicField(5), FiniteField(3, 2)
+    z = C5.zeta
+    c5_scales = [C5.one, z, C5.div(C5.add(z, C5.from_int(2)), C5.from_int(3)), C5.div(C5.zeta_pow(3), C5.from_int(7))]
+    g = F9.generator()
+    return [transported_group_algebra(C5, c5_scales), transported_group_algebra(F9, [F9.one, g, F9.power(g, 3), F9.power(g, 6)])]
+
+
+def test_associativity_matches_triple_scan_on_multi_term_tables():
+    for A in multi_term_tables():
+        F = A.field
+        assert max(len(vec) for vec in A.table.values()) >= 3
+        assert verify_associative(A) == scan_associative(A) == (True, None)
+        failing = 0
+        for (i, j), vec in sorted(A.table.items()):
+            for k in sorted(vec):
+                for factor in (F.from_int(2), F.roots_of_unity()[1]):
+                    table = {**A.table, (i, j): {**vec, k: F.mul(vec[k], factor)}}
+                    B = GradedAlgebra(F, A.group, A.degrees, table, A.unit)
+                    expected = scan_associative(B)
+                    assert verify_associative(B) == expected
+                    failing += not expected[0]
+        assert failing > 20
 
 
 PROPERTY_FIELDS = [
@@ -345,8 +409,12 @@ PROPERTY_FIELDS = [
     FiniteField(13, 1),
     FiniteField(2, 2),
     FiniteField(3, 2),
+    FiniteField(2, 3),
+    FiniteField(5, 2),
     CyclotomicField(3),
     CyclotomicField(4),
+    CyclotomicField(5),
+    CyclotomicField(8),
 ]
 PROPERTY_GROUPS = [(2,), (3,), (4,), (6,), (8,), (2, 2), (4, 2), (3, 3), (2, 2, 2), (6, 2), (4, 4), (2, 2, 2, 2)]
 
@@ -356,7 +424,13 @@ def nonzero_elements(F):
     if F.kind == "GF":
         return st.sampled_from(list(F.units()))
     if F.kind == "CYC":
-        return st.builds(lambda r, n: F.mul(r, F.from_int(n)), st.sampled_from(F.roots_of_unity()), small)
+        # a denominator d > 1 gives the integer image a common denominator D > 1
+        return st.builds(
+            lambda r, n, d: F.mul(r, F.div(F.from_int(n), F.from_int(d))),
+            st.sampled_from(F.roots_of_unity()),
+            small,
+            st.integers(1, 9),
+        )
     return st.builds(Fraction, small, st.integers(1, 9))
 
 
