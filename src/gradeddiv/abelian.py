@@ -64,10 +64,6 @@ class FinAbGroup:
     def to_json(self) -> dict:
         return {"orders": list(self.orders)}
 
-    @staticmethod
-    def from_json(data: dict) -> FinAbGroup:
-        return FinAbGroup(tuple(int(n) for n in data["orders"]))
-
     def __str__(self) -> str:
         if not self.orders:
             return "Z_1"

@@ -146,7 +146,8 @@ class RationalField:
         return f"{x.numerator}/{x.denominator}"
 
     def elem_from_json(self, data) -> Fraction:
-        if isinstance(data, (str, int)):
+        # bool is an int subclass, but true is no rational
+        if isinstance(data, (str, int)) and not isinstance(data, bool):
             try:
                 return Fraction(data)
             except ZeroDivisionError:  # "1/0"
@@ -545,11 +546,15 @@ class FiniteField:
         return list(self.to_vec(x))
 
     def elem_from_json(self, data) -> int:
-        if isinstance(data, int):
-            return self.coerce(data % self.p if self.ell == 1 else data)
-        if not isinstance(data, list):
-            raise FieldError(f"bad finite-field encoding: {data!r}")
-        return self.from_vec([int(c) for c in data])
+        """An element index in [0, q) or a list of digits in [0, p), lowest
+        degree first; nothing is reduced mod p."""
+        if type(data) is int and 0 <= data < self.q:
+            return data
+        if not isinstance(data, list) or any(type(c) is not int or not 0 <= c < self.p for c in data):
+            raise FieldError(
+                f"bad finite-field encoding: {data!r} is neither an index in [0, {self.q}) nor digits in [0, {self.p})"
+            )
+        return self.from_vec(data)
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "p": self.p, "ell": self.ell, "modulus": list(self.modulus)}

@@ -39,12 +39,17 @@ def _required_array(data: dict, key: str, where: str) -> list:
     return _array(_required(data, key, where), f"{where}'s {key!r}")
 
 
-def _index(value, name: str, bound: int, what: str) -> int:
-    """value, refused unless it is a JSON integer in [0, bound)."""
-    # bool is an int subclass, but true is no index
+def _integer(value, name: str) -> int:
+    """value, refused unless it is a JSON integer."""
+    # bool is an int subclass, but true is no number here
     if type(value) is not int:
         raise DescriptorError(f"{name} = {value!r} is not an integer")
-    if not 0 <= value < bound:
+    return value
+
+
+def _index(value, name: str, bound: int, what: str) -> int:
+    """value, refused unless it is a JSON integer in [0, bound)."""
+    if not 0 <= _integer(value, name) < bound:
         raise DescriptorError(f"{name} = {value} is outside the {what} indices [0, {bound})")
     return value
 
@@ -58,17 +63,17 @@ def field_from_json(data: dict):
     if kind == "R":
         return RealField()
     if kind == "GF":
-        p, ell = (int(_required(data, key, "the GF field descriptor")) for key in ("p", "ell"))
+        p, ell = (_integer(_required(data, key, "the GF field descriptor"), f"GF {key}") for key in ("p", "ell"))
         modulus = data.get("modulus")
         return FiniteField(p, ell, modulus=None if modulus is None else _array(modulus, "the GF field descriptor's 'modulus'"))
     if kind == "CYC":
-        return CyclotomicField(int(_required(data, "conductor", "the CYC field descriptor")))
+        return CyclotomicField(_integer(_required(data, "conductor", "the CYC field descriptor"), "CYC conductor"))
     raise DescriptorError(f"unknown field kind {kind!r}")
 
 
 def group_from_json(data: dict) -> FinAbGroup:
-    _required_array(data, "orders", "the group descriptor")
-    return FinAbGroup.from_json(data)
+    orders = _required_array(data, "orders", "the group descriptor")
+    return FinAbGroup(tuple(_integer(n, "group order") for n in orders))
 
 
 def algebra_to_json(A: GradedAlgebra) -> dict:

@@ -16,6 +16,7 @@ from gradeddiv.abelian import (
     two_torsion,
 )
 from gradeddiv.intutil import prime_divisors
+from gradeddiv.jsonio import group_from_json
 
 small_groups = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3).map(
     lambda orders: FinAbGroup(tuple(orders))
@@ -148,4 +149,4 @@ def test_doubling_saturation_small_groups():
 
 def test_group_json_roundtrip():
     G = FinAbGroup((4, 2))
-    assert FinAbGroup.from_json(G.to_json()) == G
+    assert group_from_json(G.to_json()) == G

@@ -282,6 +282,18 @@ CYC4_ONE = {
 }
 
 
+# GF(5)[Z_2] with X_1^2 = 2
+GF5_Z2 = {
+    "field": {"kind": "GF", "p": 5, "ell": 1},
+    "group": {"orders": [2]},
+    "basis_degrees": [[0], [1]],
+    "unit": [[0, 1]],
+    "constants": [{"i": i, "j": j, "k": (i + j) % 2, "c": 2 if i == j == 1 else 1} for i in range(2) for j in range(2)],
+}
+GF5_REQUEST = {"group": {"orders": [2]}, "mu": [[0, 2]], "field": {"kind": "GF", "p": 5, "ell": 1}}
+GF5_ELEMENTS = "is neither an index in [0, 5) nor digits in [0, 5)"
+
+
 @pytest.mark.parametrize(
     "command, desc, named",
     [
@@ -297,12 +309,27 @@ CYC4_ONE = {
         ("construct", {**Z2xZ2_R_REQUEST, "beta": 5}, "the construct request's 'beta' is not a JSON array: 5"),
         ("construct", {**Z2xZ2_R_REQUEST, "mu": [5]}, "a mu entry is not a JSON array of 2 entries: 5"),
         ("construct", [1], "the construct request is not a JSON object: [1]"),
+        ("verify", {**_q_z2_minus_one(), "group": {"orders": [2.7]}}, "group order = 2.7 is not an integer"),
+        ("verify", {**_q_z2_minus_one(), "group": {"orders": [True]}}, "group order = True is not an integer"),
+        ("verify", {**_q_z2_minus_one(), "field": {"kind": "GF", "p": 5.9, "ell": 1}}, "GF p = 5.9 is not an integer"),
+        ("verify", {**_q_z2_minus_one(), "field": {"kind": "GF", "p": 5, "ell": True}}, "GF ell = True is not an integer"),
+        ("verify", {**CYC4_ONE, "field": {"kind": "CYC", "conductor": 4.0}}, "CYC conductor = 4.0 is not an integer"),
+        ("verify", _q_z2_minus_one(unit=[(0, True)]), "bad rational encoding: True"),
+        ("verify", {**GF5_Z2, "unit": [[0, 6]]}, f"bad finite-field encoding: 6 {GF5_ELEMENTS}"),
+        ("verify", {**GF5_Z2, "unit": [[0, -4]]}, f"bad finite-field encoding: -4 {GF5_ELEMENTS}"),
+        ("verify", {**GF5_Z2, "unit": [[0, [6]]]}, f"bad finite-field encoding: [6] {GF5_ELEMENTS}"),
+        ("verify", {**GF5_Z2, "unit": [[0, [True]]]}, f"bad finite-field encoding: [True] {GF5_ELEMENTS}"),
+        ("construct", {**GF5_REQUEST, "field": {"kind": "GF", "p": 5.9, "ell": 1}}, "GF p = 5.9 is not an integer"),
+        ("construct", {**GF5_REQUEST, "mu": [[0, 7]]}, f"bad finite-field encoding: 7 {GF5_ELEMENTS}"),
     ],
     ids=["field-string", "cyc-number", "rational-1/0", "constant-string", "constants-number", "unit-entry-number",
-         "degree-number", "orders-number", "algebra-list", "beta-number", "mu-entry-number", "request-list"],
+         "degree-number", "orders-number", "algebra-list", "beta-number", "mu-entry-number", "request-list",
+         "float-order", "bool-order", "float-p", "bool-ell", "float-conductor", "bool-rational", "gf-int-above-p",
+         "gf-int-negative", "gf-digit-above-p", "gf-bool-digit", "construct-float-p", "construct-gf-int-above-p"],
 )
 def test_descriptor_parts_of_the_wrong_json_type_are_refused(capsys, tmp_path, command, desc, named):
-    # the first two once escaped as a traceback with exit 1 (AttributeError, TypeError)
+    # the first two once escaped as a traceback with exit 1 (AttributeError, TypeError);
+    # int() once read 2.7 as 2 and true as 1, and GF(5) read 6 as 1
     code, report = run_cli(capsys, command, "--in", _write(tmp_path, "desc.json", desc))
     assert code == 3
     assert report["error"] == {"code": "bad-parameters", "message": named}
@@ -372,23 +399,23 @@ def test_decompose_needs_one_dimensional_components_on_the_whole_group(capsys, t
     assert report["error"]["message"] == "support must be the whole group"
 
 
-# sha256 and length of the stdout bytes of invariants, decompose and
-# iso --a X --b X on the construct output X of each request
+# sha256, length and exit code of the stdout bytes of invariants, decompose
+# and iso --a X --b X on the construct output X of each request
 PINNED_REPORTS = [
     (
         Z2xZ4_REQUEST,
         {
-            "invariants": ("b26cdbc5872f2d103c964b33c0e7f3903e592164d3880d3ee4790b0b35187ee0", 2360),
-            "decompose": ("97ae8e99cd7078b19c9a0a772f25083a19a59ed7074be12fdddc24921fab6685", 4230),
-            "iso": ("bc56cf31b3b4a11b723b4b2b76d357b9719cc865fbb3fccc607f9c2ac8cbf857", 4341),
+            "invariants": ("b26cdbc5872f2d103c964b33c0e7f3903e592164d3880d3ee4790b0b35187ee0", 2360, 0),
+            "decompose": ("97ae8e99cd7078b19c9a0a772f25083a19a59ed7074be12fdddc24921fab6685", 4230, 0),
+            "iso": ("bc56cf31b3b4a11b723b4b2b76d357b9719cc865fbb3fccc607f9c2ac8cbf857", 4341, 0),
         },
     ),
     (
         {"group": {"orders": [8]}, "beta": [], "mu": [[0, [0, 1]]], "field": {"kind": "GF", "p": 3, "ell": 2}},
         {
-            "invariants": ("facf3dcc93568158edcfab89330286082896221f65efdbe79be6c93c4df5541b", 2292),
-            "decompose": ("87a7662ebfb619f0be8c7302c5e9af18c7a7eaf7359eae1cac4c0185be76008e", 4228),
-            "iso": ("4b32b132e2b491fe526eb93eb203ee5c6a157290283d1b0d6b5d608a78a108b7", 4323),
+            "invariants": ("facf3dcc93568158edcfab89330286082896221f65efdbe79be6c93c4df5541b", 2292, 0),
+            "decompose": ("87a7662ebfb619f0be8c7302c5e9af18c7a7eaf7359eae1cac4c0185be76008e", 4228, 0),
+            "iso": ("4b32b132e2b491fe526eb93eb203ee5c6a157290283d1b0d6b5d608a78a108b7", 4323, 0),
         },
     ),
     (
@@ -399,15 +426,44 @@ PINNED_REPORTS = [
             "field": {"kind": "CYC", "conductor": 4},
         },
         {
-            "invariants": ("69984655844ae9fa61ff31c57520c32de7b97ec400f8e37eec2a885bc65141ee", 2913),
-            "decompose": ("f465410973d8c171bc768114928d47c396d6e340b30307544ae46e84b8c8c4eb", 5302),
-            "iso": ("f06364e6edbfe9766eb1dc8c08cf4c28683ca565e7298e33c1937ac4dff35fee", 5477),
+            "invariants": ("69984655844ae9fa61ff31c57520c32de7b97ec400f8e37eec2a885bc65141ee", 2913, 0),
+            "decompose": ("f465410973d8c171bc768114928d47c396d6e340b30307544ae46e84b8c8c4eb", 5302, 0),
+            "iso": ("f06364e6edbfe9766eb1dc8c08cf4c28683ca565e7298e33c1937ac4dff35fee", 5477, 0),
+        },
+    ),
+    # two primary parts, with beta of order 2 and 3
+    (
+        {"group": {"orders": [2, 6]}, "beta": [[0, 1, "-1/1"]], "mu": [[0, "-1/1"], [1, "1/1"]], "field": {"kind": "Q"}},
+        {
+            "invariants": ("a20fa033e571a99b49c7971dab5d5306d531019def76c1e8beb5782c517c28e4", 4877, 0),
+            "decompose": ("8c5e0fe9581b08561d42815a1abbc5c42537feb3dc5a85d6a5120cf631db5620", 5679, 0),
+            "iso": ("5439aa108c722145aa8e34aa0da033530edf0a7ff0ffb37d2863407b5e198945", 9429, 0),
+        },
+    ),
+    (
+        {"group": {"orders": [3, 6]}, "beta": [[0, 1, 2]], "mu": [[0, 3], [1, 5]], "field": {"kind": "GF", "p": 7, "ell": 1}},
+        {
+            "invariants": ("799d7d3030bf3314a2a925843010e0da92b98241bb413504589e1c37253f3c6c", 10003, 0),
+            "decompose": ("6d2c3dc6931db45cf4bccdfd70a2542260fc8ef210341a6d79af48becd7a1f1f", 12528, 0),
+            "iso": ("f60deba3a3ed7e68c7f8f50a9c94caa88ffb28652a4472c11517bf0767d936d7", 19759, 0),
+        },
+    ),
+    (
+        {"group": {"orders": [6]}, "beta": [], "mu": [[0, ["0/1", "1/1"]]], "field": {"kind": "CYC", "conductor": 3}},
+        {
+            "invariants": ("10f77ab52c4abd55d3287b610fcaecae949be2a58bca0111800880dde2d119a7", 1731, 0),
+            "decompose": ("ef103110ededb7a7f155690f0eb34fec1a7eac1bc1752554f61c6af02745d3df", 2355, 0),
+            "iso": ("5f5f488d4726db1edec720cfe515ba074d3b3d6c29aba22e4d7d603e82fdcc34", 3209, 0),
         },
     ),
 ]
 
 
-@pytest.mark.parametrize("request_, pinned", PINNED_REPORTS, ids=["R-Z2xZ4", "GF9-Z8", "Qzeta4-Z4xZ2"])
+@pytest.mark.parametrize(
+    "request_, pinned",
+    PINNED_REPORTS,
+    ids=["R-Z2xZ4", "GF9-Z8", "Qzeta4-Z4xZ2", "Q-Z2xZ6", "GF7-Z3xZ6", "Qzeta3-Z6"],
+)
 def test_reports_on_1dim_algebras_are_pinned(capsys, tmp_path, request_, pinned):
     path = _write(tmp_path, "alg.json", _construct(capsys, tmp_path, request_))
     for command, argv in (
@@ -415,9 +471,62 @@ def test_reports_on_1dim_algebras_are_pinned(capsys, tmp_path, request_, pinned)
         ("decompose", ["decompose", "--in", path]),
         ("iso", ["iso", "--a", path, "--b", path]),
     ):
-        assert main(argv) == 0
-        out = capsys.readouterr().out.encode()
-        assert (hashlib.sha256(out).hexdigest(), len(out)) == pinned[command], command
+        assert _stdout_pin(capsys, argv) == pinned[command], command
+
+
+def test_iso_report_on_a_changed_beta_is_pinned(capsys, tmp_path):
+    a = _write(tmp_path, "a.json", _construct(capsys, tmp_path, Z2xZ4_REQUEST))
+    b = _write(tmp_path, "b.json", _construct(capsys, tmp_path, {**Z2xZ4_REQUEST, "beta": []}))
+    pin = ("286743b23e5531290e8181aaeb3881ee3c374eb99deaf96bb9ea9d27f7c2c927", 4233, 0)
+    assert _stdout_pin(capsys, ["iso", "--a", a, "--b", b]) == pin
+    code, report = run_cli(capsys, "iso", "--a", a, "--b", b)
+    assert report["verdict"] is False and report["witness"] is None
+
+
+def _stdout_pin(capsys, argv) -> tuple:
+    """sha256 and length of a command's stdout bytes, and its exit code."""
+    code = main(argv)
+    out = capsys.readouterr().out.encode()
+    return hashlib.sha256(out).hexdigest(), len(out), code
+
+
+def _negated_constant(desc: dict) -> dict:
+    """desc with the constant of X_(0,1) X_(0,1) negated."""
+    constants = [dict(c) for c in desc["constants"]]
+    (entry,) = [c for c in constants if (c["i"], c["j"]) == (1, 1)]
+    entry["c"] = entry["c"][1:] if entry["c"].startswith("-") else "-" + entry["c"]
+    return {**desc, "constants": constants}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_negated_constant, "associativity failed at triple (1, 1, 2)"),
+        (lambda desc: {**desc, "unit": [[0, "2/1"]]}, "unit law failed at basis 0"),
+    ],
+    ids=["negated-constant", "doubled-unit"],
+)
+def test_commands_refuse_tables_the_oracles_reject(capsys, tmp_path, change, message):
+    # invariants and iso once printed beta, mu classes and a verdict for these tables
+    path = _write(tmp_path, "bad.json", change(_construct(capsys, tmp_path, Z2xZ4_REQUEST)))
+    for argv in (["invariants", "--in", path], ["decompose", "--in", path], ["iso", "--a", path, "--b", path]):
+        code, report = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert report["error"] == {"code": "bad-parameters", "message": message}, argv
+    code, report = run_cli(capsys, "verify", "--in", path)
+    assert code == 0 and report["verdict"] is False
+
+
+def test_invariants_answers_where_the_division_oracle_cannot_certify(capsys, tmp_path):
+    # Hamilton's quaternions over Q, trivially graded: the gate leaves out graded division
+    desc = _construct(capsys, tmp_path, {**Z2xZ4_REQUEST, "group": {"orders": [2, 2]}, "field": {"kind": "Q"},
+                                         "mu": [[0, "-1/1"], [1, "-1/1"]]})
+    path = _write(tmp_path, "h.json", {**desc, "group": {"orders": []}, "basis_degrees": [[]] * 4})
+    code, report = run_cli(capsys, "verify", "--in", path)
+    assert code == 3 and "no division certificate" in report["error"]["message"]
+    code, report = run_cli(capsys, "invariants", "--in", path)
+    assert code == 0
+    assert report["invariants"] == {"dimension": 4, "identity_component_dim": 4, "center_dim": 1, "graded_center_e_dim": 1}
 
 
 # sha256 and length of the stdout bytes of classify-real --group G

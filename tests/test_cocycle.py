@@ -1,7 +1,11 @@
 """The cocycle readers of gradedalg and quasitorus against the references in
 helpers: the lexicographic iso search, the power constant multiplied out
-from the unit, and primary_decompose's check on monomials."""
+from the unit, and primary_decompose's check on monomials.  iso and
+primary_decompose decide by theorem on tables that pass the unit law and
+associativity, so the references are compared there, and the commands
+must refuse the rest."""
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -16,7 +20,9 @@ from helpers import (
     structure_scalar,
 )
 
+from gradeddiv import jsonio
 from gradeddiv.abelian import FinAbGroup
+from gradeddiv.cli import main
 from gradeddiv.exactfield import CyclotomicField, FiniteField, RationalField, RealField
 from gradeddiv.gradedalg import (
     GradedAlgebra,
@@ -76,6 +82,14 @@ def perturbed(rng, A, scalars):
     return GradedAlgebra(F, A.group, A.degrees, table, dict(A.unit))
 
 
+def cocycle_unital(A):
+    """The unit law of a table with 1-dimensional components and unit u X_e:
+    u sigma(e, t) = u sigma(t, e) = 1."""
+    F, sigma, e = A.field, A.cocycle(), A.group.identity()
+    (u,) = A.unit.values()
+    return all(F.mul(u, sigma[(e, t)]) == F.one == F.mul(u, sigma[(t, e)]) for t in A.group.elements())
+
+
 def cocycle_associative(A):
     """Associativity of a table with 1-dimensional components:
     sigma(s, t) sigma(s + t, u) = sigma(t, u) sigma(s, t + u)."""
@@ -89,15 +103,45 @@ def cocycle_associative(A):
     )
 
 
+def refusal(X):
+    """The start of the message the commands give a table that fails the
+    unit law or associativity, or None for a table that passes both."""
+    if not cocycle_unital(X):
+        return "unit law failed at basis "
+    if not cocycle_associative(X):
+        return "associativity failed at triple "
+    return None
+
+
+def cli_outcome(capsys, tmp_path, *argv_and_tables):
+    """Exit code and report of a command, tables written to files in place."""
+    argv = []
+    for n, arg in enumerate(argv_and_tables):
+        if isinstance(arg, GradedAlgebra):
+            path = tmp_path / f"table{n}.json"
+            path.write_text(jsonio.dumps_canonical(jsonio.algebra_to_json(arg)))
+            arg = str(path)
+        argv.append(arg)
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def assert_refused(capsys, tmp_path, prefix, *argv_and_tables):
+    code, report = cli_outcome(capsys, tmp_path, *argv_and_tables)
+    assert code == 3 and report["error"]["message"].startswith(prefix), (argv_and_tables[0], report)
+
+
 EXTRA_SHAPES = [(6,), (12,), (4, 2), (2, 6), (6, 2), (2, 2, 3)]
 
 
-def test_iso_matches_lexicographic_search():
+def test_iso_matches_lexicographic_search(capsys, tmp_path):
+    # on valid tables graded_iso_1dim agrees with the search; iso refuses the
+    # perturbed tables that fail the unit law or associativity
     rng = random.Random(20261018)
     fields = [RealField(), FiniteField(5, 1), FiniteField(7, 1), FiniteField(3, 2), FiniteField(13, 1),
               CyclotomicField(3), CyclotomicField(4)]
     groups = list(abelian_groups_upto(16)) + [FinAbGroup(orders) for orders in EXTRA_SHAPES]
-    verdicts = {"true": 0, "none": 0, "non_associative": 0, "unnormalized": 0}
+    verdicts = {"true": 0, "none": 0, "non_associative": 0, "unnormalized": 0, "refused": 0}
     for F in fields:
         roots = F.roots_of_unity()
         searchable = [G for G in groups if len(roots) ** G.rank <= SEARCH_BOUND]
@@ -113,6 +157,11 @@ def test_iso_matches_lexicographic_search():
                 others.append(rescaled(A, {t: two if any(t.exponents) else F.one for t in G.elements()}))
             for B in others:
                 for X, Y in ((A, B), (B, A)):
+                    prefix = refusal(B)
+                    if prefix is not None:
+                        assert_refused(capsys, tmp_path, prefix, "iso", "--a", X, "--b", Y)
+                        verdicts["refused"] += 1
+                        continue
                     got = outcome(graded_iso_1dim, X, Y)
                     assert got == outcome(reference_iso_search, X, Y), (F.descriptor(), G.orders)
                     if isinstance(got, tuple):
@@ -131,12 +180,14 @@ def non_root_scalars(F):
     return [u for u in F.units() if u != F.one]
 
 
-def test_readers_match_monomial_references():
+def test_readers_match_monomial_references(capsys, tmp_path):
+    # the readers on every table; decompose and iso against the references
+    # on valid tables, and refusing the perturbed tables that are not
     rng = random.Random(7)
     fields = [RationalField(), RealField(), FiniteField(5, 1), FiniteField(2, 3), FiniteField(3, 2),
               CyclotomicField(3), CyclotomicField(4)]
     shapes = [(2,), (4,), (6,), (2, 2), (2, 3), (4, 2), (3, 3), (2, 6), (12,)]
-    failed_checks = compared = 0
+    refused = compared = 0
     for F in fields:
         scalars = non_root_scalars(F)
         for orders in shapes:
@@ -154,13 +205,18 @@ def test_readers_match_monomial_references():
                     if i < j
                 ]
                 assert commutation_bicharacter(X) == AltBicharacter.from_pairs(G, beta, F)
+                compared += 1
+                prefix = refusal(X)
+                if prefix is not None:
+                    for argv in (("invariants", "--in", X), ("decompose", "--in", X), ("iso", "--a", X, "--b", X)):
+                        assert_refused(capsys, tmp_path, prefix, *argv)
+                    refused += 1
+                    continue
                 got = outcome(primary_decompose, X)
                 assert got == outcome(reference_primary_decompose, X), (F.descriptor(), orders)
-                failed_checks += isinstance(got, tuple)
                 assert outcome(graded_iso_1dim, X, X) == outcome(reference_iso_search, X, X)
-                compared += 1
     assert compared == 3 * len(fields) * len(shapes)
-    assert failed_checks >= 10
+    assert refused >= 10
 
 
 def test_cocycle_is_read_once():

@@ -13,6 +13,7 @@ from gradeddiv.gradedalg import (
     GradedAlgebra,
     OracleError,
     UnnormalizedAlgebra,
+    _one_dim_invertible,
     center_dim,
     centralizer_basis,
     certify,
@@ -533,6 +534,13 @@ def random_homogeneous(A, rng):
             return vec
 
 
+def truncated_polynomials(n, G):
+    """Q[x]/(x^n) graded by the cyclic G with deg x = 1."""
+    degrees = tuple(G.element((d,)) for d in range(n))
+    table = {(i, j): {i + j: Q.one} for i in range(n) for j in range(n - i)}
+    return GradedAlgebra(Q, G, degrees, table, {0: Q.one})
+
+
 def test_inverse_matches_the_stacked_reference(census_tables):
     import random
 
@@ -542,13 +550,6 @@ def test_inverse_matches_the_stacked_reference(census_tables):
         for G, mu in ((FinAbGroup((3, 2)), (Fraction(2), Fraction(-3))), (FinAbGroup((4,)), (Fraction(5, 7),)))
     ]
     gf5_tables = [A for A in finite_quasitorus_tables() if A.field.q == 5]
-
-    def truncated_polynomials(n, G):
-        """Q[x]/(x^n) graded by the cyclic G with deg x = 1."""
-        degrees = tuple(G.element((d,)) for d in range(n))
-        table = {(i, j): {i + j: Q.one} for i in range(n) for j in range(n - i)}
-        return GradedAlgebra(Q, G, degrees, table, {0: Q.one})
-
     # not graded-division: x is nilpotent; in Q[x]/(x^3) graded by Z_4 the
     # support {0, 1, 2} also misses -1
     nilpotent = [truncated_polynomials(2, FinAbGroup((2,))), truncated_polynomials(3, FinAbGroup((4,)))]
@@ -563,6 +564,35 @@ def test_inverse_matches_the_stacked_reference(census_tables):
             else:
                 invertible += 1
     assert invertible > 1000 and missing >= 3
+
+
+def test_one_dim_components_decide_invertibility_like_the_reference(census_tables):
+    # with A_e = F*1, a 1-dim X_t is invertible iff X_t X_{-t} != 0, as
+    # associativity puts X_{-t} X_t at the same multiple of 1
+    C4 = CyclotomicField(4)
+    Z42, Z32 = FinAbGroup((4, 2)), FinAbGroup((3, 2))
+    quasitorus = finite_quasitorus_tables() + [
+        construct(Z32, AltBicharacter.trivial(Z32), MuFunction(Z32, (Fraction(2), Fraction(-3))), Q, verify=False),
+        quaternions_z22(),
+        construct(Z42, AltBicharacter.from_pairs(Z42, [(0, 1, C4.from_int(-1))], C4), MuFunction(Z42, (C4.zeta, C4.from_int(2))), C4, verify=False),
+    ]
+    # graded Q[Z_2] with X_1^2 = 0, and Q[x]/(x^3) graded by Z_3
+    nilpotent = [truncated_polynomials(2, FinAbGroup((2,))), truncated_polynomials(3, FinAbGroup((3,)))]
+    counts = {True: 0, False: 0}
+    for A in [A for tables in census_tables.values() for A in tables] + quasitorus + nilpotent:
+        comps = A.components()
+        witness = None
+        for deg in sorted(comps, key=lambda d: d.exponents):
+            if len(comps[deg]) == 1:
+                x = A.basis_vec(comps[deg][0])
+                invertible = reference_invert_vec(A, x) is not None
+                assert _one_dim_invertible(A, deg, comps[deg][0], comps) == invertible
+                counts[invertible] += 1
+                if not invertible and witness is None:
+                    witness = {"degree": deg.exponents, "vector": x}
+        if all(len(idxs) == 1 for idxs in comps.values()):
+            assert is_graded_division(A) == (witness is None, witness)
+    assert counts[True] > 100 and counts[False] == 3
 
 
 def test_invert_vec_refuses_a_non_homogeneous_vector():
