@@ -1,11 +1,19 @@
 """Exact coefficient fields shared by every construction in the package.
 
 Four contexts implement one duck-typed protocol (add, mul, inv, power,
-is_nth_power, nth_power_class, roots_of_unity, integer_image, JSON
-encoding).  ``integer_image`` maps vectors of elements to int vectors and a
-test ``is_zero`` that decides on the ints whether a signed sum of products
-of two entries is 0 in the field: over Q and R by one common denominator,
-over GF(p) mod p, and over GF(p^ell) and Q(zeta_N) by ``_packed_image``.
+is_nth_power, nth_power_class, roots_of_unity, integer_image,
+residue_image, JSON encoding).  ``integer_image`` maps vectors of elements
+to int vectors and a test ``is_zero`` that decides on the ints whether a
+signed sum of products of two entries is 0 in the field: over Q and R by one
+common denominator, over GF(p) mod p, and over GF(p^ell) and Q(zeta_N) by
+``_packed_image``.  ``residue_image`` sends vectors of elements to vectors
+over a field with cheap arithmetic, returned with that field's context, by a
+ring map applied to the integral vectors D times them (D a common
+denominator, where there are denominators): over Q and R the D-scaled
+numerators mod RESIDUE_PRIME = 2^61 - 1, over Q(zeta_N) the D-scaled
+coefficients with zeta sent to a root of Phi_N mod a prime P = 1 (mod N)
+(``_cyclotomic_residue_root``), both in the table-free ``_Residues``
+context, and over GF(p^ell) the elements themselves in the field.
 
 * ``RationalField``    - plain rationals; elements are ``fractions.Fraction``.
 * ``RealField``        - exact model of a real closed field.  Elements are
@@ -36,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from math import gcd, lcm
 from operator import not_
 
@@ -45,6 +53,38 @@ from .intutil import DEFAULT_FACTOR_BOUND, divisors, factor_bound, factorint, is
 
 class FieldError(ValueError):
     pass
+
+
+class _Residues:
+    """Z/P for a prime P, elements ints in [0, P): only the arithmetic
+    ``linalg.insert`` runs, for the residue images of Q, R and Q(zeta_N)."""
+
+    zero = 0
+    one = 1
+
+    def __init__(self, P: int):
+        self.P = P
+
+    def is_zero(self, x) -> bool:
+        return x == 0
+
+    def sub(self, a, b):
+        return (a - b) % self.P
+
+    def mul(self, a, b):
+        return a * b % self.P
+
+    def inv(self, a):
+        return pow(a, -1, self.P)
+
+
+def _residue_vecs(vecs: list[dict], P: int) -> list[dict]:
+    """Int vectors mod P, the entries that vanish dropped."""
+    return [{k: r for k, c in vec.items() if (r := c % P)} for vec in vecs]
+
+
+# the prime the residue images of Q and R are reduced modulo
+RESIDUE_PRIME = 2**61 - 1
 
 
 def _sign(x: Fraction) -> int:
@@ -141,6 +181,10 @@ class RationalField:
         rational value, so it is 0 iff the int is."""
         D = lcm(*{c.denominator for vec in vecs for c in vec.values()})
         return [{k: c.numerator * (D // c.denominator) for k, c in vec.items()} for vec in vecs], not_
+
+    def residue_image(self, vecs: list[dict]) -> tuple:
+        """The D-scaled numerators of ``integer_image`` mod RESIDUE_PRIME."""
+        return _residue_vecs(self.integer_image(vecs)[0], RESIDUE_PRIME), _Residues(RESIDUE_PRIME)
 
     def elem_to_json(self, x):
         return f"{x.numerator}/{x.denominator}"
@@ -542,6 +586,10 @@ class FiniteField:
             return vecs, lambda v: v % self.p == 0
         return _packed_image([{k: self.to_vec(x) for k, x in vec.items()} for vec in vecs], self.modulus, self.p)
 
+    def residue_image(self, vecs: list[dict]) -> tuple:
+        """A finite field is its own residue image."""
+        return vecs, self
+
     def elem_to_json(self, x: int):
         return list(self.to_vec(x))
 
@@ -587,6 +635,22 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
             raise AssertionError("internal: division was not exact")
     assert all(c.denominator == 1 for c in f)
     return tuple(int(c) for c in f)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_residue_root(N: int) -> tuple[int, int]:
+    """(P, r): P the least prime = 1 (mod N) above 2^30, and r a root of
+    Phi_N mod P.  N divides P - 1, so the cyclic group (Z/P)^x has elements
+    of order N, and those are the roots of Phi_N mod P; r is the first power
+    a^((P-1)/N), a = 2, 3, ..., of order N."""
+    P = 2**30 // N * N + 1
+    while P <= 2**30 or not is_prime(P):
+        P += N
+    primes = prime_divisors(N)
+    for a in count(2):
+        r = pow(a, (P - 1) // N, P)
+        if all(pow(r, N // q, P) != 1 for q in primes):
+            return P, r
 
 
 class CyclotomicField:
@@ -714,13 +778,24 @@ class CyclotomicField:
             raise FieldError("power classes are defined on nonzero elements")
         return (n, 1)
 
-    def integer_image(self, vecs: list[dict]) -> tuple:
+    def _scaled(self, vecs: list[dict]) -> list[dict]:
         """The coefficient tuples times D, the common denominator of all their
-        coefficients, packed modulo Phi_N (``_packed_image``); a sum of
-        products of two entries is D^2 times its field value."""
+        coefficients, as int lists: elements of Z[zeta]."""
         D = lcm(*{c.denominator for vec in vecs for x in vec.values() for c in x})
-        scaled = [{k: [c.numerator * (D // c.denominator) for c in x] for k, x in vec.items()} for vec in vecs]
-        return _packed_image(scaled, cyclotomic_polynomial(self.N), 0)
+        return [{k: [c.numerator * (D // c.denominator) for c in x] for k, x in vec.items()} for vec in vecs]
+
+    def integer_image(self, vecs: list[dict]) -> tuple:
+        """``_scaled`` packed modulo Phi_N (``_packed_image``); a sum of
+        products of two entries is D^2 times its field value."""
+        return _packed_image(self._scaled(vecs), cyclotomic_polynomial(self.N), 0)
+
+    def residue_image(self, vecs: list[dict]) -> tuple:
+        """``_scaled`` with zeta sent to the root r of Phi_N mod P that
+        ``_cyclotomic_residue_root`` gives: a ring map Z[zeta] -> Z/P."""
+        P, r = _cyclotomic_residue_root(self.N)
+        powers = [pow(r, i, P) for i in range(self.deg)]
+        evaluated = [{k: sum(x * w for x, w in zip(xs, powers)) for k, xs in vec.items()} for vec in self._scaled(vecs)]
+        return _residue_vecs(evaluated, P), _Residues(P)
 
     def elem_to_json(self, x):
         return [f"{c.numerator}/{c.denominator}" for c in x]

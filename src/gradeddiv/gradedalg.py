@@ -19,10 +19,14 @@ N = {a : (xa)y = x(ay) for all x, y}.  By the Teichmüller identity
 
 N is closed under products, so it is a subalgebra, and A is associative
 as soon as N holds a set of basis vectors that generates A.  That takes
-r * n^2 triples for r generators instead of n^3.  The generators are proved
-to generate A by exact linear algebra, trusting no other oracle.  Only when
-the certificate fails does the oracle scan every triple, so the witness it
-reports is still the first failing triple in lexicographic order.
+r * n^2 triples for r generators instead of n^3.  The generators are chosen
+walking the basis down from its last index, and proved to generate A by
+exact linear algebra on the field's ``residue_image`` of the table (ints
+mod a prime, or GF(p^ell) itself), trusting no other oracle: the image is
+a ring map, so words that span on it span over the field
+(``_generating_basis``).  Only when the certificate fails does the oracle
+scan every triple, so the witness it reports is still the first failing
+triple in lexicographic order.
 
 Each triple is compared on integers, over every field.  The field's
 ``integer_image`` maps the table's vectors to int vectors (over Q and R,
@@ -53,8 +57,10 @@ found by extending c along the multiples of the generators.
 ``graded_iso_1dim`` therefore compares the bicharacters, takes on each
 generator the first designated root of unity with c_i^{o_i} = r_i, and
 extends it over K; the witness is the lexicographically first one among
-tuples of designated roots.  It fixes lambda_e = 1, which solves the
-equation at (e, e) only when both units are the same multiple of X_e.
+tuples of designated roots.  The equation at (e, e) forces lambda_e =
+tau(e, e), and the cocycle identity at (e, e, t) and (t, e, e) gives
+tau(e, t) = tau(t, e) = tau(e, e), so that value solves every equation with
+e in it: the two units may be different multiples of X_e.
 
 Invertibility decisions:
 
@@ -266,30 +272,59 @@ def verify_associative(A: GradedAlgebra) -> tuple[bool, tuple | None]:
 def _generating_basis(A: GradedAlgebra) -> list[int]:
     """Indices of basis vectors that generate A as an algebra.
 
-    Walks the basis in index order and chooses b_i when it lies outside the
-    span of the words s_1 (s_2 (... s_m)) in the vectors chosen so far.  That
-    span is kept closed under left multiplication by the chosen vectors, in
-    one ``linalg.Echelon`` of the words.  Every word lies in the subalgebra
-    the chosen vectors generate, and every b_i ends up in the span, so they
-    generate A.
+    Walks the basis from the last index down and chooses b_i when it lies
+    outside the span of the words s_1 (s_2 (... s_m)) in the vectors chosen
+    so far.  That span is kept closed under left multiplication by the
+    chosen vectors, in one ``linalg.Echelon`` of the words.  ``construct``
+    lists X_e first, and X_e lies in the subalgebra any generators of the
+    group generate, so walking down never spends a generator on it.
+
+    The words are formed on the field's ``residue_image``, taken of the row
+    of products b_s b_m of each chosen b_s when it is chosen (only those rows
+    enter a word), and each product is kept negated (it is formed with
+    ``sub``, the one addition the residue contexts have), which leaves every
+    span unchanged.  Over Q, R and Q(zeta_N) the image scales each row by a
+    common denominator D_s of its entries and then applies a ring map to the
+    integral entries (mod a prime, zeta sent to a root of Phi_N), so each
+    image word is the image of an integral vector, a nonzero multiple of a
+    word of A, and each minor of the image words is the image of a minor of
+    those vectors.  Every b_i ends up in the span of the image words, so
+    some n x n minor of them is nonzero, and then so is its preimage: the
+    words span A, and as they lie in the subalgebra the chosen vectors
+    generate, those generate A.  A prime that kills a minor can only cost
+    generators, never a wrong verdict.
     """
     n = A.dim
-    ech = Echelon(A.field)
+    F = A.field
+    R = F.residue_image([])[1]  # the context alone
+    rows: dict[int, list[Vec]] = {}
+
+    def minus_left(s: int, w: Vec) -> Vec:
+        """-(b_s w) on the image."""
+        row = rows[s]
+        out = {}
+        for m, c in w.items():
+            for k, d in row[m].items():
+                out[k] = R.sub(out.get(k, R.zero), R.mul(c, d))
+        return {k: c for k, c in out.items() if not R.is_zero(c)}
+
+    ech = Echelon(R)
     chosen: list[int] = []
     words: list[Vec] = []
-    for i in range(n):
+    for i in reversed(range(n)):
         if ech.rank == n:
             break
-        if not insert(ech, A.basis_vec(i)):
+        if not insert(ech, {i: R.one}):
             continue
         # the new generator acts on every word so far, and is a word itself
         pending = [(i, w) for w in words]
         chosen.append(i)
-        words.append(A.basis_vec(i))
+        rows[i] = F.residue_image([A.entry(i, m) for m in range(n)])[0]
+        words.append({i: R.one})
         pending += [(s, words[-1]) for s in chosen]
         while pending and ech.rank < n:
             s, w = pending.pop()
-            sw = A.mul_vec(A.basis_vec(s), w)
+            sw = minus_left(s, w)
             if insert(ech, sw):
                 words.append(sw)
                 pending += [(t, sw) for t in chosen]
@@ -521,7 +556,14 @@ def _certify_quadratic(A: GradedAlgebra, e_idxs: list[int]) -> tuple[bool, Vec |
     if not reducible:
         return True, None
     # produce the zero divisor w - root*1 explicitly
-    root = F.div(F.add(beta, _fraction_sqrt(disc)), F.from_int(2))
+    sqrt_disc = _fraction_sqrt(disc)
+    if sqrt_disc is None:
+        # only over R: a positive disc that is not a rational square
+        raise CannotCertify(
+            f"A_e = span(1, w) with w^2 = {alpha} + {beta} w is split over R, but its zero divisor "
+            f"w - ({beta} + sqrt({disc}))/2 has no representative in the Q model of R"
+        )
+    root = F.div(F.add(beta, sqrt_disc), F.from_int(2))
     witness = A.add_vec(w, A.scale_vec(F.neg(root), A.unit))
     if not witness:
         witness = w
@@ -529,13 +571,14 @@ def _certify_quadratic(A: GradedAlgebra, e_idxs: list[int]) -> tuple[bool, Vec |
 
 
 def _fraction_sqrt(x):
+    """The rational square root of x >= 0, or None if x is not a square."""
     from fractions import Fraction
     from math import isqrt
 
     num = isqrt(x.numerator)
     den = isqrt(x.denominator)
     if num * num != x.numerator or den * den != x.denominator:
-        raise AssertionError("internal: discriminant was not a perfect square")
+        return None
     return Fraction(num, den)
 
 
@@ -696,8 +739,7 @@ def graded_iso_1dim(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
     root_set = set(roots)
     if any(c not in root_set for sigma in (sigma_a, sigma_b) for c in sigma.values()):
         raise UnnormalizedAlgebra("structure constants outside the designated root set")
-    e = G.identity()
-    if sigma_a[(e, e)] != sigma_b[(e, e)] or commutation_bicharacter(A) != commutation_bicharacter(B):
+    if commutation_bicharacter(A) != commutation_bicharacter(B):
         return None
 
     # lambda_{a_i}^{o_i} is forced, and the first root with that power decides
@@ -709,7 +751,8 @@ def graded_iso_1dim(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
             choice[i] = next((c for c in roots if F.power(c, o) == ratio), None)
             if choice[i] is None:
                 return None
-    lam = {e: F.one}
+    e = G.identity()
+    lam = {e: F.div(sigma_a[(e, e)], sigma_b[(e, e)])}
     for t in G.elements():
         if t.is_identity():
             continue

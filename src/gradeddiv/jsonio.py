@@ -65,7 +65,10 @@ def field_from_json(data: dict):
     if kind == "GF":
         p, ell = (_integer(_required(data, key, "the GF field descriptor"), f"GF {key}") for key in ("p", "ell"))
         modulus = data.get("modulus")
-        return FiniteField(p, ell, modulus=None if modulus is None else _array(modulus, "the GF field descriptor's 'modulus'"))
+        if modulus is not None:
+            digits = enumerate(_array(modulus, "the GF field descriptor's 'modulus'"))
+            modulus = [_index(c, f"GF modulus digit {i}", p, f"GF({p}) digit") for i, c in digits]
+        return FiniteField(p, ell, modulus=modulus)
     if kind == "CYC":
         return CyclotomicField(_integer(_required(data, "conductor", "the CYC field descriptor"), "CYC conductor"))
     raise DescriptorError(f"unknown field kind {kind!r}")
@@ -74,6 +77,16 @@ def field_from_json(data: dict):
 def group_from_json(data: dict) -> FinAbGroup:
     orders = _required_array(data, "orders", "the group descriptor")
     return FinAbGroup(tuple(_integer(n, "group order") for n in orders))
+
+
+def _degree(G: FinAbGroup, exps, b: int):
+    """Basis degree b, refused unless it has one exponent per cyclic factor,
+    each a JSON integer in [0, order)."""
+    exps = _array(exps, "a basis degree")
+    if len(exps) != G.rank:
+        raise DescriptorError(f"basis degree {b} has {len(exps)} exponents for a group of rank {G.rank}")
+    pairs = enumerate(zip(exps, G.orders))
+    return G.element([_index(x, f"basis degree {b} exponent {i}", n, f"Z_{n} exponent") for i, (x, n) in pairs])
 
 
 def algebra_to_json(A: GradedAlgebra) -> dict:
@@ -95,12 +108,13 @@ def algebra_to_json(A: GradedAlgebra) -> dict:
 def algebra_from_json(data: dict) -> GradedAlgebra:
     """The algebra a descriptor states; drops zero constants and zero unit
     coefficients.  Refuses a missing key, a part of the wrong JSON type, a
-    basis index that is not a JSON integer in [0, dim), and a second entry
-    for one constant (i, j, k) or one unit index."""
+    basis index that is not a JSON integer in [0, dim), a degree exponent
+    that is not a JSON integer in [0, order), and a second entry for one
+    constant (i, j, k) or one unit index."""
     F = field_from_json(_required(data, "field", "the algebra descriptor"))
     G = group_from_json(_required(data, "group", "the algebra descriptor"))
     degrees = tuple(
-        G.element(_array(exps, "a basis degree")) for exps in _required_array(data, "basis_degrees", "the algebra descriptor")
+        _degree(G, exps, b) for b, exps in enumerate(_required_array(data, "basis_degrees", "the algebra descriptor"))
     )
     dim = len(degrees)
     table: dict = {}

@@ -20,7 +20,7 @@ from gradeddiv.exactfield import (
 from gradeddiv.gradedalg import GradedAlgebra, OracleError, UnnormalizedAlgebra, subalgebra_on_indices
 from gradeddiv.gradedfield import GradedFieldError
 from gradeddiv.intutil import factorint, prime_divisors
-from gradeddiv.linalg import echelon, express
+from gradeddiv.linalg import Echelon, echelon, express, insert
 from gradeddiv.quasitorus import AltBicharacter, MuFunction
 
 REAL = RealField()
@@ -153,6 +153,46 @@ def reference_commutant_basis(A: GradedAlgebra, unknown_idxs: list[int], targets
     for sol in nullspace(F, rows):
         out.append({unknown_idxs[i]: c for i, c in enumerate(sol) if not F.is_zero(c)})
     return out
+
+
+def reference_generating_basis(A: GradedAlgebra) -> list[int]:
+    """The greedy of gradeddiv.gradedalg._generating_basis in the field's own
+    arithmetic: walking the basis from the last index down, choose b_i when
+    it lies outside the span of the words s_1 (s_2 (... s_m)) in the vectors
+    chosen so far, kept closed under left multiplication by them.  Where the
+    residue image loses no rank, both choose the same vectors."""
+    n = A.dim
+    ech = Echelon(A.field)
+    chosen: list[int] = []
+    words: list[dict] = []
+    for i in reversed(range(n)):
+        if ech.rank == n:
+            break
+        if not insert(ech, A.basis_vec(i)):
+            continue
+        pending = [(i, w) for w in words]
+        chosen.append(i)
+        words.append(A.basis_vec(i))
+        pending += [(s, words[-1]) for s in chosen]
+        while pending and ech.rank < n:
+            s, w = pending.pop()
+            sw = A.mul_vec(A.basis_vec(s), w)
+            if insert(ech, sw):
+                words.append(sw)
+                pending += [(t, sw) for t in chosen]
+    return chosen
+
+
+def reference_word_rank(A: GradedAlgebra, gens) -> int:
+    """Rank over the field of the words s_1 (s_2 (... s_m)) in the basis
+    vectors b_s, s in gens: A.dim iff they generate A as an algebra."""
+    ech = Echelon(A.field)
+    pending = [A.basis_vec(s) for s in gens]
+    while pending:
+        w = pending.pop()
+        if insert(ech, w):
+            pending += [A.mul_vec(A.basis_vec(s), w) for s in gens]
+    return ech.rank
 
 
 def reference_invert_vec(A: GradedAlgebra, x) -> dict | None:
@@ -348,8 +388,11 @@ def reference_iso_search(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
     gens = [i for i in range(G.rank) if G.orders[i] > 1]
     elements = list(G.elements())
 
+    e = G.identity()
+
     def extend(gen_choice: dict) -> dict:
-        lam = {G.identity(): F.one}
+        # the equation at (e, e) forces lambda_e
+        lam = {e: F.div(structure_scalar(A, idx_a, e, e), structure_scalar(B, idx_b, e, e))}
         for t in elements:
             if t.is_identity():
                 continue

@@ -335,6 +335,42 @@ def test_descriptor_parts_of_the_wrong_json_type_are_refused(capsys, tmp_path, c
     assert report["error"] == {"code": "bad-parameters", "message": named}
 
 
+@pytest.mark.parametrize(
+    "desc, named",
+    [
+        ({**_q_z2_minus_one(), "basis_degrees": [[0], [3]]}, "basis degree 1 exponent 0 = 3 is outside the Z_2 exponent indices [0, 2)"),
+        ({**_q_z2_minus_one(), "basis_degrees": [[0], [1.5]]}, "basis degree 1 exponent 0 = 1.5 is not an integer"),
+        ({**_q_z2_minus_one(), "basis_degrees": [[True], [1]]}, "basis degree 0 exponent 0 = True is not an integer"),
+        ({**_q_z2_minus_one(), "basis_degrees": [[0], [1, 0]]}, "basis degree 1 has 2 exponents for a group of rank 1"),
+        ({**GF5_Z2, "field": {"kind": "GF", "p": 5, "ell": 2, "modulus": [7, 0, 1]}},
+         "GF modulus digit 0 = 7 is outside the GF(5) digit indices [0, 5)"),
+    ],
+    ids=["degree-above-order", "float-degree", "bool-degree", "degree-too-long", "modulus-digit-above-p"],
+)
+def test_degree_exponents_and_modulus_digits_are_not_reduced(capsys, tmp_path, desc, named):
+    # each was once reduced: [[0], [3]] read as [[0], [1]], and the modulus [7, 0, 1] as x^2 + 2
+    code, report = run_cli(capsys, "verify", "--in", _write(tmp_path, "desc.json", desc))
+    assert code == 3
+    assert report["error"] == {"code": "bad-parameters", "message": named}
+
+
+def test_verify_refuses_a_split_real_identity_component_without_a_rational_zero_divisor(capsys, tmp_path):
+    # R[w]/(w^2 - 2): w - sqrt(2) is a zero divisor that no Fraction writes down
+    desc = {
+        "field": {"kind": "R"},
+        "group": {"orders": []},
+        "basis_degrees": [[], []],
+        "unit": [[0, "1/1"]],
+        "constants": [{"i": i, "j": j, "k": (i + j) % 2, "c": "2/1" if i == j == 1 else "1/1"} for i in range(2) for j in range(2)],
+    }
+    code, report = run_cli(capsys, "verify", "--in", _write(tmp_path, "desc.json", desc))
+    assert code == 3
+    assert report["error"]["message"] == (
+        "A_e = span(1, w) with w^2 = 2 + 0 w is split over R, but its zero divisor "
+        "w - (0 + sqrt(8))/2 has no representative in the Q model of R"
+    )
+
+
 def _construct(capsys, tmp_path, request: dict) -> dict:
     path = tmp_path / "req.json"
     path.write_text(json.dumps(request))
@@ -481,6 +517,19 @@ def test_iso_report_on_a_changed_beta_is_pinned(capsys, tmp_path):
     assert _stdout_pin(capsys, ["iso", "--a", a, "--b", b]) == pin
     code, report = run_cli(capsys, "iso", "--a", a, "--b", b)
     assert report["verdict"] is False and report["witness"] is None
+
+
+def test_iso_accepts_a_unit_that_is_another_multiple_of_x_e(capsys, tmp_path):
+    # R[Z_2] with X_1^2 = -1, and the same algebra on the basis Y_0 = -X_0, Y_1 = X_1 (unit -Y_0)
+    a = _q_z2_minus_one()
+    a["field"] = {"kind": "R"}
+    sign = {0: "-1/1", 1: "-1/1", 2: "-1/1", 3: "1/1"}  # Y_0 Y_0, Y_0 Y_1, Y_1 Y_0, Y_1 Y_1
+    b = {**a, "unit": [[0, "-1/1"]], "constants": [{**c, "c": sign[2 * c["i"] + c["j"]]} for c in a["constants"]]}
+    pa, pb = _write(tmp_path, "a.json", a), _write(tmp_path, "b.json", b)
+    assert run_cli(capsys, "verify", "--in", pb)[1]["verdict"] is True
+    code, report = run_cli(capsys, "iso", "--a", pa, "--b", pb)
+    assert code == 0 and report["verdict"] is True
+    assert report["witness"] == [[[0], "-1/1"], [[1], "1/1"]]
 
 
 def _stdout_pin(capsys, argv) -> tuple:

@@ -171,6 +171,25 @@ def test_iso_matches_lexicographic_search(capsys, tmp_path):
     assert min(verdicts.values()) >= 10, verdicts
 
 
+def test_iso_across_units_that_are_different_multiples_of_x_e():
+    # on the basis Y_t = lam_t X_t the unit is X_e / lam_e; iso once fixed
+    # lambda_e = 1 and answered false whenever lam_e != 1
+    rng = random.Random(13)
+    for F in (RealField(), FiniteField(7, 1), CyclotomicField(4)):
+        roots = F.roots_of_unity()
+        for orders in ((2,), (4,), (2, 2), (3, 2)):
+            G = FinAbGroup(orders)
+            e = G.identity()
+            A = random_algebra(rng, F, G, roots)
+            lam = {t: rng.choice(roots) for t in G.elements()}
+            lam[e] = roots[1]
+            B = rescaled(A, lam)
+            got = graded_iso_1dim(A, B)
+            assert got is not None and got[e] == F.div(A.cocycle()[(e, e)], B.cocycle()[(e, e)]) != F.one
+            assert outcome(graded_iso_1dim, A, B) == outcome(reference_iso_search, A, B)
+            assert graded_iso_1dim(B, A)[e] == F.inv(got[e])
+
+
 def non_root_scalars(F):
     if F.kind in ("Q", "R"):
         return [Fraction(3), Fraction(-5, 2), Fraction(7), Fraction(1, 6)]

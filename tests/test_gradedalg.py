@@ -4,15 +4,30 @@ from itertools import product
 from math import gcd
 
 import pytest
-from helpers import reference_commutant_basis, reference_invert_vec
+from helpers import (
+    abelian_groups_upto,
+    reference_commutant_basis,
+    reference_generating_basis,
+    reference_invert_vec,
+    reference_word_rank,
+)
 from hypothesis import given, settings, strategies as st
 
 from gradeddiv.abelian import FinAbGroup, Subgroup
-from gradeddiv.exactfield import CyclotomicField, FiniteField, RationalField, RealField
+from gradeddiv.exactfield import (
+    CyclotomicField,
+    FiniteField,
+    RationalField,
+    RealField,
+    _residue_vecs,
+    _Residues,
+    cyclotomic_polynomial,
+)
 from gradeddiv.gradedalg import (
     GradedAlgebra,
     OracleError,
     UnnormalizedAlgebra,
+    _generating_basis,
     _one_dim_invertible,
     center_dim,
     centralizer_basis,
@@ -457,6 +472,7 @@ def perturbed_quasitorus(draw):
 @settings(max_examples=200, deadline=None)
 def test_associativity_matches_triple_scan_on_random_tables(A):
     assert verify_associative(A) == scan_associative(A)
+    assert reference_word_rank(A, _generating_basis(A)) == A.dim
 
 
 def octonions_z222():
@@ -498,12 +514,83 @@ def test_octonions_fail_associativity_with_the_scan_witness():
 
 
 def test_generating_set_is_small_on_census_tables(census_tables):
-    from gradeddiv.gradedalg import _generating_basis
-
     big = [A for A in census_tables[(4, 2)] if A.dim == 32]
     assert big
     for A in big:
         assert len(_generating_basis(A)) <= 5
+
+
+def test_generating_set_matches_the_in_field_greedy(census_tables):
+    # the residue image loses no rank on these tables, so the greedy on it
+    # chooses what the greedy in the field chooses, and the words span A
+    census = [A for tables in census_tables.values() for A in tables]
+    for A in census + finite_quasitorus_tables() + multi_term_tables():
+        chosen = _generating_basis(A)
+        assert chosen == reference_generating_basis(A)
+        assert reference_word_rank(A, chosen) == A.dim
+
+
+def test_generating_set_is_at_most_the_rank_on_quasitorus_tables():
+    # walking down from the last degree never spends a generator on X_e
+    for G in abelian_groups_upto(64):
+        pairs = [(i, j, Fraction(-1)) for i in range(G.rank) for j in range(i + 1, G.rank) if gcd(G.orders[i], G.orders[j]) % 2 == 0]
+        mu = MuFunction(G, tuple(Fraction(-1 if n % 2 == 0 else 3) for n in G.orders))
+        A = construct(G, AltBicharacter.from_pairs(G, pairs, Q), mu, Q, verify=False)
+        assert len(_generating_basis(A)) <= G.rank, G.orders
+
+
+def phi_root(field, p):
+    """A root of Phi_N mod p for field = Q(zeta_N), or None."""
+    phi = cyclotomic_polynomial(field.N)
+    return next((r for r in range(p) if sum(c * r**i for i, c in enumerate(phi)) % p == 0), None)
+
+
+def tiny_residue_image(p):
+    """A residue_image reducing mod the prime p: the D-scaled numerators mod
+    p, and over Q(zeta_N) zeta sent to a root of Phi_N mod p.  Still a ring
+    map, so still sound, but it kills many minors."""
+
+    def image(field, vecs):
+        if field.kind == "CYC":
+            r = phi_root(field, p)
+            ints = [{k: sum(c * r**i for i, c in enumerate(x)) for k, x in vec.items()} for vec in field._scaled(vecs)]
+        else:
+            ints = field.integer_image(vecs)[0]
+        return _residue_vecs(ints, p), _Residues(p)
+
+    return image
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_tiny_residue_prime_changes_no_verdict(census_tables, monkeypatch, p):
+    import random
+
+    rng = random.Random(p)
+    C = CyclotomicField(4 if p == 2 else 3)
+    Z42, Z63 = FinAbGroup((4, 2)), FinAbGroup((6, 3))
+    tables = [A for tables in census_tables.values() for A in tables[:6]] + [
+        construct(Z42, AltBicharacter.from_pairs(Z42, [(0, 1, Fraction(-1))], Q), MuFunction(Z42, (Fraction(6), Fraction(-3, 2))), Q, verify=False),
+        construct(Z63, AltBicharacter.trivial(Z63), MuFunction(Z63, (Fraction(4), Fraction(9))), R, verify=False),
+        construct(Z42, AltBicharacter.trivial(Z42), MuFunction(Z42, (C.from_int(2), C.mul(C.zeta, C.from_int(3)))), C, verify=False),
+    ]
+    cases = []
+    for A in tables:
+        F = A.field
+        if F.kind == "CYC" and phi_root(F, p) is None:
+            continue
+        cases.append(A)
+        cases += [scaled_constant(A, rng, F.div(F.from_int(num), F.from_int(den))) for num, den in ((-1, 1), (p, 1), (1, p + 2))]
+    expected = [(verify_associative(A), _generating_basis(A)) for A in cases]
+    for cls in (RationalField, CyclotomicField):
+        monkeypatch.setattr(cls, "residue_image", tiny_residue_image(p))
+    more = failing = 0
+    for A, (verdict, chosen) in zip(cases, expected):
+        tiny = _generating_basis(A)
+        assert reference_word_rank(A, tiny) == A.dim
+        assert verify_associative(A) == verdict
+        more += len(tiny) > len(chosen)
+        failing += not verdict[0]
+    assert more >= 5 and failing >= 50, (more, failing)
 
 
 def test_commutants_match_dense_reference_on_census_tables(census_tables):
