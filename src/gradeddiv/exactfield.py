@@ -1,8 +1,13 @@
 """Exact coefficient fields shared by every construction in the package.
 
 Four contexts implement one duck-typed protocol (add, mul, inv, power,
-is_nth_power, nth_power_class, roots_of_unity, integer_image,
-residue_image, JSON encoding).  ``integer_image`` maps vectors of elements
+is_nth_power, nth_power_class, nth_root, power_class_vector,
+roots_of_unity, integer_image, residue_image, JSON encoding).  Roots and
+power classes are asked of the field, nowhere else: ``nth_root(x, n)`` is a
+y with y^n = x, or None when the field has none, and raises FieldError when
+the model cannot write down or decide a root of the field it stands for;
+``power_class_vector(x, p)``, p prime, is the class of x in F^x/(F^x)^p as
+a sparse vector over GF(p).  ``integer_image`` maps vectors of elements
 to int vectors and a test ``is_zero`` that decides on the ints whether a
 signed sum of products of two entries is 0 in the field: over Q and R by one
 common denominator, over GF(p) mod p, and over GF(p^ell) and Q(zeta_N) by
@@ -12,7 +17,7 @@ ring map applied to the integral vectors D times them (D a common
 denominator, where there are denominators): over Q and R the D-scaled
 numerators mod RESIDUE_PRIME = 2^61 - 1, over Q(zeta_N) the D-scaled
 coefficients with zeta sent to a root of Phi_N mod a prime P = 1 (mod N)
-(``_cyclotomic_residue_root``), both in the table-free ``_Residues``
+(``_cyclotomic_residue_root``), both in the table-free ``Residues``
 context, and over GF(p^ell) the elements themselves in the field.
 
 * ``RationalField``    - plain rationals; elements are ``fractions.Fraction``.
@@ -20,7 +25,7 @@ context, and over GF(p^ell) the elements themselves in the field.
   still Fractions, but n-th power classes use sign semantics: every rational
   is an n-th power for odd n, positives are for even n.  This suffices for
   real classification work, where all structure constants can be normalized
-  into {0, +1, -1}.
+  into {0, +1, -1}.  ``nth_root`` raises where the real root is irrational.
 * ``FiniteField``      - GF(p^ell) with a deterministic monic modulus.
   Elements are integers in [0, q) encoding coefficient vectors base p
   (lowest degree first); multiplication runs off exp/log tables of the
@@ -35,6 +40,7 @@ context, and over GF(p^ell) the elements themselves in the field.
   for computations whose constants are roots of unity: accordingly
   ``is_nth_power``/``nth_power_class`` use the divisible-group convention
   (always true / trivial class), which is the correct answer over C.
+  ``nth_root`` writes down roots of roots of unity only.
 
 Rational power classes factor integers by bounded trial division and raise
 rather than guess when the bound is hit.
@@ -45,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import not_
 
 from .intutil import DEFAULT_FACTOR_BOUND, divisors, factor_bound, factorint, is_prime, prime_divisors
@@ -55,9 +61,10 @@ class FieldError(ValueError):
     pass
 
 
-class _Residues:
+class Residues:
     """Z/P for a prime P, elements ints in [0, P): only the arithmetic
-    ``linalg.insert`` runs, for the residue images of Q, R and Q(zeta_N)."""
+    ``linalg.insert`` runs, for the residue images of Q, R and Q(zeta_N)
+    and for the rank of power-class vectors over GF(p)."""
 
     zero = 0
     one = 1
@@ -89,6 +96,27 @@ RESIDUE_PRIME = 2**61 - 1
 
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
+
+
+def _iroot(a: int, n: int) -> int:
+    """floor(a^(1/n)) for an int a >= 0: ``isqrt`` for n = 2 (and a < 2, its
+    own root), otherwise Newton's step on ints, which falls from
+    2^ceil(bits/n) > a^(1/n) to the floor and stops there."""
+    if n == 2 or a < 2:
+        return isqrt(a)
+    x = 1 << -(-a.bit_length() // n)
+    while (y := ((n - 1) * x + a // x ** (n - 1)) // n) < x:
+        x = y
+    return x
+
+
+def _root_name(x, n: int) -> str:
+    return f"sqrt({x})" if n == 2 else f"({x})^(1/{n})"
+
+
+def _nonzero(is_zero: bool) -> None:
+    if is_zero:
+        raise FieldError("power classes are defined on nonzero elements")
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +189,36 @@ class RationalField:
         return out
 
     def is_nth_power(self, x, n: int) -> bool:
-        if x == 0:
-            raise FieldError("power classes are defined on nonzero elements")
+        _nonzero(x == 0)
         if n % 2 == 0 and x < 0:
             return False
         return all(e % n == 0 for e in self._exponents(abs(x)).values())
 
     def nth_power_class(self, x, n: int):
         """Canonical coset tag of x in Q^x / (Q^x)^n."""
-        if x == 0:
-            raise FieldError("power classes are defined on nonzero elements")
+        _nonzero(x == 0)
         sign = 1 if n % 2 == 1 else _sign(x)
         exps = tuple(sorted((p, e % n) for p, e in self._exponents(abs(x)).items() if e % n))
         return (n, sign, exps)
+
+    def nth_root(self, x, n: int):
+        """The rational y with y^n = x, positive for even n, or None."""
+        if x < 0 and n % 2 == 0:
+            return None
+        a, b = abs(x.numerator), x.denominator
+        num, den = _iroot(a, n), _iroot(b, n)
+        if num**n != a or den**n != b:
+            return None
+        return Fraction(num if x > 0 else -num, den)
+
+    def power_class_vector(self, x, p: int) -> dict:
+        """The exponents of x mod p keyed by prime, with the sign at key -1
+        when p = 2."""
+        _nonzero(x == 0)
+        vec = {q: e % p for q, e in self._exponents(abs(x)).items() if e % p}
+        if p == 2 and x < 0:
+            vec[-1] = 1
+        return vec
 
     def integer_image(self, vecs: list[dict]) -> tuple:
         """Each vector times D, the common denominator of all their entries,
@@ -184,7 +229,7 @@ class RationalField:
 
     def residue_image(self, vecs: list[dict]) -> tuple:
         """The D-scaled numerators of ``integer_image`` mod RESIDUE_PRIME."""
-        return _residue_vecs(self.integer_image(vecs)[0], RESIDUE_PRIME), _Residues(RESIDUE_PRIME)
+        return _residue_vecs(self.integer_image(vecs)[0], RESIDUE_PRIME), Residues(RESIDUE_PRIME)
 
     def elem_to_json(self, x):
         return f"{x.numerator}/{x.denominator}"
@@ -211,14 +256,25 @@ class RealField(RationalField):
     kind = "R"
 
     def is_nth_power(self, x, n: int) -> bool:
-        if x == 0:
-            raise FieldError("power classes are defined on nonzero elements")
+        _nonzero(x == 0)
         return n % 2 == 1 or x > 0
 
     def nth_power_class(self, x, n: int):
-        if x == 0:
-            raise FieldError("power classes are defined on nonzero elements")
+        _nonzero(x == 0)
         return (n, 1 if n % 2 == 1 else _sign(x), ())
+
+    def nth_root(self, x, n: int):
+        """Q's root; None only for x < 0 and n even, the one case where R
+        has no root either."""
+        y = super().nth_root(x, n)
+        if y is None and (x > 0 or n % 2):
+            raise FieldError(f"{_root_name(x, n)} has no representative in the Q model of R")
+        return y
+
+    def power_class_vector(self, x, p: int) -> dict:
+        """The sign at key -1 when p = 2; every real is a p-th power for odd p."""
+        _nonzero(x == 0)
+        return {-1: 1} if p == 2 and x < 0 else {}
 
     def __repr__(self):
         return "R"
@@ -566,18 +622,38 @@ class FiniteField:
         return self._exp[m // n]
 
     def is_nth_power(self, x: int, n: int) -> bool:
-        if x == 0:
-            raise FieldError("power classes are defined on nonzero elements")
+        _nonzero(x == 0)
         d = gcd(n, self.q - 1) if self.q > 2 else 1
         return self.power(x, (self.q - 1) // d) == self.one if self.q > 2 else True
 
     def nth_power_class(self, x: int, n: int):
-        if x == 0:
-            raise FieldError("power classes are defined on nonzero elements")
+        _nonzero(x == 0)
         if self.q == 2:
             return (n, 1)
         d = gcd(n, self.q - 1)
         return (n, self.power(x, (self.q - 1) // d))
+
+    def nth_root(self, x: int, n: int):
+        """The y = g^t with y^n = x and t least, or None: with m = q - 1 and
+        d = gcd(n, m), g^s has n-th roots iff d | s, and they are g^t for
+        t = (s/d) (n/d)^(-1) mod m/d plus the multiples of m/d."""
+        if x == 0 or self.q == 2:
+            return x
+        m = self.q - 1
+        s, d = self._log[x], gcd(n, m)
+        if s % d:
+            return None
+        y = self._exp[(s // d) * pow(n // d, -1, m // d) % (m // d)]
+        if self.power(y, n) != x:
+            raise AssertionError("internal: root extraction failed")
+        return y
+
+    def power_class_vector(self, x: int, p: int) -> dict:
+        """{0: log x mod p} when p divides q - 1, else {}: F^x is cyclic of
+        order q - 1, so F^x/(F^x)^p has order gcd(p, q - 1)."""
+        _nonzero(x == 0)
+        e = self._log[x] % p if (self.q - 1) % p == 0 else 0
+        return {0: e} if e else {}
 
     def integer_image(self, vecs: list[dict]) -> tuple:
         """Over GF(p) the residues, zero when divisible by p; over GF(p^ell)
@@ -769,14 +845,26 @@ class CyclotomicField:
         return self.power(self._zmu, self.M // n)
 
     def is_nth_power(self, x, n: int) -> bool:
-        if self.is_zero(x):
-            raise FieldError("power classes are defined on nonzero elements")
+        _nonzero(self.is_zero(x))
         return True
 
     def nth_power_class(self, x, n: int):
-        if self.is_zero(x):
-            raise FieldError("power classes are defined on nonzero elements")
+        _nonzero(self.is_zero(x))
         return (n, 1)
+
+    def nth_root(self, x, n: int):
+        """The first root of unity y with y^n = x, or None when x is a root
+        of unity and no root of unity is one (every root of x is one);
+        raises for any other x."""
+        if self.is_zero(x):
+            return x
+        roots = self.roots_of_unity()
+        if x not in roots:
+            raise FieldError(
+                f"{_root_name(self.elem_to_json(x), n)} has no representative in the Q(zeta_{self.N}) model, "
+                "which writes down roots of roots of unity only"
+            )
+        return next((y for y in roots if self.power(y, n) == x), None)
 
     def _scaled(self, vecs: list[dict]) -> list[dict]:
         """The coefficient tuples times D, the common denominator of all their
@@ -795,7 +883,7 @@ class CyclotomicField:
         P, r = _cyclotomic_residue_root(self.N)
         powers = [pow(r, i, P) for i in range(self.deg)]
         evaluated = [{k: sum(x * w for x, w in zip(xs, powers)) for k, xs in vec.items()} for vec in self._scaled(vecs)]
-        return _residue_vecs(evaluated, P), _Residues(P)
+        return _residue_vecs(evaluated, P), Residues(P)
 
     def elem_to_json(self, x):
         return [f"{c.numerator}/{c.denominator}" for c in x]

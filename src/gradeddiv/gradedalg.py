@@ -54,10 +54,14 @@ power (tau is then an abelian extension of K by F^x, which splits iff each
 a_i lifts to an element of order o_i).  And for each tuple c with
 c_i^{o_i} = r_i there is exactly one solution with lambda_{a_i} = c_i,
 found by extending c along the multiples of the generators.
-``graded_iso_1dim`` therefore compares the bicharacters, takes on each
-generator the first designated root of unity with c_i^{o_i} = r_i, and
-extends it over K; the witness is the lexicographically first one among
-tuples of designated roots.  The equation at (e, e) forces lambda_e =
+``graded_iso_1dim`` therefore compares the bicharacters, asks the field for
+a root c_i = ``nth_root(r_i, o_i)`` on each generator, and extends it over
+K; no constant needs to be a root of unity.  The field answers None when
+r_i is no o_i-th power, and refuses (FieldError) a root its model cannot
+write down, such as sqrt(2) over the Q model of R.  On tables whose
+constants are roots of unity each field's root is the first root of unity
+with that power, so the witness is the lexicographically first one among
+tuples of roots of unity.  The equation at (e, e) forces lambda_e =
 tau(e, e), and the cocycle identity at (e, e, t) and (t, e, e) gives
 tau(e, t) = tau(t, e) = tau(e, e), so that value solves every equation with
 e in it: the two units may be different multiples of X_e.
@@ -91,6 +95,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import islice, product
 
 from .abelian import FinAbGroup, GroupElement, element_order
+from .exactfield import FieldError
 from .linalg import Echelon, echelon, express, insert, kernel
 
 
@@ -100,10 +105,6 @@ FINITE_SCAN_BOUND = 2**16
 
 class OracleError(ValueError):
     pass
-
-
-class UnnormalizedAlgebra(OracleError):
-    """Iso input whose constants are outside the designated root-of-unity set."""
 
 
 class CannotCertify(OracleError):
@@ -546,40 +547,24 @@ def _certify_quadratic(A: GradedAlgebra, e_idxs: list[int]) -> tuple[bool, Vec |
     if sol is None:
         raise AssertionError("internal: w^2 escaped span(1, w) inside A_e")
     alpha, beta = sol.get(0, F.zero), sol.get(1, F.zero)
-    # w^2 = alpha + beta*w; X^2 - beta X - alpha is reducible over the reals
-    # iff disc >= 0, over the rationals iff disc is a square (incl. 0)
+    # w^2 = alpha + beta*w: X^2 - beta X - alpha splits iff disc is a square (incl. 0)
     disc = F.add(F.mul(beta, beta), F.mul(F.from_int(4), alpha))
-    if F.kind == "R":
-        reducible = disc >= 0
-    else:
-        reducible = disc == 0 or (disc > 0 and F.is_nth_power(disc, 2))
-    if not reducible:
-        return True, None
-    # produce the zero divisor w - root*1 explicitly
-    sqrt_disc = _fraction_sqrt(disc)
-    if sqrt_disc is None:
+    try:
+        sqrt_disc = F.nth_root(disc, 2)
+    except FieldError as exc:
         # only over R: a positive disc that is not a rational square
         raise CannotCertify(
             f"A_e = span(1, w) with w^2 = {alpha} + {beta} w is split over R, but its zero divisor "
             f"w - ({beta} + sqrt({disc}))/2 has no representative in the Q model of R"
-        )
+        ) from exc
+    if sqrt_disc is None:
+        return True, None
+    # the zero divisor w - root*1
     root = F.div(F.add(beta, sqrt_disc), F.from_int(2))
     witness = A.add_vec(w, A.scale_vec(F.neg(root), A.unit))
     if not witness:
         witness = w
     return False, witness
-
-
-def _fraction_sqrt(x):
-    """The rational square root of x >= 0, or None if x is not a square."""
-    from fractions import Fraction
-    from math import isqrt
-
-    num = isqrt(x.numerator)
-    den = isqrt(x.denominator)
-    if num * num != x.numerator or den * den != x.denominator:
-        return None
-    return Fraction(num, den)
 
 
 def _match_quaternion_table(A: GradedAlgebra, e_idxs: list[int]) -> bool:
@@ -724,9 +709,9 @@ def graded_iso_1dim(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
     """A degree-preserving isomorphism X_t -> lambda_t X'_t, or None.
 
     Requires both tables associative (gradedalg.certify with
-    division=False) and normalized so all structure constants lie in the
-    field's designated root-of-unity set; lambda is then decided from the
-    commutation bicharacters and the power constants (module doc).
+    division=False); lambda is then decided from the commutation
+    bicharacters and the power constants, with the roots the field's
+    ``nth_root`` gives (module doc).
     """
     if A.field != B.field:
         raise OracleError("algebras over different coefficient fields")
@@ -735,20 +720,15 @@ def graded_iso_1dim(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
     F = A.field
     G = A.group
     sigma_a, sigma_b = A.cocycle(), B.cocycle()
-    roots = F.roots_of_unity()
-    root_set = set(roots)
-    if any(c not in root_set for sigma in (sigma_a, sigma_b) for c in sigma.values()):
-        raise UnnormalizedAlgebra("structure constants outside the designated root set")
     if commutation_bicharacter(A) != commutation_bicharacter(B):
         return None
 
-    # lambda_{a_i}^{o_i} is forced, and the first root with that power decides
+    # lambda_{a_i}^{o_i} is forced, and any root with that power decides
     choice = {}
     for i, o in enumerate(G.orders):
         if o > 1:
             a = G.generator(i)
-            ratio = F.div(power_constant(A, a), power_constant(B, a))
-            choice[i] = next((c for c in roots if F.power(c, o) == ratio), None)
+            choice[i] = F.nth_root(F.div(power_constant(A, a), power_constant(B, a)), o)
             if choice[i] is None:
                 return None
     e = G.identity()

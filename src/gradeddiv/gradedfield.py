@@ -7,6 +7,11 @@ prime, to irreducibility questions for binomials.  The central tool is the
 classical criterion: X^n - a is irreducible iff a avoids the q-th powers for
 every prime q | n and avoids -4 F^4 when 4 | n.
 
+Roots and power classes are the field's: ``nth_root`` for the witnesses,
+``power_class_vector`` for the independence of the mu_i, decided by one
+``linalg`` elimination over GF(p).  Over the Fraction model of R a witness
+that needs an irrational root raises FieldError instead of a verdict.
+
 Decisions return a three-valued verdict ("true" / "false" / "undecided")
 with a machine-checkable witness: a verified polynomial factor, a verified
 zero divisor, or a grading descriptor.  Over Q, towers of odd-prime-power
@@ -23,13 +28,12 @@ kernel computation instead of a search for zero divisors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .abelian import FinAbGroup
 from .exactfield import (
     FiniteField,
-    RationalField,
+    Residues,
     binomial_poly,
     minus4_fourth_power_test,
     poly_divmod,
@@ -107,41 +111,6 @@ def binomial_irreducible(field, alpha, n: int) -> bool:
     return True
 
 
-def _rational_nth_root(field: RationalField, x: Fraction, k: int) -> Fraction:
-    exps = field._exponents(abs(x))
-    y = Fraction(1)
-    for p, e in exps.items():
-        if e % k:
-            raise GradedFieldError("element is not a k-th power")
-        y *= Fraction(p) ** (e // k)
-    if x < 0:
-        if k % 2 == 0:
-            raise GradedFieldError("negative element has no even root")
-        y = -y
-    return y
-
-
-def _ff_nth_root(field: FiniteField, x, k: int):
-    m = field.q - 1
-    if m == 0:
-        return x
-    s = field.dlog(x)
-    d = gcd(k, m)
-    if s % d:
-        raise GradedFieldError("element is not a k-th power")
-    t = (s // d) * pow(k // d, -1, m // d) % (m // d)
-    y = field.power(field.generator(), t)
-    if field.power(y, k) != x:
-        raise AssertionError("internal: root extraction failed")
-    return y
-
-
-def nth_root(field, x, k: int):
-    if isinstance(field, FiniteField):
-        return _ff_nth_root(field, x, k)
-    return _rational_nth_root(field, x, k)
-
-
 def reducible_binomial_witness(field, alpha, n: int) -> dict | None:
     """A verified nontrivial factorization of X^n - alpha, when the
     criterion reports reducibility; None when irreducible."""
@@ -149,8 +118,8 @@ def reducible_binomial_witness(field, alpha, n: int) -> dict | None:
         return None
     target = binomial_poly(field, n, alpha)
     for q in prime_divisors(n):
-        if field.is_nth_power(alpha, q):
-            y = nth_root(field, alpha, q)
+        y = field.nth_root(alpha, q)
+        if y is not None:
             w = n // q
             divisor = binomial_poly(field, w, y)
             quotient, rem = poly_divmod(field, target, divisor)
@@ -163,7 +132,7 @@ def reducible_binomial_witness(field, alpha, n: int) -> dict | None:
                 "quotient": [field.elem_to_json(c) for c in quotient],
             }
     # 4 | n and alpha in -4 F^4: X^{4w} + 4 g^4 splits into two quadratics in X^w
-    g = nth_root(field, field.div(alpha, field.from_int(-4)), 4)
+    g = field.nth_root(field.div(alpha, field.from_int(-4)), 4)
     w = n // 4
     two_g = field.mul(field.from_int(2), g)
     two_g2 = field.mul(field.from_int(2), field.mul(g, g))
@@ -184,68 +153,13 @@ def reducible_binomial_witness(field, alpha, n: int) -> dict | None:
 # ---------------------------------------------------------------------------
 
 
-def _rational_square_class_bits(field: RationalField, mus) -> tuple[list[int], list[int]]:
-    """Square classes as GF(2)-bitmasks over the occurring primes plus sign."""
-    primes: list[int] = []
-    vecs = []
-    for mu in mus:
-        exps = field._exponents(abs(mu))
-        for p in exps:
-            if p not in primes:
-                primes.append(p)
-        vecs.append((exps, mu < 0))
-    primes.sort()
-    masks = []
-    for exps, negative in vecs:
-        mask = 1 if negative else 0
-        for i, p in enumerate(primes):
-            if exps.get(p, 0) % 2:
-                mask |= 1 << (i + 1)
-        masks.append(mask)
-    return masks, primes
-
-
-def _gf2_dependency(masks: list[int]) -> list[int] | None:
-    """Indices of a nonempty subset xoring to 0, or None if independent."""
-    basis: dict[int, tuple[int, int]] = {}  # pivot bit -> (vector, combo mask)
-    for i, v in enumerate(masks):
-        combo = 1 << i
-        while v:
-            piv = v.bit_length() - 1
-            if piv in basis:
-                bv, bc = basis[piv]
-                v ^= bv
-                combo ^= bc
-            else:
-                basis[piv] = (v, combo)
-                combo = 0
-                break
-        if v == 0 and combo:
-            return [j for j in range(len(masks)) if combo >> j & 1]
-    return None
-
-
 def square_class_dependency(field, mus) -> list[int] | None:
-    """A subset S with prod_{i in S} mu_i a square, or None if the classes
-    are independent in F^x/(F^x)^2."""
-    if isinstance(field, FiniteField):
-        if field.p == 2:
-            raise GradedFieldError("characteristic 2 has no square classes")
-        from itertools import product as iproduct
-
-        m = len(mus)
-        for combo in iproduct((0, 1), repeat=m):
-            if not any(combo):
-                continue
-            acc = field.one
-            for e, mu in zip(combo, mus):
-                if e:
-                    acc = field.mul(acc, mu)
-            if field.is_nth_power(acc, 2):
-                return [i for i, e in enumerate(combo) if e]
-        return None
-    masks, _ = _rational_square_class_bits(field, mus)
-    return _gf2_dependency(masks)
+    """The first subset S, in input order, with prod_{i in S} mu_i a square:
+    the first GF(2) relation among the square-class vectors of the mu_i
+    (``linalg.kernel``), or None if the classes are independent in
+    F^x/(F^x)^2."""
+    relations = kernel(Residues(2), [field.power_class_vector(mu, 2) for mu in mus])
+    return list(relations[0]) if relations else None
 
 
 def is_field_exponent2(spec: GradedFieldSpec) -> Decision:
@@ -263,11 +177,10 @@ def is_field_exponent2(spec: GradedFieldSpec) -> Decision:
     acc = field.one
     for i in dep:
         acc = field.mul(acc, spec.mus[i])
-    r = nth_root(field, acc, 2)
+    r = field.nth_root(acc, 2)
     A = spec_algebra(spec)
     idx = {d.exponents: i for i, d in enumerate(A.degrees)}
     exps = tuple(1 if i in dep else 0 for i in range(spec.group.rank))
-    e0 = tuple(0 for _ in range(spec.group.rank))
     x = A.basis_vec(idx[exps])
     u = A.add_vec(x, A.scale_vec(field.neg(r), A.unit))
     v = A.add_vec(x, A.scale_vec(r, A.unit))
@@ -293,28 +206,9 @@ def is_field_exponent2(spec: GradedFieldSpec) -> Decision:
 
 def _p_power_class_independent(field, mus, p: int) -> bool:
     """Necessary condition: the p-th power classes of the mu_i generate a
-    subgroup of order p^m in F^x/(F^x)^p."""
-    m = len(mus)
-    if m == 0:
-        return True
-    if isinstance(field, FiniteField):
-        # F^x is cyclic, so F^x/(F^x)^p has order gcd(p, q - 1) <= p
-        return m == 1 and not field.is_nth_power(mus[0], p)
-    # rationals: exponent vectors mod p, sign only matters for p = 2
-    if p == 2:
-        return square_class_dependency(field, mus) is None
-    primes: list[int] = []
-    vecs = []
-    for mu in mus:
-        exps = field._exponents(abs(mu))
-        for q in exps:
-            if q not in primes:
-                primes.append(q)
-        vecs.append(exps)
-    primes.sort()
-    # rank over GF(p) via a tiny prime-field context
-    rows = [{k: e % p for k, q in enumerate(primes) if (e := exps.get(q, 0)) % p} for exps in vecs]
-    return rank(FiniteField(p, 1), rows) == m
+    subgroup of order p^m in F^x/(F^x)^p, that is, their class vectors are
+    independent over GF(p)."""
+    return rank(Residues(p), [field.power_class_vector(mu, p) for mu in mus]) == len(mus)
 
 
 def is_field_p_primary(spec: GradedFieldSpec) -> Decision:
@@ -603,7 +497,7 @@ def kummer_grading(spec: KummerSpec) -> tuple[GradedAlgebra, dict]:
 
     reps = [F.power(g, (j * d) % m if m else 0) for j in range(r)]
     # reps[0] = 1, and nth_root gives it the root 1
-    alphas = [nth_root(big, emb[rep], n) for rep in reps]
+    alphas = [big.nth_root(emb[rep], n) for rep in reps]
 
     # spanning check: the alphas times an F-basis span the big field over GF(p)
     rows = []

@@ -17,7 +17,7 @@ from gradeddiv.exactfield import (
     poly_sub,
     poly_trim,
 )
-from gradeddiv.gradedalg import GradedAlgebra, OracleError, UnnormalizedAlgebra, subalgebra_on_indices
+from gradeddiv.gradedalg import GradedAlgebra, OracleError, subalgebra_on_indices
 from gradeddiv.gradedfield import GradedFieldError
 from gradeddiv.intutil import factorint, prime_divisors
 from gradeddiv.linalg import Echelon, echelon, express, insert
@@ -362,10 +362,11 @@ def reference_iso_search(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
     """Search for a degree-preserving isomorphism X_t -> lambda_t X'_t.
 
     Requires both tables normalized so all structure constants lie in the
-    field's designated root-of-unity set; the witness search then runs over
-    that same finite set per generator (complete: any witness takes torsion
-    values because the support group is finite and the positive-scaling part
-    of the unit group is torsion free).
+    field's designated root-of-unity set, and refuses others with
+    OracleError; the witness search then runs over that same finite set per
+    generator (complete: any witness takes torsion values because the
+    support group is finite and the positive-scaling part of the unit group
+    is torsion free).
     """
     if A.field != B.field:
         raise OracleError("algebras over different coefficient fields")
@@ -383,7 +384,7 @@ def reference_iso_search(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
         for s in G.elements():
             for t in G.elements():
                 if structure_scalar(M, idx, s, t) not in root_set:
-                    raise UnnormalizedAlgebra("structure constants outside the designated root set")
+                    raise OracleError("structure constants outside the designated root set")
 
     gens = [i for i in range(G.rank) if G.orders[i] > 1]
     elements = list(G.elements())

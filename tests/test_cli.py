@@ -371,6 +371,25 @@ def test_verify_refuses_a_split_real_identity_component_without_a_rational_zero_
     )
 
 
+def test_verify_decides_a_rational_discriminant_without_factoring(capsys, tmp_path, monkeypatch):
+    # Q[w]/(w^2 - d): the square root of d is an integer root, so the factor
+    # bound no longer applies
+    monkeypatch.setenv("GDA_FACTOR_BOUND", "100")
+    for d, verdict in ((10007 * 10009, True), (10007**2, False)):
+        desc = {
+            "field": {"kind": "Q"},
+            "group": {"orders": []},
+            "basis_degrees": [[], []],
+            "unit": [[0, "1/1"]],
+            "constants": [{"i": i, "j": j, "k": (i + j) % 2, "c": f"{d}/1" if i == j == 1 else "1/1"}
+                          for i in range(2) for j in range(2)],
+        }
+        code, report = run_cli(capsys, "verify", "--in", _write(tmp_path, "desc.json", desc))
+        assert code == 0 and report["verdict"] is verdict
+        if not verdict:
+            assert report["checks"]["graded_division"]["witness"]["vector"] == {"0": "-10007/1", "1": "1/1"}
+
+
 def _construct(capsys, tmp_path, request: dict) -> dict:
     path = tmp_path / "req.json"
     path.write_text(json.dumps(request))
@@ -530,6 +549,28 @@ def test_iso_accepts_a_unit_that_is_another_multiple_of_x_e(capsys, tmp_path):
     code, report = run_cli(capsys, "iso", "--a", pa, "--b", pb)
     assert code == 0 and report["verdict"] is True
     assert report["witness"] == [[[0], "-1/1"], [[1], "1/1"]]
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        # the two inputs iso once refused as outside the designated root set
+        {"group": {"orders": [2, 4, 4]}, "beta": [], "mu": [[0, "3/1"], [1, "5/2"], [2, "-7/1"]], "field": {"kind": "Q"}},
+        {"group": {"orders": [4, 2]}, "beta": [], "mu": [[0, ["0/1", "1/1"]], [1, ["2/1", "0/1"]]],
+         "field": {"kind": "CYC", "conductor": 4}},
+        {"group": {"orders": [2, 6]}, "beta": [[0, 1, "-1/1"]], "mu": [[0, "4/3"], [1, "-2/1"]], "field": {"kind": "R"}},
+        {"group": {"orders": [4, 2]}, "beta": [[0, 1, 10]], "mu": [[0, 2], [1, 7]], "field": {"kind": "GF", "p": 11, "ell": 1}},
+        {"group": {"orders": [3, 3]}, "beta": [[0, 1, ["0/1", "1/1"]]], "mu": [[0, ["1/1", "1/1"]], [1, ["3/1", "-1/2"]]],
+         "field": {"kind": "CYC", "conductor": 3}},
+    ],
+    ids=["Q-Z2xZ4xZ4", "Qzeta4-Z4xZ2", "R-Z2xZ6", "GF11-Z4xZ2", "Qzeta3-Z3xZ3"],
+)
+def test_iso_of_a_construct_output_with_itself_is_true(capsys, tmp_path, request_):
+    path = _write(tmp_path, "alg.json", _construct(capsys, tmp_path, request_))
+    code, report = run_cli(capsys, "iso", "--a", path, "--b", path)
+    assert code == 0 and report["verdict"] is True
+    one = report["witness"][0][1]
+    assert all(value == one for _, value in report["witness"])
 
 
 def _stdout_pin(capsys, argv) -> tuple:
@@ -697,6 +738,83 @@ def test_is_field_reports(capsys):
     assert code == 0 and report["verdict"] == "false"
     code, report = run_cli(capsys, "is-field", "--field", "Q", "--group", "9,3", "--mu", "2,3")
     assert code == 0 and report["verdict"] == "undecided"
+
+
+def test_out_of_range_gf_scalars_are_refused(capsys):
+    # 7 and -3 over GF(5) were reduced mod 5 and echoed as [[2]]
+    for value, argv in (
+        ("7", ["is-field", "--field", "GF", "--p", "5", "--group", "2", "--mu", "7"]),
+        ("-3", ["is-field", "--field", "GF", "--p", "5", "--group", "2", "--mu=-3"]),
+        ("10", ["kummer-grade", "--p", "7", "--ell", "1", "--n", "3", "--lam", "10"]),
+        ("9", ["is-field", "--field", "GF", "--p", "3", "--ell", "2", "--group", "2,2", "--mu", "1,9"]),
+    ):
+        code, report = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert report["error"] == {"code": "bad-parameters", "message": f"bad field element {value!r}"}
+    # the largest index is an element still
+    code, report = run_cli(capsys, "is-field", "--field", "GF", "--p", "5", "--group", "2", "--mu", "4")
+    assert code == 0 and report["input"]["mu"] == [[4]]
+
+
+@pytest.mark.parametrize(
+    "group, mu, verdict, witness",
+    [
+        ("3", "2", "false", {"kind": "power_class_relation", "prime": 3}),
+        ("2", "-1", "true", None),
+        ("2,2", "-1,-4", "false", {"kind": "zero_divisor", "subset": [0, 1], "root": "2/1",
+                                   "left": {"0": "-2/1", "3": "1/1"}, "right": {"0": "2/1", "3": "1/1"}}),
+    ],
+)
+def test_is_field_over_r(capsys, group, mu, verdict, witness):
+    code, report = run_cli(capsys, "is-field", "--field", "R", "--group", group, f"--mu={mu}")
+    assert code == 0 and report["verdict"] == verdict and report["witness"] == witness
+
+
+def test_is_field_over_r_refuses_an_irrational_root(capsys):
+    # R[X]/(X^2 - 2) is R x R; is-field once answered true from Q's square classes
+    for group, mu in (("2", "2"), ("2,2", "2,3")):
+        code, report = run_cli(capsys, "is-field", "--field", "R", "--group", group, f"--mu={mu}")
+        assert code == 3
+        assert report["error"] == {"code": "bad-parameters", "message": "sqrt(2) has no representative in the Q model of R"}
+
+
+# sha256, length and exit code of the stdout bytes of field-decision requests
+PINNED_FIELD_REPORTS = {
+    "Q-Z2^3-dependent": (
+        ["is-field", "--field", "Q", "--group", "2,2,2", "--mu", "2,3,6"],
+        ("e6857bf0c0f4c6b2b2b8a1f0a9b682d7d384673b24e27abdd440df7011eef07d", 305, 0),
+    ),
+    "Q-Z4-minus4g4": (
+        ["is-field", "--field", "Q", "--group", "4", "--mu=-324"],
+        ("579957c9d97ec8d85b2b58a89808d8cf4a1f7ff4b0968cfd4e2c249199321091", 266, 0),
+    ),
+    "GF7-Z9-tower": (
+        ["is-field", "--field", "GF", "--p", "7", "--group", "9", "--mu", "3"],
+        ("d087523bf6acd329e96acd4d4c60b80380de2e92713ca78a46e4362432329df4", 192, 0),
+    ),
+    "GF7-Z3xZ3-dependent": (
+        ["is-field", "--field", "GF", "--p", "7", "--group", "3,3", "--mu", "3,5"],
+        ("6b9e51178241ca3c7f5c566a51776293a7796dfb7d30943b2055afed2aec662a", 281, 0),
+    ),
+    "GF13-Z3xZ4": (
+        ["is-field", "--field", "GF", "--p", "13", "--group", "3,4", "--mu", "2,2"],
+        ("b3ccdfc4155005cdfc04d3fe5739e49cfeb46cd4f545e16662a76fc2df63c3d0", 199, 0),
+    ),
+    "ff-grade-list-mu": (
+        ["ff-grade", "--p", "7", "--ell", "1", "--k", "3", "--list-mu"],
+        ("5a322a0af60cd9c48d2f50744f6d932b3d9ef6dfee7739271eac38a13b54783f", 136, 0),
+    ),
+    "kummer-grade": (
+        ["kummer-grade", "--p", "7", "--ell", "1", "--n", "3", "--lam", "3"],
+        ("4f9087ec449e063d36370679b5099d240e4d63ec85c8b471135b3da11af8038d", 734, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_FIELD_REPORTS)
+def test_field_decision_reports_are_pinned(capsys, name):
+    argv, pin = PINNED_FIELD_REPORTS[name]
+    assert _stdout_pin(capsys, argv) == pin
 
 
 def test_ff_grade_reports(capsys):

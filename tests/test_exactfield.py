@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import prod
 
@@ -17,7 +18,7 @@ from gradeddiv.exactfield import (
     _cyclotomic_residue_root,
     _gfp_mod,
     _gfp_mul,
-    _Residues,
+    Residues,
     binomial_poly,
     cyclotomic_polynomial,
     gfp_is_irreducible,
@@ -125,6 +126,111 @@ def test_square_class_multiplicative(x, y):
     cy = _square_class_rep(y)
     cxy = _square_class_rep(x * y)
     assert Q.nth_power_class(cx * cy, 2) == Q.nth_power_class(cxy, 2)
+
+
+def test_nth_root():
+    assert Q.nth_root(Fraction(-27), 3) == -3
+    assert Q.nth_root(Fraction(16, 81), 4) == Fraction(2, 3)
+    assert Q.nth_root(Fraction(0), 5) == 0
+    F7 = FiniteField(7, 1)
+    y = F7.nth_root(6, 3)
+    assert F7.power(y, 3) == 6
+    # no root in the field: None, where the old helper raised
+    assert Q.nth_root(Fraction(2), 2) is None
+    assert F7.nth_root(3, 3) is None
+
+
+# the prime powers q <= 32
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4), (17, 1),
+                (19, 1), (23, 1), (5, 2), (3, 3), (29, 1), (31, 1), (2, 5)]
+
+
+def test_finite_field_roots_and_power_classes_match_bruteforce():
+    for p, ell in SMALL_FIELDS:
+        F = FiniteField(p, ell)
+        roots = F.roots_of_unity()
+        assert F.nth_root(0, 3) == 0
+        for n in range(1, 17):
+            for x in F.units():
+                # the first root in roots_of_unity order, or None
+                assert F.nth_root(x, n) == next((y for y in roots if F.power(y, n) == x), None), (F.q, x, n)
+        for prime in (2, 3, 5, 7):
+            powers = {F.power(y, prime) for y in F.units()}
+            for x in F.units():
+                vec = F.power_class_vector(x, prime)
+                assert set(vec) <= {0} and all(0 < c < prime for c in vec.values())
+                for y in F.units():
+                    same = vec == F.power_class_vector(y, prime)
+                    assert same == (F.div(x, y) in powers), (F.q, prime, x, y)
+
+
+def _small_rationals(bound: int = 40, denominators: int = 12):
+    return sorted({Fraction(a, b) for a in range(-bound, bound + 1) if a for b in range(1, denominators + 1)})
+
+
+def test_rational_roots_and_power_classes_match_bruteforce():
+    xs = _small_rationals()
+    for x in xs:
+        for n in range(1, 6):
+            # a root r/s of a/b in lowest terms has r^n = |a| and s^n = b
+            a, b = abs(x.numerator), x.denominator
+            found = [
+                Fraction(sign * r, t)
+                for r in range(a + 1) if r**n <= a
+                for t in range(1, b + 1) if t**n <= b
+                for sign in (1, -1)
+                if Fraction(sign * r, t) ** n == x
+            ]
+            expected = max(found) if found else None  # the positive root for even n
+            assert Q.nth_root(x, n) == expected, (x, n)
+            if expected is not None or (x < 0 and n % 2 == 0):
+                assert R.nth_root(x, n) == expected
+            else:
+                with pytest.raises(FieldError, match=re.escape(f" has no representative in the Q model of R")):
+                    R.nth_root(x, n)
+    for prime in (2, 3, 5):
+        sample = xs[:: 7]
+        for x in sample:
+            vec = Q.power_class_vector(x, prime)
+            assert R.power_class_vector(x, prime) == ({-1: 1} if prime == 2 and x < 0 else {})
+            for y in sample:
+                # same class iff x / y is a p-th power, decided by the root
+                assert (vec == Q.power_class_vector(y, prime)) == (Q.nth_root(x / y, prime) is not None)
+
+
+def test_rational_roots_need_no_factoring(monkeypatch):
+    monkeypatch.setenv("GDA_FACTOR_BOUND", "100")
+    Qb = RationalField()
+    big = Fraction(10007 * 10009, 10037)
+    assert Qb.nth_root(big**2, 2) == big
+    assert Qb.nth_root(-(big**3), 3) == -big
+    assert Qb.nth_root(big, 2) is None
+    with pytest.raises(ValueError, match="100"):
+        Qb.power_class_vector(big, 2)
+
+
+def test_refused_roots_name_the_root():
+    with pytest.raises(FieldError, match=re.escape("sqrt(2) has no representative in the Q model of R")):
+        R.nth_root(Fraction(2), 2)
+    with pytest.raises(FieldError, match=re.escape("(-3/2)^(1/3) has no representative in the Q model of R")):
+        R.nth_root(Fraction(-3, 2), 3)
+    assert R.nth_root(Fraction(-2), 2) is None
+    C3 = CyclotomicField(3)
+    with pytest.raises(FieldError, match=re.escape("(['2/1', '1/1'])^(1/3) has no representative in the Q(zeta_3) model")):
+        C3.nth_root(C3.add(C3.from_int(2), C3.zeta), 3)
+
+
+@pytest.mark.parametrize("N", [1, 3, 4, 5, 8, 12])
+def test_cyclotomic_roots_of_roots_of_unity(N):
+    C = CyclotomicField(N)
+    roots = C.roots_of_unity()
+    for x in roots:
+        for n in range(1, 9):
+            y = C.nth_root(x, n)
+            assert y == next((r for r in roots if C.power(r, n) == x), None)
+    assert C.nth_root(C.zero, 2) == C.zero
+    # -1 has a square root exactly when 4 | M
+    assert (C.nth_root(C.from_int(-1), 2) is None) == (C.M % 4 != 0)
 
 
 def test_minus4_test():
@@ -300,7 +406,7 @@ def test_cyclotomic_residue_root_is_a_root_of_phi_mod_the_least_prime():
 
 
 def test_residue_arithmetic_is_arithmetic_mod_p():
-    Z = _Residues(RESIDUE_PRIME)
+    Z = Residues(RESIDUE_PRIME)
     rng = random.Random(11)
     for _ in range(100):
         a, b = rng.randrange(1, RESIDUE_PRIME), rng.randrange(RESIDUE_PRIME)

@@ -16,17 +16,17 @@ from hypothesis import given, settings, strategies as st
 from gradeddiv.abelian import FinAbGroup, Subgroup
 from gradeddiv.exactfield import (
     CyclotomicField,
+    FieldError,
     FiniteField,
     RationalField,
     RealField,
     _residue_vecs,
-    _Residues,
+    Residues,
     cyclotomic_polynomial,
 )
 from gradeddiv.gradedalg import (
     GradedAlgebra,
     OracleError,
-    UnnormalizedAlgebra,
     _generating_basis,
     _one_dim_invertible,
     center_dim,
@@ -169,11 +169,25 @@ def test_iso_oracle_sign_witness():
     assert graded_iso_1dim(A, A) is not None
 
 
-def test_iso_oracle_requires_normalized_constants():
+def test_iso_oracle_takes_roots_from_the_field():
+    # power constants outside the roots of unity: the field's nth_root decides
     G = FinAbGroup((2,))
-    A = construct(G, AltBicharacter.trivial(G), MuFunction(G, (Fraction(2),)), Q)
-    with pytest.raises(UnnormalizedAlgebra):
-        graded_iso_1dim(A, A)
+    e, a = G.elements()
+    make = lambda F, m: construct(G, AltBicharacter.trivial(G), MuFunction(G, (m,)), F)
+    assert graded_iso_1dim(make(Q, Fraction(2)), make(Q, Fraction(2))) == {e: 1, a: 1}
+    # X^2 = 2 and Y^2 = 8: Y = 2X
+    assert graded_iso_1dim(make(Q, Fraction(8)), make(Q, Fraction(2))) == {e: 1, a: 2}
+    assert graded_iso_1dim(make(Q, Fraction(2)), make(Q, Fraction(3))) is None
+    assert graded_iso_1dim(make(R, Fraction(-1, 2)), make(R, Fraction(-2))) == {e: 1, a: Fraction(1, 2)}
+    assert graded_iso_1dim(make(R, Fraction(2)), make(R, Fraction(-2))) is None
+    # isomorphic over R and over C, but the root is outside each model
+    with pytest.raises(FieldError, match=re.escape("sqrt(2/3) has no representative in the Q model of R")):
+        graded_iso_1dim(make(R, Fraction(2)), make(R, Fraction(3)))
+    C4 = CyclotomicField(4)
+    with pytest.raises(FieldError, match=re.escape("sqrt(['2/1', '0/1']) has no representative in the Q(zeta_4)")):
+        graded_iso_1dim(make(C4, C4.from_int(2)), make(C4, C4.one))
+    # -1 = i^2 in Q(zeta_4)
+    assert graded_iso_1dim(make(C4, C4.from_int(-1)), make(C4, C4.one)) == {e: C4.one, a: C4.zeta}
 
 
 def test_iso_oracle_over_finite_field_classes():
@@ -556,7 +570,7 @@ def tiny_residue_image(p):
             ints = [{k: sum(c * r**i for i, c in enumerate(x)) for k, x in vec.items()} for vec in field._scaled(vecs)]
         else:
             ints = field.integer_image(vecs)[0]
-        return _residue_vecs(ints, p), _Residues(p)
+        return _residue_vecs(ints, p), Residues(p)
 
     return image
 

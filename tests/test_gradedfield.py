@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import dense, is_irreducible_ff, rank, zero_divisor_search
 
@@ -10,6 +11,7 @@ from gradeddiv.abelian import FinAbGroup, element_order
 from gradeddiv.exactfield import (
     FiniteField,
     RationalField,
+    RealField,
     binomial_poly,
     poly_divmod,
     poly_mul,
@@ -31,9 +33,9 @@ from gradeddiv.gradedfield import (
     is_field_general,
     is_field_p_primary,
     kummer_grading,
-    nth_root,
     reducible_binomial_witness,
     spec_algebra,
+    square_class_dependency,
 )
 from gradeddiv.intutil import factorint
 from gradeddiv.quasitorus import AltBicharacter, MuFunction, construct
@@ -76,16 +78,6 @@ def test_binomial_witnesses_verified_divisors():
                 divisor = [F.elem_from_json(c) for c in wit["divisor"]]
                 _, rem = poly_divmod(F, binomial_poly(F, n, alpha), divisor)
                 assert rem == []
-
-
-def test_nth_root():
-    assert nth_root(Q, Fraction(-27), 3) == -3
-    assert nth_root(Q, Fraction(16, 81), 4) == Fraction(2, 3)
-    F7 = FiniteField(7, 1)
-    y = nth_root(F7, 6, 3)
-    assert F7.power(y, 3) == 6
-    with pytest.raises(GradedFieldError):
-        nth_root(Q, Fraction(2), 2)
 
 
 def test_is_field_p_primary_fixtures():
@@ -152,6 +144,42 @@ def test_is_field_exponent2_dim8_over_gf3():
 def test_is_field_exponent2_char2_rejected():
     with pytest.raises(GradedFieldError):
         is_field_exponent2(GradedFieldSpec(FinAbGroup((2,)), (1,), FiniteField(2, 1)))
+
+
+def test_square_class_dependency_is_the_first_relation_in_input_order():
+    F5 = FiniteField(5, 1)
+    # 1 is a square already; the subset scan once answered [1] (4 = 2^2)
+    assert square_class_dependency(F5, [1, 4]) == [0]
+    assert square_class_dependency(F5, [2, 3]) == [0, 1]
+    assert square_class_dependency(F5, [2]) is None
+    assert square_class_dependency(Q, [Fraction(2), Fraction(3), Fraction(6)]) == [0, 1, 2]
+    assert square_class_dependency(Q, [Fraction(-2), Fraction(3), Fraction(-8)]) == [0, 2]
+    assert square_class_dependency(Q, [Fraction(-1), Fraction(2)]) is None
+    R = RealField()
+    assert square_class_dependency(R, [Fraction(-1), Fraction(-4)]) == [0, 1]
+    assert square_class_dependency(R, [Fraction(-1), Fraction(3)]) == [1]
+
+
+@given(
+    st.lists(st.sampled_from([1, 2, 3, 4, 6, 8]), min_size=1, max_size=3),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool), min_size=3, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_is_field_over_r_is_true_only_for_r_and_c(orders, mus):
+    # the only finite field extensions of R are R and C
+    G = FinAbGroup(tuple(orders))
+    spec = GradedFieldSpec(G, tuple(mus[: G.rank]), RealField())
+    try:
+        decision = is_field_general(spec)
+    except ValueError as exc:
+        # a split whose root is irrational has no witness in the Q model
+        assert "has no representative in the Q model of R" in str(exc)
+        return
+    dim = G.order
+    if decision.is_true:
+        assert dim == 1 or (dim == 2 and [mu for n, mu in zip(orders, mus) if n == 2] [0] < 0), (orders, mus)
+    else:
+        assert decision.is_false, decision
 
 
 def test_is_field_general_examples():
