@@ -13,6 +13,7 @@ lattice machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import gcd, lcm, prod
 
@@ -164,8 +165,9 @@ def torsion_p_part(G: FinAbGroup, p: int) -> Subgroup:
     return Subgroup.from_generators(G, gens)
 
 
+@cache
 def two_torsion(G: FinAbGroup) -> Subgroup:
-    """K_[2] = elements killed by doubling."""
+    """K_[2] = elements killed by doubling, built once per presented group."""
     gens = [(n // 2) * G.generator(i) for i, n in enumerate(G.orders) if n % 2 == 0]
     return Subgroup.from_generators(G, gens)
 

@@ -64,7 +64,8 @@ class FieldError(ValueError):
 class Residues:
     """Z/P for a prime P, elements ints in [0, P): only the arithmetic
     ``linalg.insert`` runs, for the residue images of Q, R and Q(zeta_N)
-    and for the rank of power-class vectors over GF(p)."""
+    and for ranks over GF(p): of power-class vectors and of the digit
+    vectors of ``gradedfield.kummer_grading``."""
 
     zero = 0
     one = 1

@@ -33,6 +33,8 @@ from math import gcd
 from .abelian import FinAbGroup
 from .exactfield import (
     FiniteField,
+    RationalField,
+    RealField,
     Residues,
     binomial_poly,
     minus4_fourth_power_test,
@@ -172,6 +174,10 @@ def is_field_exponent2(spec: GradedFieldSpec) -> Decision:
     dep = square_class_dependency(field, spec.mus)
     if dep is None:
         return Decision("true", "square classes are independent")
+    if isinstance(field, RealField):
+        # a product that is a square in Q has its root in the Q model of R;
+        # any other relation names an irrational root, which nth_root refuses
+        dep = square_class_dependency(RationalField(field.bound), spec.mus) or dep
     # explicit zero divisor: with x = prod_{i in S} X_i and x^2 = r^2,
     # (x - r)(x + r) = 0
     acc = field.one
@@ -501,14 +507,13 @@ def kummer_grading(spec: KummerSpec) -> tuple[GradedAlgebra, dict]:
 
     # spanning check: the alphas times an F-basis span the big field over GF(p)
     rows = []
-    Fp = FiniteField(F.p, 1)
     for alpha in alphas:
         for t in range(F.ell):
             basis_elem = F.from_vec([0] * t + [1])
             prod_elem = big.mul(alpha, emb[basis_elem])
             rows.append({k: c for k, c in enumerate(big.to_vec(prod_elem)) if c})
 
-    if rank(Fp, rows) != F.ell * r:
+    if rank(Residues(F.p), rows) != F.ell * r:
         raise AssertionError("internal: components do not span the composite field")
 
     Zr = FinAbGroup((r,))

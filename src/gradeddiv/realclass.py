@@ -9,7 +9,10 @@ component and its position relative to the center:
 * item "3":  real forms of 2x2 matrices over the complexified D(K, beta, mu),
   where K has index 2 in T; components are 2-dimensional, D_e is a
   noncentral copy of C.  Case (a) applies when K is a direct summand of T
-  (extra sign delta), case (b) otherwise;
+  (extra sign delta), case (b) otherwise.  The admissible sign maps are
+  built from the quadratic forms on K_[2] polarizing to beta, by theorem
+  (``enumerate_admissible``), and each table is written down in closed form
+  from the K-part cocycle (``construct_item3``);
 * item "4":  D(T, beta) with complex structure constants (D_e = C central),
   realized exactly over a cyclotomic coefficient field.
 
@@ -192,45 +195,21 @@ def enumerate_bicharacters_complex(T: FinAbGroup, cyc: CyclotomicField) -> list[
     return out
 
 
-def two_torsion_basis(T: FinAbGroup) -> list[GroupElement]:
-    return [(n // 2) * T.generator(i) for i, n in enumerate(T.orders) if n % 2 == 0]
-
-
 def enumerate_quadratic_forms(T: FinAbGroup, beta: AltBicharacter) -> list[SignMap]:
-    """All sign maps on T_[2] with polarization beta, generated by free basis
-    choices and the polarization extension rule."""
-    basis = two_torsion_basis(T)
-    t2 = sorted(two_torsion(T).elements, key=lambda e: e.exponents)
+    """All sign maps on T_[2] with polarization beta: a free sign on each
+    basis vector x, extended by mu(g + x) = beta(g, x) mu(g) mu(x), then
+    checked against mu(g + h) = beta(g, h) mu(g) mu(h) on all of T_[2]."""
+    t2 = two_torsion(T)
+    b = {(g, h): _sign(beta.value(g, h, REAL)) for g in t2.elements for h in t2.elements}
     out = []
-    for signs in product((1, -1), repeat=len(basis)):
-        mapping = {}
-        for g in t2:
-            # coordinates of g over the 2-torsion basis are readable directly
-            coords = []
-            for b in basis:
-                i = next(k for k, e in enumerate(b.exponents) if e)
-                coords.append((g.exponents[i] // b.exponents[i]) % 2)
-            val = 1
-            for c, s in zip(coords, signs):
-                if c:
-                    val *= s
-            for a in range(len(basis)):
-                for b_ in range(a + 1, len(basis)):
-                    if coords[a] and coords[b_]:
-                        val *= _sign(beta.value(basis[a], basis[b_], REAL))
-            mapping[g] = val
-        qf = SignMap.from_map(T, mapping)
-        _check_polarization(qf, beta)
-        out.append(qf)
+    for signs in product((1, -1), repeat=len(t2.generators)):
+        mu = {T.identity(): 1}
+        for x, s in zip(t2.generators, signs):
+            mu.update([(g + x, b[(g, x)] * v * s) for g, v in mu.items()])
+        if any(mu[g + h] != bgh * mu[g] * mu[h] for (g, h), bgh in b.items()):
+            raise ClassificationError("polarization identity failed")
+        out.append(SignMap.from_map(T, mu))
     return out
-
-
-def _check_polarization(mu: SignMap, beta: AltBicharacter):
-    dom = mu.domain()
-    for g in dom:
-        for h in dom:
-            if mu(g + h) != _sign(beta.value(g, h, REAL)) * mu(g) * mu(h):
-                raise ClassificationError("polarization identity failed")
 
 
 def _k2(T: FinAbGroup, K: Subgroup) -> list[GroupElement]:
@@ -260,66 +239,60 @@ def _canonical_t0(T: FinAbGroup, K: Subgroup, case: str) -> GroupElement:
 def enumerate_admissible(
     T: FinAbGroup, K: Subgroup, beta: SubBicharacter, case: str
 ):
-    """Brute-force enumeration of admissible sign maps.
+    """The admissible sign maps, built from the quadratic forms on K_[2].
 
-    case "a": maps on T_[2] - K_[2] subject to the coherence condition of the
-    2-torsion triple; returns a list of SignMap.
-    case "b": maps on T - K subject to the full condition; returns a list of
-    equivalence classes (tuples of SignMap), where maps are equivalent
-    when their ratio is constant on each K_[2]-coset.
+    Let t0 be ``_canonical_t0`` and r the rank of K_[2].  Setting t = t0 in
+    the condition nu(t+g+h) nu(t) = beta(g, h) nu(t+g) nu(t+h) shows that
+    q(h) = nu(t0 + h) nu(t0) is a quadratic form on K_[2] polarizing to
+    beta; conversely the family rule mu_{t0+g}(h) = mu_{t0}(h) beta(g, h)
+    and bilinearity give the condition at every other t, and twists
+    constant on each K_[2]-coset stay admissible.  Hence:
+
+    case "a": every admissible nu on T_[2] - K_[2] = t0 + K_[2] is
+    nu(t) = delta * q(t - t0) with delta = +-1, 2^(r+1) maps; returns a list
+    of SignMap in the order of their sign vectors, +1 before -1.
+    case "b": maps on T - K, up to nu ~ nu' when their ratio is constant on
+    each K_[2]-coset; the 2^r classes match the forms q one to one.
+    Returns a list of classes (tuples of SignMap, see
+    ``class_of_admissible``) sorted by their coset signature.
     """
     if K.index() != 2:
         raise ClassificationError("K must have index 2 in T")
-    sq = squares(T).element_set()
-    for x in sq:
-        for k in K.elements:
-            if beta.value_int(x, k) != 1:
-                raise ClassificationError("T^[2] must pair trivially under beta")
+    if any(beta.value_int(x, k) != 1 for x in squares(T).elements for k in K.elements):
+        raise ClassificationError("T^[2] must pair trivially under beta")
     kset = K.element_set()
-    k2 = _k2(T, K)
     if case == "a":
-        t0_candidates = [t for t in two_torsion(T).elements if t not in kset]
-        if not t0_candidates:
+        if all(t in kset for t in two_torsion(T).elements):
             raise ClassificationError("case (a) needs an order-2 element outside K")
-        if not is_direct_summand(K, t0_candidates[0]):
+        if not is_direct_summand(K, _canonical_t0(T, K, case)):
             raise ClassificationError("case (a) requires K to be a direct summand")
-        domain = sorted(t0_candidates, key=lambda e: e.exponents)
-        gs = k2
     elif case == "b":
-        if is_direct_summand(K, next(t for t in T.elements() if t not in kset)):
+        if _item3_case(T, K) != "b":
             raise ClassificationError("case (b) requires K not to be a direct summand")
-        domain = sorted((t for t in T.elements() if t not in kset), key=lambda e: e.exponents)
-        gs = sorted(K.elements, key=lambda e: e.exponents)
     else:
         raise ClassificationError(f"unknown case {case!r}")
 
-    maps = []
-    for signs in product((1, -1), repeat=len(domain)):
-        nu = dict(zip(domain, signs))
-        ok = True
-        for t in domain:
-            for g in gs:
-                for h in k2:
-                    if nu[t + g + h] * nu[t] != beta.value_int(g, h) * nu[t + g] * nu[t + h]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            maps.append(SignMap.from_map(T, nu))
+    t0 = _canonical_t0(T, K, case)
+    pres = beta.pres
+    forms = [
+        {pres.embed(h): q(h) for h in q.domain()}
+        for q in enumerate_quadratic_forms(pres.group, beta.chi)
+    ]
     if case == "a":
-        return maps
+        maps = [
+            canonicalize_item3(T, K, beta, q, t0, delta_t0=delta, case="a")
+            for q in forms
+            for delta in (1, -1)
+        ]
+        return sorted(maps, key=lambda nu: [-s for _, s in nu.values])
 
-    # group into classes: nu ~ nu' iff nu'/nu is constant on each K_[2]-coset
-    classes: dict[tuple, list[SignMap]] = {}
-    for nu in maps:
-        sig = []
-        for t in domain:
-            sig.append((t.exponents, nu(t) * nu(_coset_rep(t, k2))))
-        classes.setdefault(tuple(sig), []).append(nu)
-    return [tuple(sorted(cls, key=lambda m: m.values)) for _, cls in sorted(classes.items())]
+    k2 = _k2(T, K)
+
+    def signature(cls: tuple) -> tuple:
+        nu = cls[0]
+        return tuple((t.exponents, nu(t) * nu(_coset_rep(t, k2))) for t in nu.domain())
+
+    return sorted((canonicalize_item3(T, K, beta, q, t0, case="b") for q in forms), key=signature)
 
 
 # ---------------------------------------------------------------------------
@@ -394,46 +367,6 @@ def item4_conductor(T: FinAbGroup) -> int:
     return max(T.exponent, 1)
 
 
-def _complex_pair_mul(z, w):
-    (a, b), (c, d) = z, w
-    return (a * c - b * d, a * d + b * c)
-
-
-def _complex_conj(z):
-    a, b = z
-    return (a, -b)
-
-
-class _CMatrix:
-    """2x2 matrix over the complexification of the K-part table; entries map
-    K-elements to Gaussian integers (re, im), pairs of ints."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m):
-        self.m = m  # 2x2 nested list of dicts {K-element: (re, im)}
-
-    def mul(self, other, cmul):
-        out = [[{}, {}], [{}, {}]]
-        for i in range(2):
-            for j in range(2):
-                acc: dict = {}
-                for k in range(2):
-                    for s1, z1 in self.m[i][k].items():
-                        for s2, z2 in other.m[k][j].items():
-                            c = cmul(s1, s2)
-                            z = _complex_pair_mul(z1, z2)
-                            z = (z[0] * c, z[1] * c)
-                            tgt = s1 + s2
-                            if tgt in acc:
-                                old = acc[tgt]
-                                acc[tgt] = (old[0] + z[0], old[1] + z[1])
-                            else:
-                                acc[tgt] = z
-                out[i][j] = {s: z for s, z in acc.items() if z != (0, 0)}
-        return _CMatrix(out)
-
-
 def construct_item3(
     T: FinAbGroup,
     K: Subgroup,
@@ -450,9 +383,21 @@ def construct_item3(
     equivalence class (tuple) for case "b", where the canonical member is
     used.
 
-    The K-part cocycle takes only the values +-1 (checked), and lam is a
-    sign, so every matrix entry is a Gaussian integer: the products run on
-    ints, and a constant becomes a Fraction only when it is stored."""
+    The table is written down in closed form.  Let sigma be the K-part
+    cocycle (it takes only the values +-1, checked) and lam = nu(t0) in
+    case "a", 1 in case "b".  The component at t is spanned by M_t and
+    J M_t, where J = diag(i, -i), M_t = x_t I for t in K and
+    M_t = [[0, sigma(2t0, s) x_{2t0+s}], [lam x_s, 0]] for t = t0 + s
+    outside K.  Then M_a M_b = kappa(a, b) M_{a+b} with
+
+    * kappa = sigma(a, b) for a, b in K,
+    * kappa = sigma(a, b - t0) when only a is in K,
+    * kappa = sigma(a - t0, b) when only b is in K,
+    * kappa = sigma(2t0, s) lam sigma(2t0 + s, b - t0), s = a - t0, else;
+
+    and J, with J^2 = -1, commutes with M_t for t in K and anticommutes
+    with it otherwise, so (J^e M_a)(J^d M_b) is
+    kappa(a, b) (-1)^(d [a not in K] + e d) J^((e + d) mod 2) M_{a+b}."""
     if isinstance(nu, tuple):
         if case != "b":
             raise ClassificationError("equivalence classes only parametrize case (b)")
@@ -462,7 +407,7 @@ def construct_item3(
     mu_t0 = {h: nu(t0 + h) * nu(t0) for h in _k2(T, K)}
     lam = nu(t0) if case == "a" else 1
 
-    # the K-part table over exact reals, re-keyed by ambient elements
+    # the K-part cocycle, keyed by K's presentation
     pres = beta.pres
     coords = pres.coords()
     mu_pres = SignMap.from_map(pres.group, {coords[h]: s for h, s in mu_t0.items()})
@@ -472,84 +417,34 @@ def construct_item3(
         raise ClassificationError("the K-part cocycle takes a value other than +-1")
     signs = {key: int(c) for key, c in sigma.items()}
 
-    def cmul(s1: GroupElement, s2: GroupElement) -> int:
-        return signs[(coords[s1], coords[s2])]
-
-    t0sq = 2 * t0
-
+    # r(t) is t on K and t - t0 off it, in K's coordinates: kappa(a, b) is
+    # sigma(r(a), r(b)) unless both a and b lie outside K
     elems = sorted(T.elements(), key=lambda e: e.exponents)
+    r = {t: coords[t if t in kset else t - t0] for t in elems}
+    t0sq = coords[2 * t0]
+    # for a outside K: (sigma(2t0, s) lam, a + t0 = 2t0 + s) with s = a - t0
+    off = {a: (signs[(t0sq, r[a])] * lam, coords[a + t0]) for a in elems if a not in kset}
+
+    def kappa(a: GroupElement, b: GroupElement) -> int:
+        if a in off and b in off:
+            c, u = off[a]
+            return c * signs[(u, r[b])]
+        return signs[(r[a], r[b])]
+
     pos = {t: 2 * i for i, t in enumerate(elems)}
-
-    def mat(t: GroupElement, with_j: bool) -> _CMatrix:
-        if t in kset:
-            m = [[{t: (1, 0)}, {}], [{}, {t: (1, 0)}]]
-        else:
-            s = t - t0
-            m = [[{}, {t0sq + s: (cmul(t0sq, s), 0)}], [{s: (lam, 0)}, {}]]
-        if with_j:
-            # left-multiply by J = diag(i, -i)
-            m = [
-                [{s: _complex_pair_mul((0, 1), z) for s, z in m[0][0].items()},
-                 {s: _complex_pair_mul((0, 1), z) for s, z in m[0][1].items()}],
-                [{s: _complex_pair_mul((0, -1), z) for s, z in m[1][0].items()},
-                 {s: _complex_pair_mul((0, -1), z) for s, z in m[1][1].items()}],
-            ]
-        return _CMatrix(m)
-
-    mats = {}
-    for t in elems:
-        mats[pos[t]] = mat(t, False)
-        mats[pos[t] + 1] = mat(t, True)
-
-    def stored(z, target: GroupElement) -> dict:
-        out = {}
-        if z[0]:
-            out[pos[target]] = Fraction(z[0])
-        if z[1]:
-            out[pos[target] + 1] = Fraction(z[1])
-        return out
-
-    def decompose(P: _CMatrix, target: GroupElement) -> dict:
-        if target in kset:
-            if P.m[0][1] or P.m[1][0]:
-                raise OracleError("diagonal component expected")
-            d0 = P.m[0][0]
-            if set(d0) - {target} or set(P.m[1][1]) - {target}:
-                raise OracleError("product escaped its component")
-            z = d0.get(target, (0, 0))
-            if P.m[1][1].get(target, (0, 0)) != _complex_conj(z):
-                raise OracleError("diagonal entries are not conjugate")
-            return stored(z, target)
-        if P.m[0][0] or P.m[1][1]:
-            raise OracleError("off-diagonal component expected")
-        s = target - t0
-        ukey = t0sq + s
-        u = P.m[0][1]
-        v = P.m[1][0]
-        if set(u) - {ukey} or set(v) - {s}:
-            raise OracleError("product escaped its component")
-        zu = u.get(ukey, (0, 0))
-        # c = +-1, so dividing by c is multiplying by it
-        c = cmul(t0sq, s)
-        z = (zu[0] * c, zu[1] * c)
-        if v.get(s, (0, 0)) != _complex_pair_mul((lam, 0), _complex_conj(z)):
-            raise OracleError("lower entry inconsistent with the real form")
-        return stored(z, target)
-
-    degrees = []
-    for t in elems:
-        degrees.extend([t, t])
+    value = {1: Fraction(1), -1: Fraction(-1)}
     table = {}
-    n = len(degrees)
-    for i in range(n):
-        ti = degrees[i]
-        for j in range(n):
-            tj = degrees[j]
-            vec = decompose(mats[i].mul(mats[j], cmul), ti + tj)
-            if vec:
-                table[(i, j)] = vec
+    for a in elems:
+        row = [(pos[b], pos[a + b], kappa(a, b)) for b in elems]
+        for e in (0, 1):
+            # J^e M_a J^d = (-1)^(d [a not in K]) J^(e+d) M_a, and J^2 = -1
+            odd = (a in off) + e
+            for j, k, c in row:
+                table[(pos[a] + e, j)] = {k + e: value[c]}
+                table[(pos[a] + e, j + 1)] = {k + (e + 1) % 2: value[-c if odd % 2 else c]}
+    degrees = tuple(t for t in elems for _ in range(2))
     unit = {pos[T.identity()]: Fraction(1)}
-    A = GradedAlgebra(REAL, T, tuple(degrees), table, unit)
+    A = GradedAlgebra(REAL, T, degrees, table, unit)
     if verify:
         certify(A)
     return A

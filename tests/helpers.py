@@ -6,7 +6,15 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from gradeddiv.abelian import FinAbGroup, GroupElement, element_order, torsion_p_part
+from gradeddiv.abelian import (
+    FinAbGroup,
+    GroupElement,
+    element_order,
+    is_direct_summand,
+    squares,
+    torsion_p_part,
+    two_torsion,
+)
 from gradeddiv.exactfield import (
     FiniteField,
     RealField,
@@ -22,6 +30,14 @@ from gradeddiv.gradedfield import GradedFieldError
 from gradeddiv.intutil import factorint, prime_divisors
 from gradeddiv.linalg import Echelon, echelon, express, insert
 from gradeddiv.quasitorus import AltBicharacter, MuFunction
+from gradeddiv.realclass import (
+    ClassificationError,
+    SignMap,
+    _canonical_t0,
+    _coset_rep,
+    _k2,
+    construct_item1,
+)
 
 REAL = RealField()
 
@@ -694,3 +710,166 @@ def cyclotomic_conjugate(C, x):
         if c:
             out = C.add(out, tuple(c * v for v in C.zeta_pow(-i)))
     return out
+
+
+def reference_enumerate_admissible(T: FinAbGroup, K, beta, case: str):
+    """Brute force over every sign vector on the domain: the reference for
+    ``realclass.enumerate_admissible``, same preconditions and output order.
+
+    case "a": maps on T_[2] - K_[2] subject to the coherence condition of the
+    2-torsion triple; returns a list of SignMap.
+    case "b": maps on T - K subject to the full condition; returns a list of
+    equivalence classes (tuples of SignMap), where maps are equivalent
+    when their ratio is constant on each K_[2]-coset.
+    """
+    if K.index() != 2:
+        raise ClassificationError("K must have index 2 in T")
+    sq = squares(T).element_set()
+    for x in sq:
+        for k in K.elements:
+            if beta.value_int(x, k) != 1:
+                raise ClassificationError("T^[2] must pair trivially under beta")
+    kset = K.element_set()
+    k2 = _k2(T, K)
+    if case == "a":
+        t0_candidates = [t for t in two_torsion(T).elements if t not in kset]
+        if not t0_candidates:
+            raise ClassificationError("case (a) needs an order-2 element outside K")
+        if not is_direct_summand(K, t0_candidates[0]):
+            raise ClassificationError("case (a) requires K to be a direct summand")
+        domain = sorted(t0_candidates, key=lambda e: e.exponents)
+        gs = k2
+    elif case == "b":
+        if is_direct_summand(K, next(t for t in T.elements() if t not in kset)):
+            raise ClassificationError("case (b) requires K not to be a direct summand")
+        domain = sorted((t for t in T.elements() if t not in kset), key=lambda e: e.exponents)
+        gs = sorted(K.elements, key=lambda e: e.exponents)
+    else:
+        raise ClassificationError(f"unknown case {case!r}")
+
+    # the condition at each (t, g, h), on domain positions, read once
+    at = {t: i for i, t in enumerate(domain)}
+    conditions = {
+        (at[t + g + h], at[t], at[t + g], at[t + h], beta.value_int(g, h))
+        for t in domain
+        for g in gs
+        for h in k2
+    }
+    maps = []
+    for signs in product((1, -1), repeat=len(domain)):
+        if all(signs[a] * signs[b] == v * signs[c] * signs[d] for a, b, c, d, v in conditions):
+            maps.append(SignMap.from_map(T, dict(zip(domain, signs))))
+    if case == "a":
+        return maps
+
+    # group into classes: nu ~ nu' iff nu'/nu is constant on each K_[2]-coset
+    classes: dict[tuple, list] = {}
+    for nu in maps:
+        sig = tuple((t.exponents, nu(t) * nu(_coset_rep(t, k2))) for t in domain)
+        classes.setdefault(sig, []).append(nu)
+    return [tuple(sorted(cls, key=lambda m: m.values)) for _, cls in sorted(classes.items())]
+
+
+def _complex_pair_mul(z, w):
+    (a, b), (c, d) = z, w
+    return (a * c - b * d, a * d + b * c)
+
+
+def _cmatrix_mul(m1, m2, cmul):
+    """Product of 2x2 matrices whose entries map K-elements to Gaussian
+    integers (re, im)."""
+    out = [[{}, {}], [{}, {}]]
+    for i in range(2):
+        for j in range(2):
+            acc: dict = {}
+            for k in range(2):
+                for s1, z1 in m1[i][k].items():
+                    for s2, z2 in m2[k][j].items():
+                        c = cmul(s1, s2)
+                        z = _complex_pair_mul(z1, z2)
+                        z = (z[0] * c, z[1] * c)
+                        old = acc.get(s1 + s2, (0, 0))
+                        acc[s1 + s2] = (old[0] + z[0], old[1] + z[1])
+            out[i][j] = {s: z for s, z in acc.items() if z != (0, 0)}
+    return out
+
+
+def reference_construct_item3(T: FinAbGroup, K, beta, nu, case: str) -> GradedAlgebra:
+    """The item-(3) table by 2x2 matrix products over the complexified
+    K-part: the reference for ``realclass.construct_item3`` (uncertified).
+    Every product is checked to land in its component, in the real form."""
+    if isinstance(nu, tuple):
+        nu = nu[0]
+    kset = K.element_set()
+    t0 = _canonical_t0(T, K, case)
+    mu_t0 = {h: nu(t0 + h) * nu(t0) for h in _k2(T, K)}
+    lam = nu(t0) if case == "a" else 1
+    pres = beta.pres
+    coords = pres.coords()
+    mu_pres = SignMap.from_map(pres.group, {coords[h]: s for h, s in mu_t0.items()})
+    sigma = construct_item1(pres.group, beta.chi, mu_pres, verify=False).cocycle()
+    signs = {key: int(c) for key, c in sigma.items()}
+
+    def cmul(s1, s2) -> int:
+        return signs[(coords[s1], coords[s2])]
+
+    t0sq = 2 * t0
+    elems = sorted(T.elements(), key=lambda e: e.exponents)
+    pos = {t: 2 * i for i, t in enumerate(elems)}
+
+    def mat(t, with_j: bool):
+        if t in kset:
+            m = [[{t: (1, 0)}, {}], [{}, {t: (1, 0)}]]
+        else:
+            s = t - t0
+            m = [[{}, {t0sq + s: (cmul(t0sq, s), 0)}], [{s: (lam, 0)}, {}]]
+        if with_j:
+            # left-multiply by J = diag(i, -i)
+            m = [[{s: _complex_pair_mul(unit, z) for s, z in entry.items()} for entry in row]
+                 for unit, row in zip(((0, 1), (0, -1)), m)]
+        return m
+
+    mats = []
+    for t in elems:
+        mats += [mat(t, False), mat(t, True)]
+
+    def stored(z, target) -> dict:
+        out = {}
+        if z[0]:
+            out[pos[target]] = Fraction(z[0])
+        if z[1]:
+            out[pos[target] + 1] = Fraction(z[1])
+        return out
+
+    def decompose(P, target) -> dict:
+        if target in kset:
+            if P[0][1] or P[1][0]:
+                raise OracleError("diagonal component expected")
+            if set(P[0][0]) - {target} or set(P[1][1]) - {target}:
+                raise OracleError("product escaped its component")
+            z = P[0][0].get(target, (0, 0))
+            if P[1][1].get(target, (0, 0)) != (z[0], -z[1]):
+                raise OracleError("diagonal entries are not conjugate")
+            return stored(z, target)
+        if P[0][0] or P[1][1]:
+            raise OracleError("off-diagonal component expected")
+        s = target - t0
+        u, v = P[0][1], P[1][0]
+        if set(u) - {t0sq + s} or set(v) - {s}:
+            raise OracleError("product escaped its component")
+        zu = u.get(t0sq + s, (0, 0))
+        # c = +-1, so dividing by c is multiplying by it
+        c = cmul(t0sq, s)
+        z = (zu[0] * c, zu[1] * c)
+        if v.get(s, (0, 0)) != (lam * z[0], -lam * z[1]):
+            raise OracleError("lower entry inconsistent with the real form")
+        return stored(z, target)
+
+    degrees = tuple(t for t in elems for _ in range(2))
+    table = {}
+    for i, ti in enumerate(degrees):
+        for j, tj in enumerate(degrees):
+            vec = decompose(_cmatrix_mul(mats[i], mats[j], cmul), ti + tj)
+            if vec:
+                table[(i, j)] = vec
+    return GradedAlgebra(REAL, T, degrees, table, {pos[T.identity()]: Fraction(1)})

@@ -628,6 +628,9 @@ PINNED_CENSUS = {
     "5": ("f23a613bc9a756db971cab66f05841785f533a933308b85bbf723a8dee9f5f59", 17790),
     "7": ("d94bb61da3854959a80de021281d24b5a6c43f2fca70b7932987fcc073ca6bba", 32966),
     "9": ("561d663ab022736adeb2dd095e3781bcb00c2817f497c2f9df6171a7b7b4ebf6", 59070),
+    "8": ("ee2fbea3c65f3905a970e8661307d6d90033ba8041389e09e7c86ab79080c461", 127516),
+    "4,2": ("890515ab43c54f1012fb2ba755f2997da75b3eeb425182eb6f2f49cd84648e41", 581907),
+    "32": ("eee5578b4f927e26536684422ef7db9e2d9f15c44febb7133f0176985600ae08", 2160603),
 }
 
 
@@ -763,6 +766,14 @@ def test_out_of_range_gf_scalars_are_refused(capsys):
         ("2", "-1", "true", None),
         ("2,2", "-1,-4", "false", {"kind": "zero_divisor", "subset": [0, 1], "root": "2/1",
                                    "left": {"0": "-2/1", "3": "1/1"}, "right": {"0": "2/1", "3": "1/1"}}),
+        # 2 and 4 are both squares in R, but only 4 has its root in the Q model
+        # of R: the witness comes from a relation among the rational square classes
+        ("2,2", "2,4", "false", {"kind": "zero_divisor", "subset": [1], "root": "2/1",
+                                 "left": {"0": "-2/1", "1": "1/1"}, "right": {"0": "2/1", "1": "1/1"}}),
+        ("2,2", "4,2", "false", {"kind": "zero_divisor", "subset": [0], "root": "2/1",
+                                 "left": {"0": "-2/1", "2": "1/1"}, "right": {"0": "2/1", "2": "1/1"}}),
+        ("2,2,2", "2,3,6", "false", {"kind": "zero_divisor", "subset": [0, 1, 2], "root": "6/1",
+                                     "left": {"0": "-6/1", "7": "1/1"}, "right": {"0": "6/1", "7": "1/1"}}),
     ],
 )
 def test_is_field_over_r(capsys, group, mu, verdict, witness):

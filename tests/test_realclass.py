@@ -3,12 +3,18 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from helpers import cyclotomic_conjugate
+from helpers import (
+    abelian_groups_upto,
+    cyclotomic_conjugate,
+    reference_construct_item3,
+    reference_enumerate_admissible,
+)
 
 from gradeddiv.abelian import (
     FinAbGroup,
     Subgroup,
     index2_subgroups,
+    is_direct_summand,
     squares,
     subgroup_presentation,
     two_torsion,
@@ -126,6 +132,58 @@ def test_admissible_counts_examples():
     K = Subgroup.from_generators(Z22, [Z22.element((1, 0))])
     maps = enumerate_admissible(Z22, K, trivial_subbeta(Z22, K), "a")
     assert len(maps) == 4
+
+
+def _item3_parameters(T):
+    """Every (K, beta, case) of item (3) with support T, as classified."""
+    sq = squares(T).element_set()
+    for K in index2_subgroups(T):
+        pres = subgroup_presentation(K)
+        case = "a" if is_direct_summand(K, next(t for t in T.elements() if t not in K.element_set())) else "b"
+        for chi in enumerate_bicharacters_pm1(pres.group):
+            beta = SubBicharacter(pres, chi)
+            if all(beta.value_int(x, k) == 1 for x in sq for k in K.elements):
+                yield K, beta, case
+
+
+def test_admissible_maps_match_the_brute_force():
+    # every (T, K, beta) with |T| <= 16: 2^(r+1) maps in case (a), 2^r classes
+    # in case (b), r the rank of K_[2]; same list, same order as the search
+    checked = 0
+    for T in abelian_groups_upto(16):
+        for K, beta, case in _item3_parameters(T):
+            got = enumerate_admissible(T, K, beta, case)
+            assert got == reference_enumerate_admissible(T, K, beta, case), (T.orders, K.key(), case)
+            k2 = [g for g in two_torsion(T).elements if g in K.element_set()]
+            r = len(k2).bit_length() - 1
+            assert len(got) == 2 ** (r + 1 if case == "a" else r)
+            checked += 1
+    assert checked == 171
+
+
+# Z2xZ2xZ4 and Z2^4 have 112 and 1920 item-(3) labels; this many, evenly
+# spread, are compared against the matrix products
+ITEM3_TABLE_SAMPLE = 16
+
+
+@pytest.mark.parametrize(
+    "orders", [T.orders for T in abelian_groups_upto(16) if T.order % 2 == 0], ids=lambda o: "x".join(map(str, o))
+)
+def test_item3_tables_match_the_matrix_products(orders):
+    # same constants, same key order, as the 2x2 matrix products
+    T = FinAbGroup(orders)
+    labels = [
+        (K, beta, nu, case)
+        for K, beta, case in _item3_parameters(T)
+        for nu in enumerate_admissible(T, K, beta, case)
+    ]
+    if orders in ((2, 2, 4), (2, 2, 2, 2)):
+        labels = [labels[i * len(labels) // ITEM3_TABLE_SAMPLE] for i in range(ITEM3_TABLE_SAMPLE)]
+    for K, beta, nu, case in labels:
+        A = construct_item3(T, K, beta, nu, case, verify=False)
+        B = reference_construct_item3(T, K, beta, nu, case)
+        assert list(A.table.items()) == list(B.table.items())
+        assert (A.degrees, A.unit) == (B.degrees, B.unit)
 
 
 def test_admissible_case_validation():
