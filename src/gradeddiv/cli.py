@@ -18,7 +18,7 @@ from functools import cache
 from itertools import islice
 
 from . import jsonio
-from .abelian import FinAbGroup
+from .abelian import FinAbGroup, all_subgroups
 from .exactfield import FiniteField, RationalField, RealField
 from .gradedalg import (
     GradedAlgebra,
@@ -42,7 +42,7 @@ from .gradedfield import (
     kummer_grading,
 )
 from .quasitorus import construct, primary_decompose
-from .realclass import census, classify_all, recover_label
+from .realclass import census, class_of_admissible, classify_all, recover_label
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -148,24 +148,12 @@ def _invariants_report(A: GradedAlgebra) -> dict:
         beta = commutation_bicharacter(A)
         mu = mu_invariant(A)
         report["beta"] = [[i, j, F.elem_to_json(v)] for i, j, v in beta.values]
+        # a tag holds ints only, and JSON writes its tuples as arrays
         report["mu_generator_classes"] = [
-            _class_json(F, v, o)
+            {"representative": F.elem_to_json(v), "order": o, "tag": F.nth_power_class(v, max(o, 1))}
             for v, o in zip(mu.gen_values, A.group.orders)
         ]
     return report
-
-
-def _class_json(field, value, order: int):
-    tag = field.nth_power_class(value, max(order, 1))
-    return {"representative": field.elem_to_json(value), "order": order, "tag": _jsonable(tag)}
-
-
-def _jsonable(obj):
-    if isinstance(obj, tuple):
-        return [_jsonable(o) for o in obj]
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -300,42 +288,44 @@ def _cmd_kummer(args) -> dict:
     }
 
 
-def _label_params_json(label) -> dict:
+def _label_params_json(label, field) -> dict:
+    """The label's parameters; its constants are elements of the field of its algebra."""
     out: dict = {"group": label.group.to_json()}
     if label.item in ("1", "2"):
         beta, mu = label.data
-        out["beta"] = [[i, j, _jsonable(v)] for i, j, v in beta.values]
+        out["beta"] = [[i, j, field.elem_to_json(v)] for i, j, v in beta.values]
         out["mu"] = [[list(e), s] for e, s in mu.values]
     elif label.item in ("3a", "3b"):
         K, beta, nu = label.data
         out["K"] = [list(e.exponents) for e in K.elements]
         out["K_generators"] = [list(g.exponents) for g in beta.pres.gens]
-        out["beta_on_K"] = [[i, j, _jsonable(v)] for i, j, v in beta.chi.values]
-        if isinstance(nu, tuple):
-            out["nu_class"] = [[[list(e), s] for e, s in m.values] for m in nu]
+        out["beta_on_K"] = [[i, j, field.elem_to_json(v)] for i, j, v in beta.chi.values]
+        if label.item == "3b":
+            # the label carries one member; the report lists its whole class, as
+            # JSON writes each member's ((exponents, sign), ...) tuples
+            out["nu_class"] = [m.values for m in class_of_admissible(label.group, K, nu)]
         else:
             out["nu"] = [[list(e), s] for e, s in nu.values]
         out["case"] = label.item[-1]
     else:
         pair = label.data[0]
         out["beta_pair"] = [
-            [[i, j, _jsonable(v)] for i, j, v in b.values] for b in pair
+            [[i, j, field.elem_to_json(v)] for i, j, v in b.values] for b in pair
         ]
     return out
 
 
 def _cmd_classify_real(args) -> dict:
-    from .abelian import all_subgroups
-
     G = _parse_group(args.group)
     if G.order > 64:
         raise CliError("bad-parameters", "classification bounded to |G| <= 64")
     items = ("1", "2", "3", "4") if args.item is None else (str(args.item),)
     verify = args.oracle == "full"
 
-    results = classify_all(G, items=items, verify=verify, jobs=args.jobs)
+    subgroups = all_subgroups(G)
+    results = classify_all(subgroups, items=items, verify=verify, jobs=args.jobs)
     # every stratum is reported, also those without a label
-    strata = [tuple(e.exponents for e in S.elements) for S in all_subgroups(G)]
+    strata = [tuple(e.exponents for e in S.elements) for S in subgroups]
     rows = census(results)
     empty_row = {"1": 0, "2": 0, "3": 0, "4": 0}
     full_key = tuple(e.exponents for e in G.elements())
@@ -354,7 +344,7 @@ def _cmd_classify_real(args) -> dict:
             entry = {
                 "label": {"item": r.label.item, "group": list(r.label.group.orders)},
                 "stratum": [list(e) for e in r.stratum],
-                "parameters": _label_params_json(r.label),
+                "parameters": _label_params_json(r.label, r.algebra.field),
                 "dimension": r.algebra.dim,
                 "algebra": jsonio.algebra_to_json(r.algebra),
             }

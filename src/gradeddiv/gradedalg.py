@@ -153,7 +153,7 @@ class GradedAlgebra:
             comps = self.components()
             if any(len(idxs) != 1 for idxs in comps.values()):
                 raise OracleError("operation requires 1-dimensional homogeneous components")
-            if set(comps) != set(self.group.elements()):
+            if len(comps) != self.group.order:  # the group may be too large to list
                 raise OracleError("support must be the whole group")
             sigma = {}
             for s, (i,) in comps.items():
@@ -746,14 +746,17 @@ def graded_iso_1dim(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
     return lam
 
 
-def tensor_product(A: GradedAlgebra, B: GradedAlgebra, group: FinAbGroup, deg_a, deg_b) -> GradedAlgebra:
-    """Ordinary tensor product; degrees combine through deg_a/deg_b into `group`."""
+def tensor_product(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
+    """A tensor B for a trivially graded B, graded by A's group: a_i (x) b_j
+    has the degree of a_i."""
     if A.field != B.field:
         raise OracleError("tensor factors over different coefficient fields")
+    if any(not d.is_identity() for d in B.degrees):
+        raise OracleError("the second tensor factor must be trivially graded")
     F = A.field
     pairs = [(i, j) for i in range(A.dim) for j in range(B.dim)]
     pos = {p: n for n, p in enumerate(pairs)}
-    degrees = tuple(deg_a(A.degrees[i]) + deg_b(B.degrees[j]) for i, j in pairs)
+    degrees = tuple(A.degrees[i] for i, _ in pairs)
     table = {}
     for (i, j) in pairs:
         for (k, l) in pairs:
@@ -770,4 +773,4 @@ def tensor_product(A: GradedAlgebra, B: GradedAlgebra, group: FinAbGroup, deg_a,
     for r, ca in A.unit.items():
         for s, cb in B.unit.items():
             unit[pos[(r, s)]] = F.mul(ca, cb)
-    return GradedAlgebra(F, group, degrees, table, unit)
+    return GradedAlgebra(F, A.group, degrees, table, unit)

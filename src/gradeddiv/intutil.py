@@ -1,5 +1,7 @@
 """Integer helpers: primality, bounded factorization, divisors.
 
+Primality is a deterministic Miller-Rabin test, exact below
+PRIME_TEST_BOUND and refused with a ValueError from there on.
 Factorization is plain trial division with a hard bound; past it,
 FactorBoundExceeded is raised instead of a silently wrong answer.  It is a
 ValueError, so the CLI answers it like any other bad parameter (exit 3, with
@@ -31,18 +33,33 @@ def factor_bound() -> int:
     return bound
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003)
+PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; refuses n >= PRIME_TEST_BOUND."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_TEST_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -12,7 +12,8 @@ component and its position relative to the center:
   (extra sign delta), case (b) otherwise.  The admissible sign maps are
   built from the quadratic forms on K_[2] polarizing to beta, by theorem
   (``enumerate_admissible``), and each table is written down in closed form
-  from the K-part cocycle (``construct_item3``);
+  from the K-part cocycle (``construct_item3``).  A case-(b) label carries
+  one sign map of its class; only the report expands the class;
 * item "4":  D(T, beta) with complex structure constants (D_e = C central),
   realized exactly over a cyclotomic coefficient field.
 
@@ -253,8 +254,8 @@ def enumerate_admissible(
     of SignMap in the order of their sign vectors, +1 before -1.
     case "b": maps on T - K, up to nu ~ nu' when their ratio is constant on
     each K_[2]-coset; the 2^r classes match the forms q one to one.
-    Returns a list of classes (tuples of SignMap, see
-    ``class_of_admissible``) sorted by their coset signature.
+    Returns one SignMap per class, its member with sign +1 on each coset
+    representative, sorted by the class's signature nu(t) nu(rep(t)).
     """
     if K.index() != 2:
         raise ClassificationError("K must have index 2 in T")
@@ -288,8 +289,7 @@ def enumerate_admissible(
 
     k2 = _k2(T, K)
 
-    def signature(cls: tuple) -> tuple:
-        nu = cls[0]
+    def signature(nu: SignMap) -> tuple:
         return tuple((t.exponents, nu(t) * nu(_coset_rep(t, k2))) for t in nu.domain())
 
     return sorted((canonicalize_item3(T, K, beta, q, t0, case="b") for q in forms), key=signature)
@@ -313,13 +313,8 @@ def construct_item1(T: FinAbGroup, beta: AltBicharacter, mu: SignMap, verify: bo
         else:
             gen_values.append(Fraction(1))
     A = construct(T, beta, MuFunction(T, tuple(gen_values)), REAL, verify=verify)
-    for t in mu.domain():
-        if t.is_identity():
-            if mu(t) != 1:
-                raise ClassificationError("a quadratic form takes value 1 at the identity")
-            continue
-        if _sign(power_constant(A, t)) != mu(t):
-            raise ClassificationError("constructed table does not realize the quadratic form")
+    if _signs_of_squares(A) != mu:
+        raise ClassificationError("constructed table does not realize the quadratic form")
     return A
 
 
@@ -350,8 +345,7 @@ def construct_item2(T: FinAbGroup, beta: AltBicharacter, mu: SignMap, verify: bo
     """Item (1) tensored with the trivially graded quaternions."""
     # an intermediate table: only the emitted A is certified
     base = construct_item1(T, beta, mu, verify=False)
-    H = quaternion_table(REAL)
-    A = tensor_product(base, H, T, lambda d: d, lambda _: T.identity())
+    A = tensor_product(base, quaternion_table(REAL))
     if verify:
         certify(A)
     return A
@@ -379,9 +373,9 @@ def construct_item3(
     2-dimensional components; mu and the remaining sign are read off nu
     relative to the canonical choice of t0.
 
-    nu is a SignMap for case "a" and either a SignMap or an
-    equivalence class (tuple) for case "b", where the canonical member is
-    used.
+    nu is a SignMap.  In case "b" it is read only through
+    nu(t0 + h) nu(t0) for h in K_[2], which is constant on its class, so
+    any member of the class gives the same table.
 
     The table is written down in closed form.  Let sigma be the K-part
     cocycle (it takes only the values +-1, checked) and lam = nu(t0) in
@@ -398,10 +392,6 @@ def construct_item3(
     and J, with J^2 = -1, commutes with M_t for t in K and anticommutes
     with it otherwise, so (J^e M_a)(J^d M_b) is
     kappa(a, b) (-1)^(d [a not in K] + e d) J^((e + d) mod 2) M_{a+b}."""
-    if isinstance(nu, tuple):
-        if case != "b":
-            raise ClassificationError("equivalence classes only parametrize case (b)")
-        nu = nu[0]
     kset = K.element_set()
     t0 = _canonical_t0(T, K, case)
     mu_t0 = {h: nu(t0 + h) * nu(t0) for h in _k2(T, K)}
@@ -485,9 +475,10 @@ def canonicalize_item3(
     """Turn t0-relative data (mu_{t0}, delta_{t0}) into the choice-free nu.
 
     case "a" returns a SignMap on T_[2] - K_[2] via
-    nu(t) = delta * mu_{t0}(t - t0); case "b" returns the canonical
-    equivalence-class representative built from the transition family
-    mu_{t0 g}(h) = mu_{t0}(h) beta(g, h) with all coset signs +1.
+    nu(t) = delta * mu_{t0}(t - t0); case "b" returns the SignMap on T - K
+    that stands for the label's class: the member built from the transition
+    family mu_{t0 g}(h) = mu_{t0}(h) beta(g, h) with sign +1 on every coset
+    representative (``class_of_admissible`` expands the class).
 
     The computation is verified against a second choice of t0, deriving
     the shifted data through the transition rules.
@@ -533,11 +524,12 @@ def canonicalize_item3(
     t0p = next((t for t in outside if t != t0), None)
     if t0p is not None and family_from(family[t0p], t0p) != family:
         raise ClassificationError("nu depended on the choice of t0 (case b)")
-    return class_of_admissible(T, K, nu)
+    return nu
 
 
 def class_of_admissible(T: FinAbGroup, K: Subgroup, nu: SignMap) -> tuple:
-    """The ~ equivalence class of nu (all coset-constant sign twists)."""
+    """The ~ equivalence class of nu (all coset-constant sign twists): the
+    report's ``nu_class`` of a case-(b) label, 2^(|K| / |K_[2]|) members."""
     k2 = _k2(T, K)
     domain = nu.domain()
     reps = sorted({_coset_rep(t, k2) for t in domain}, key=lambda e: e.exponents)
@@ -579,14 +571,11 @@ def recover_label(A: GradedAlgebra) -> ClassLabel:
 
 
 def _signs_of_squares(A: GradedAlgebra) -> SignMap:
+    """The quadratic form t -> sign of X_t^2 on T_[2] of a table with
+    1-dimensional components, 1 at the identity."""
     T = A.group
-    mapping = {}
-    for t in two_torsion(T).elements:
-        if t.is_identity():
-            mapping[t] = 1
-        else:
-            mapping[t] = _sign(power_constant(A, t))
-    return SignMap.from_map(T, mapping)
+    signs = {t: 1 if t.is_identity() else _sign(power_constant(A, t)) for t in two_torsion(T).elements}
+    return SignMap.from_map(T, signs)
 
 
 def _centralizer_subalgebra(A: GradedAlgebra, target_idxs: list[int], name: str) -> GradedAlgebra:
@@ -641,18 +630,11 @@ def _recover_item3(A: GradedAlgebra) -> ClassLabel:
             beta_vals.append((i, j, F.div(sigma[(gi, gj)], sigma[(gj, gi)])))
     beta = SubBicharacter(pres, AltBicharacter.from_pairs(kg, beta_vals, F))
 
-    mu_t0 = {}
-    for h in _k2(T, K):
-        if h.is_identity():
-            mu_t0[h] = 1
-        else:
-            mu_t0[h] = _sign(power_constant(sub, h))
-    if case == "a":
-        delta = _sign(_unit_multiple(A, A.entry(d0, d0)))
-        nu = canonicalize_item3(T, K, beta, mu_t0, t0, delta_t0=delta, case="a")
-        return ClassLabel("3a", T, (K, beta, nu))
-    nu_class = canonicalize_item3(T, K, beta, mu_t0, t0, case="b")
-    return ClassLabel("3b", T, (K, beta, nu_class))
+    signs = _signs_of_squares(sub)
+    mu_t0 = {h: signs(h) for h in _k2(T, K)}
+    delta = _sign(_unit_multiple(A, A.entry(d0, d0))) if case == "a" else None
+    nu = canonicalize_item3(T, K, beta, mu_t0, t0, delta_t0=delta, case=case)
+    return ClassLabel("3" + case, T, (K, beta, nu))
 
 
 def _unit_multiple(A: GradedAlgebra, w):
@@ -734,18 +716,19 @@ def _classify_stratum_task(payload):
     return classify_stratum(FinAbGroup(tuple(orders)), items=items, verify=verify)
 
 
-def classify_all(G: FinAbGroup, items=("1", "2", "3", "4"), verify: bool = True, jobs: int = 1) -> list[ClassifiedAlgebra]:
-    """Classification over every subgroup T of G, deterministically ordered.
+def classify_all(
+    subgroups: list[Subgroup], items=("1", "2", "3", "4"), verify: bool = True, jobs: int = 1
+) -> list[ClassifiedAlgebra]:
+    """Classification over each given subgroup T of a group G, in their
+    order; ``abelian.all_subgroups(G)`` gives every stratum.
 
     With jobs > 1 the strata are classified in a pool of
     min(jobs, number of strata, CPU count) processes; the merge keeps the
     serial order, so the result does not depend on jobs.
     """
-    from .abelian import all_subgroups
-
     strata = []
     tasks = []
-    for S in all_subgroups(G):
+    for S in subgroups:
         strata.append(tuple(e.exponents for e in S.elements))
         tasks.append((subgroup_presentation(S).group.orders, items, verify))
     # more processes than strata or cores would only wait on each other

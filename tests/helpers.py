@@ -68,6 +68,18 @@ def abelian_groups_upto(bound: int) -> list[FinAbGroup]:
     return out
 
 
+def reference_is_prime(n: int) -> bool:
+    """Trial division: the reference for ``intutil.is_prime``."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def real_mu_choices(G: FinAbGroup):
     """All power-class choices over the reals: a sign per even-order factor."""
     slots = [i for i, n in enumerate(G.orders) if n % 2 == 0]
@@ -798,8 +810,6 @@ def reference_construct_item3(T: FinAbGroup, K, beta, nu, case: str) -> GradedAl
     """The item-(3) table by 2x2 matrix products over the complexified
     K-part: the reference for ``realclass.construct_item3`` (uncertified).
     Every product is checked to land in its component, in the real form."""
-    if isinstance(nu, tuple):
-        nu = nu[0]
     kset = K.element_set()
     t0 = _canonical_t0(T, K, case)
     mu_t0 = {h: nu(t0 + h) * nu(t0) for h in _k2(T, K)}

@@ -454,6 +454,24 @@ def test_decompose_needs_one_dimensional_components_on_the_whole_group(capsys, t
     assert report["error"]["message"] == "support must be the whole group"
 
 
+def test_support_is_counted_before_the_group_is_enumerated(capsys, tmp_path):
+    # R graded by Z_(10^12) with support {0}: refused at once, not after 10^12 elements
+    desc = {
+        "field": {"kind": "R"},
+        "group": {"orders": [10**12]},
+        "basis_degrees": [[0]],
+        "unit": [[0, "1/1"]],
+        "constants": [{"i": 0, "j": 0, "k": 0, "c": "1/1"}],
+    }
+    path = _write(tmp_path, "huge.json", desc)
+    for argv in (["invariants", "--in", path], ["iso", "--a", path, "--b", path]):
+        started = time.monotonic()
+        code, report = run_cli(capsys, *argv)
+        assert time.monotonic() - started < 5, argv
+        assert code == 3
+        assert report["error"] == {"code": "bad-parameters", "message": "support must be the whole group"}
+
+
 # sha256, length and exit code of the stdout bytes of invariants, decompose
 # and iso --a X --b X on the construct output X of each request
 PINNED_REPORTS = [
@@ -961,8 +979,7 @@ def test_frobenius_grade_tests_divisibility_before_primality(capsys, monkeypatch
 
     def recording_is_prime(n):
         seen.append(n)
-        # a large n would take the trial division minutes
-        return n < 10**6 and real_is_prime(n)
+        return real_is_prime(n)
 
     monkeypatch.setattr(intutil, "is_prime", recording_is_prime)
     code, report = run_cli(capsys, "frobenius-grade", "--p", "2", "--ell", "1", "--q", "1000000000000000003")
@@ -972,6 +989,24 @@ def test_frobenius_grade_tests_divisibility_before_primality(capsys, monkeypatch
     code, report = run_cli(capsys, "frobenius-grade", "--p", "13", "--ell", "1", "--q", "4")
     assert code == 3 and report["error"]["message"] == "q must be prime"
     assert seen == [4]
+
+
+def test_classify_real_builds_the_subgroup_lattice_once(capsys, monkeypatch):
+    from gradeddiv import abelian, cli
+
+    calls = []
+    real_all_subgroups = abelian.all_subgroups
+
+    def counting_all_subgroups(G):
+        calls.append(G.orders)
+        return real_all_subgroups(G)
+
+    monkeypatch.setattr(abelian, "all_subgroups", counting_all_subgroups)
+    monkeypatch.setattr(cli, "all_subgroups", counting_all_subgroups)
+    for argv in (["--count-only"], ["--item", "3"], ["--oracle", "fast"]):
+        calls.clear()
+        code, _ = run_cli(capsys, "classify-real", "--group", "4,2", *argv)
+        assert code == 0 and calls == [(4, 2)], argv
 
 
 def test_reports_byte_identical(capsys):

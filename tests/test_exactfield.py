@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from helpers import cyclotomic_conjugate, is_irreducible_ff, reference_field_tables
+from helpers import cyclotomic_conjugate, is_irreducible_ff, reference_field_tables, reference_is_prime
 from hypothesis import given, settings, strategies as st
 
 from gradeddiv.exactfield import (
@@ -25,7 +25,7 @@ from gradeddiv.exactfield import (
     minus4_fourth_power_test,
     poly_eval,
 )
-from gradeddiv.intutil import is_prime
+from gradeddiv.intutil import PRIME_TEST_BOUND, is_prime
 
 Q = RationalField()
 R = RealField()
@@ -394,6 +394,16 @@ def test_oversized_field_is_refused():
     for p, ell in ((2, 24), (2, 40), (13, 7), (2, 10**12), (2**61 - 1, 1)):
         with pytest.raises(FieldError, match=str(FIELD_TABLE_BOUND)):
             FiniteField(p, ell)
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == reference_is_prime(n) for n in range(-3, 10**5))
+    # strong pseudoprimes to the bases 2..7 and 2..23
+    for n in (3215031751, 3825123056546413051):
+        assert not is_prime(n) and not reference_is_prime(n)
+    assert is_prime(2**61 - 1)
+    with pytest.raises(ValueError, match=str(PRIME_TEST_BOUND)):
+        is_prime(PRIME_TEST_BOUND)
 
 
 def test_cyclotomic_residue_root_is_a_root_of_phi_mod_the_least_prime():

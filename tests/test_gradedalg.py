@@ -245,11 +245,14 @@ def test_inverse_stays_in_subgroup_components():
 
 def test_tensor_product_group_algebra():
     A = group_algebra(FinAbGroup((2,)), Q)
-    B = group_algebra(FinAbGroup((2,)), Q)
-    G = FinAbGroup((2,))
-    T = tensor_product(A, B, G, lambda d: d, lambda d: G.element(d.exponents))
-    assert T.dim == 4
+    # Q[x]/(x^2 - 1), trivially graded
+    B = subalgebra_on_indices(group_algebra(FinAbGroup((2,)), Q), [0, 1], FinAbGroup(()))
+    T = tensor_product(A, B)
+    assert T.dim == 4 and T.group == A.group
+    assert T.degrees == tuple(d for d in A.degrees for _ in range(2))
     assert verify_associative(T)[0]
+    with pytest.raises(OracleError, match="^the second tensor factor must be trivially graded$"):
+        tensor_product(A, A)
 
 
 def test_mu_invariant_z4_real():

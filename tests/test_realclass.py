@@ -13,6 +13,7 @@ from helpers import (
 from gradeddiv.abelian import (
     FinAbGroup,
     Subgroup,
+    all_subgroups,
     index2_subgroups,
     is_direct_summand,
     squares,
@@ -33,6 +34,7 @@ from gradeddiv.realclass import (
     SubBicharacter,
     canonicalize_item3,
     census,
+    class_of_admissible,
     classify_all,
     classify_stratum,
     construct_item1,
@@ -124,9 +126,9 @@ def test_admissible_counts_examples():
 
     Z4 = FinAbGroup((4,))
     K4 = Subgroup.from_generators(Z4, [Z4.element((2,))])
-    classes = enumerate_admissible(Z4, K4, trivial_subbeta(Z4, K4), "b")
-    assert len(classes) == 2
-    assert all(len(cls) == 2 for cls in classes)
+    labels = enumerate_admissible(Z4, K4, trivial_subbeta(Z4, K4), "b")
+    assert len(labels) == 2
+    assert all(len(class_of_admissible(Z4, K4, nu)) == 2 for nu in labels)
 
     Z22 = FinAbGroup((2, 2))
     K = Subgroup.from_generators(Z22, [Z22.element((1, 0))])
@@ -148,12 +150,15 @@ def _item3_parameters(T):
 
 def test_admissible_maps_match_the_brute_force():
     # every (T, K, beta) with |T| <= 16: 2^(r+1) maps in case (a), 2^r classes
-    # in case (b), r the rank of K_[2]; same list, same order as the search
+    # in case (b), r the rank of K_[2]; same list, same order as the search,
+    # where a case-(b) label is one sign map whose class is the search's class
     checked = 0
     for T in abelian_groups_upto(16):
         for K, beta, case in _item3_parameters(T):
             got = enumerate_admissible(T, K, beta, case)
-            assert got == reference_enumerate_admissible(T, K, beta, case), (T.orders, K.key(), case)
+            assert all(isinstance(nu, SignMap) for nu in got)
+            expanded = got if case == "a" else [class_of_admissible(T, K, nu) for nu in got]
+            assert expanded == reference_enumerate_admissible(T, K, beta, case), (T.orders, K.key(), case)
             k2 = [g for g in two_torsion(T).elements if g in K.element_set()]
             r = len(k2).bit_length() - 1
             assert len(got) == 2 ** (r + 1 if case == "a" else r)
@@ -184,6 +189,16 @@ def test_item3_tables_match_the_matrix_products(orders):
         B = reference_construct_item3(T, K, beta, nu, case)
         assert list(A.table.items()) == list(B.table.items())
         assert (A.degrees, A.unit) == (B.degrees, B.unit)
+
+
+def test_admissible_maps_on_z64_are_two_sign_maps():
+    # K = 2Z64 is no direct summand and K_[2] has rank 1: two classes of
+    # 2^16 members each, carried as one sign map apiece
+    T = FinAbGroup((64,))
+    (K,) = index2_subgroups(T)
+    labels = enumerate_admissible(T, K, trivial_subbeta(T, K), "b")
+    assert len(labels) == 2 and all(isinstance(nu, SignMap) for nu in labels)
+    assert all(len(nu.values) == 32 for nu in labels)
 
 
 def test_admissible_case_validation():
@@ -313,12 +328,12 @@ def test_canonicalize_item3_case_b_classes():
     beta = trivial_subbeta(T, K)
     kset = K.element_set()
     k2 = sorted((g for g in two_torsion(T).elements if g in kset), key=lambda e: e.exponents)
-    for cls in enumerate_admissible(T, K, beta, "b"):
-        for nu in cls:
+    for label in enumerate_admissible(T, K, beta, "b"):
+        for nu in class_of_admissible(T, K, label):
             for t0 in (t for t in T.elements() if t not in kset):
                 mu_t0 = {h: nu(t0 + h) * nu(t0) for h in k2}
                 got = canonicalize_item3(T, K, beta, mu_t0, t0, case="b")
-                assert got == cls
+                assert got == label
 
 
 def test_changing_t0_transitions():
@@ -446,7 +461,7 @@ def test_item1_label_distinctness_by_iso_oracle():
 
 
 def test_census_goldens():
-    tab2 = census(classify_all(FinAbGroup((2,))))
+    tab2 = census(classify_all(all_subgroups(FinAbGroup((2,)))))
     assert sum(sum(v.values()) for v in tab2.values()) == 10
-    tab4 = census(classify_all(FinAbGroup((4,))))
+    tab4 = census(classify_all(all_subgroups(FinAbGroup((4,)))))
     assert sum(sum(v.values()) for v in tab4.values()) == 17
