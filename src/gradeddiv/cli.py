@@ -323,7 +323,7 @@ def _cmd_classify_real(args) -> dict:
     verify = args.oracle == "full"
 
     subgroups = all_subgroups(G)
-    results = classify_all(subgroups, items=items, verify=verify, jobs=args.jobs)
+    results = classify_all(subgroups, items=items, verify=verify, jobs=args.jobs, construct=not args.count_only)
     # every stratum is reported, also those without a label
     strata = [tuple(e.exponents for e in S.elements) for S in subgroups]
     rows = census(results)

@@ -28,13 +28,14 @@ context, and over GF(p^ell) the elements themselves in the field.
   into {0, +1, -1}.  ``nth_root`` raises where the real root is irrational.
 * ``FiniteField``      - GF(p^ell) with a deterministic monic modulus.
   Elements are integers in [0, q) encoding coefficient vectors base p
-  (lowest degree first); multiplication runs off exp/log tables of the
-  powers of a primitive element.  The tables are filled by iterating the
-  GF(p)-linear map x -> gen*x, read off two small lookup tables (one per
-  half of the digits, about 2*sqrt(q) entries) on digits packed into one
-  int with a guard bit each, so every power costs a few int operations
-  whatever ell is.  Fields above ``FIELD_TABLE_BOUND`` = 2^23 elements are
-  refused before any work.
+  (lowest degree first).  No table of the field is built: over GF(p) a
+  product is a*b mod p; over GF(p^ell) the digit vectors are packed into
+  ints (Kronecker substitution), multiplied, and reduced modulo the modulus
+  and p; powers and inverses are square-and-multiply.  Discrete logarithms
+  to the designated generator are taken on demand by Pohlig-Hellman with
+  baby-step giant-step, checked and cached per field, and the roots, power
+  classes and roots of unity are read off them.  Fields above
+  ``FIELD_TABLE_BOUND`` = 2^23 elements are refused before any work.
 * ``CyclotomicField``  - Q(zeta_N) as residues modulo the N-th cyclotomic
   polynomial, with Fraction coefficients.  It plays the role of "enough of C"
   for computations whose constants are roots of unity: accordingly
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, product
+from itertools import count
 from math import gcd, isqrt, lcm
 from operator import not_
 
@@ -402,7 +403,9 @@ def _packed_image(coeff_vecs: list[dict], modulus, p: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-# largest GF(q) whose exp/log tables are built; larger fields are refused
+# largest GF(q) accepted: it bounds the walks over every unit
+# (``roots_of_unity``, ``ff-grade --list-mu``) and the baby-step tables of
+# discrete logarithms; larger fields are refused before any work
 FIELD_TABLE_BOUND = 2**23
 
 
@@ -435,8 +438,30 @@ class FiniteField:
                 raise FieldError("modulus is not irreducible")
         self.modulus = tuple(modulus)
         self.zero = 0
-        self.one = 1 % self.q if self.q > 1 else 0
-        self._build_tables()
+        self.one = 1
+        self._gen = None
+        self._dlogs: dict[int, int] = {}
+        self._baby: dict[int, tuple] = {}
+        # Kronecker packing: digit i sits in bits [k i, k i + k).  A product of
+        # two packed elements has coefficients <= ell (p-1)^2, and ``_reduce``
+        # adds at most (ell-1)(p-1)^2 to each low one, so every coefficient c
+        # is below 2^b, as is each digit of a sum or difference that ``add``
+        # and ``sub`` reduce (below 2p, and they take ell >= 2).  Then c mod p = c - p floor(c M / 2^s) for s = b +
+        # bits(p) and M = ceil(2^s / p) (Granlund-Montgomery), in every digit
+        # at once: c M < 2^k, and each quotient, below 2^b, sits under the bits
+        # the next digit's c M shifts down.  A packed element times
+        # sum p^(ell-1-j) x^j has coefficients < q, the one of x^(ell-1) being
+        # the element itself (``_unpack``).
+        b = ((2 * ell - 1) * (p - 1) ** 2).bit_length()
+        self._s = s = b + p.bit_length()
+        self._M = -(-(1 << s) // p)
+        self._k = k = max(b + s, self.q.bit_length())
+        self._mask = (1 << k) - 1
+        self._quotients = sum(((1 << b) - 1) << (k * i) for i in range(ell))
+        self._radix = sum(p ** (ell - 1 - j) << (k * j) for j in range(ell))
+        self._radix_p = sum(p << (k * j) for j in range(ell))
+        # x^t mod the modulus, packed, for the high coefficients t = ell .. 2 ell - 2
+        self._reducers = [self._pack(self.from_vec([0] * t + [1])) for t in range(ell, 2 * ell - 1)]
 
     @staticmethod
     def _find_modulus(p, ell):
@@ -468,58 +493,34 @@ class FiniteField:
             x = x * self.p + (c % self.p)
         return x
 
-    def _build_tables(self):
-        p, q, ell = self.p, self.q, self.ell
-        if q == 2:
-            self._exp = [1]
-            self._log = [0, 0]
-            return
-        mod = list(self.modulus)
-        m = q - 1
-        primes = prime_divisors(m)
-        gen = None
-        for cand in range(2, q):
-            digits = self._digits(cand, p, ell)
-            if all(_gfp_powmod(digits, m // r, mod, p) != [1] for r in primes):
-                gen = digits
+    def _pack(self, x: int) -> int:
+        """The digits of the element x at k-bit spacing."""
+        p, k = self.p, self._k
+        v = shift = 0
+        while x:
+            x, c = divmod(x, p)
+            v += c << shift
+            shift += k
+        return v
+
+    def _reduce(self, v: int) -> int:
+        """A product of two packed elements, reduced modulo the modulus and p
+        and packed again: each high coefficient, mod p, adds its multiple of
+        x^t mod the modulus to the low ones."""
+        p, k, mask = self.p, self._k, self._mask
+        low = k * self.ell
+        acc = v & ((1 << low) - 1)
+        v >>= low
+        for r in self._reducers:
+            if not v:
                 break
-        if gen is None:
-            raise AssertionError("internal: no primitive element found")
-        # Padded digits: digit i sits in bits [b*i, b*i + b) with 2^(b-1) > p.
-        # A sum of two reduced padded values has every field <= 2p - 2 < 2^b,
-        # so it never carries into the next field, and adding 2^(b-1) - p to
-        # each field sets that field's top bit exactly when the digit is >= p.
-        b = p.bit_length() + 1
-        h = max(1, ell // 2)
-        shift = b * h
-        low_mask = (1 << shift) - 1
-        ones = sum(1 << (b * i) for i in range(ell))
-        bias = ((1 << (b - 1)) - p) * ones
+            acc += (v & mask) % p * r
+            v >>= k
+        return acc - p * ((acc * self._M >> self._s) & self._quotients)
 
-        def padded(coeffs):
-            return sum(c << (b * i) for i, c in enumerate(coeffs))
-
-        # x -> gen*x is GF(p)-linear, so it is the sum of its values on the
-        # low h digits and on the high ell - h digits; both halves are keyed
-        # by their padded digits, shifted down to bit 0
-        times_low, times_high, dense_low, dense_high = {}, {}, {}, {}
-        for offset, width, times, dense in ((0, h, times_low, dense_low), (h, ell - h, times_high, dense_high)):
-            for digits in product(range(p), repeat=width):
-                coeffs = [0] * offset + list(digits)
-                key = padded(digits)
-                times[key] = padded(_gfp_mod(_gfp_mul(gen, coeffs, p), mod, p))
-                dense[key] = self.from_vec(coeffs)
-        exp = [0] * m
-        log = [0] * q  # log[0] is never read: mul, inv, power and dlog handle 0 first
-        s = 1
-        for k in range(m):
-            x = dense_low[s & low_mask] + dense_high[s >> shift]
-            exp[k] = x
-            log[x] = k
-            s = times_low[s & low_mask] + times_high[s >> shift]
-            s -= (((s + bias) >> (b - 1)) & ones) * p
-        self._exp = exp
-        self._log = log
+    def _unpack(self, v: int) -> int:
+        """The element whose packed digits are v."""
+        return (v * self._radix >> (self._k * (self.ell - 1))) & self._mask
 
     def __eq__(self, other):
         return (
@@ -545,106 +546,137 @@ class FiniteField:
         return x == 0
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.ell):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if self.ell == 1:
+            return (a + b) % self.p
+        return self._unpack(self._reduce(self._pack(a) + self._pack(b)))
 
     def neg(self, a: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.ell):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.ell == 1:
+            return (a - b) % self.p
+        # p in every digit keeps each difference of digits >= 0
+        return self._unpack(self._reduce(self._pack(a) + self._radix_p - self._pack(b)))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        m = self.q - 1
-        return self._exp[(self._log[a] + self._log[b]) % m] if m else 0
+        if self.ell == 1:
+            return a * b % self.p
+        return self._unpack(self._reduce(self._pack(a) * self._pack(b)))
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        m = self.q - 1
-        return self._exp[(-self._log[a]) % m] if m else a
+        return self.power(a, -1)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def power(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply, with e taken mod q - 1 for a unit a."""
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("inverse of 0")
             return self.one if e == 0 else 0
-        m = self.q - 1
-        if m == 0:
-            return a
-        return self._exp[(self._log[a] * e) % m]
+        e %= self.q - 1
+        if self.ell == 1:
+            return pow(a, e, self.p)
+        a, r = self._pack(a), 1
+        for bit in f"{e:b}":
+            r = self._reduce(r * r)
+            if bit == "1":
+                r = self._reduce(r * a)
+        return self._unpack(r)
 
     def generator(self) -> int:
-        """Designated generator of the multiplicative group."""
-        if self.q == 2:
-            return 1
-        return self._exp[1]
+        """The designated generator of the multiplicative group: the first
+        element, in index order, whose (q-1)/r-th power is not 1 for every
+        prime r | q - 1 (kept, with the factors of q - 1 that ``dlog`` reads)."""
+        if self._gen is None:
+            m, self._factors = self.q - 1, factorint(self.q - 1)
+            self._gen = next(c for c in range(1, self.q) if all(self.power(c, m // r) != 1 for r in self._factors))
+        return self._gen
 
     def dlog(self, x: int) -> int:
+        """The L in [0, q - 1) with g^L = x for g = ``generator()``, by
+        Pohlig-Hellman: for each prime power r^e || q - 1, x^((q-1)/r^e) =
+        g^((q-1)/r^e L) gives L mod r^e, read in base r one digit at a time
+        by ``_bsgs`` in the subgroup of order r; the Chinese remainder theorem
+        joins them.  Each answer is checked and cached."""
         if x == 0:
             raise FieldError("discrete log of 0")
-        return self._log[x]
+        if x not in self._dlogs:
+            m, g = self.q - 1, self.generator()
+            L, M = 0, 1
+            for r, e in self._factors.items():
+                h, Le = self.power(x, m // r**e), 0
+                for i in range(e):
+                    # h = g^((q-1)/r^e (L - Le)), and L - Le = d r^i (mod r^(i+1))
+                    d = self._bsgs(r, self.power(h, r ** (e - 1 - i)))
+                    if d and i < e - 1:
+                        h = self.mul(h, self.power(g, -(m // r**e) * d * r**i))
+                    Le += d * r**i
+                L += M * ((Le - L) * pow(M, -1, r**e) % r**e)
+                M *= r**e
+            if self.power(g, L) != x:
+                raise AssertionError("internal: discrete log failed")
+            self._dlogs[x] = L
+        return self._dlogs[x]
+
+    def _bsgs(self, r: int, y: int) -> int:
+        """The d in [0, r) with gamma^d = y, gamma = g^((q-1)/r) of prime
+        order r, by baby-step giant-step on packed elements: y gamma^(-s i) =
+        gamma^j for d = s i + j, s = ceil(sqrt(r)); the baby steps are kept
+        per r."""
+        if r not in self._baby:
+            gamma = self.power(self.generator(), (self.q - 1) // r)
+            s, step, w, baby = isqrt(r - 1) + 1, self._pack(gamma), 1, {}
+            for j in range(s):
+                baby[w] = j
+                w = self._reduce(w * step)
+            self._baby[r] = (s, baby, self._pack(self.power(gamma, -s)))
+        s, baby, giant = self._baby[r]
+        y = self._pack(y)
+        for i in range(s):
+            if y in baby:
+                return s * i + baby[y]
+            y = self._reduce(y * giant)
+        raise AssertionError("internal: no discrete log in the subgroup of prime order")
 
     def elements(self):
         return range(self.q)
 
-    def units(self):
-        return range(1, self.q)
-
     def roots_of_unity(self):
-        """All of GF(q)^x, in powers-of-generator order (every unit is torsion)."""
-        return tuple(self._exp)
+        """All of GF(q)^x, in powers-of-generator order (every unit is
+        torsion): the walk g^0, g^1, ..., g^(q-2)."""
+        g, w, out = self._pack(self.generator()), 1, []
+        for _ in range(self.q - 1):
+            out.append(self._unpack(w))
+            w = self._reduce(w * g)
+        return tuple(out)
 
     def unity_root(self, n: int) -> int:
         m = self.q - 1
         if n < 1 or m % n != 0:
             raise FieldError(f"no primitive {n}-th root of unity in GF({self.q})")
-        if n == 1:
-            return self.one
-        return self._exp[m // n]
+        return self.power(self.generator(), m // n)
 
     def is_nth_power(self, x: int, n: int) -> bool:
-        _nonzero(x == 0)
-        d = gcd(n, self.q - 1) if self.q > 2 else 1
-        return self.power(x, (self.q - 1) // d) == self.one if self.q > 2 else True
+        return self.nth_power_class(x, n)[1] == self.one
 
     def nth_power_class(self, x: int, n: int):
         _nonzero(x == 0)
-        if self.q == 2:
-            return (n, 1)
-        d = gcd(n, self.q - 1)
-        return (n, self.power(x, (self.q - 1) // d))
+        return (n, self.power(x, (self.q - 1) // gcd(n, self.q - 1)))
 
     def nth_root(self, x: int, n: int):
         """The y = g^t with y^n = x and t least, or None: with m = q - 1 and
         d = gcd(n, m), g^s has n-th roots iff d | s, and they are g^t for
         t = (s/d) (n/d)^(-1) mod m/d plus the multiples of m/d."""
-        if x == 0 or self.q == 2:
+        if x == 0:
             return x
         m = self.q - 1
-        s, d = self._log[x], gcd(n, m)
+        s, d = self.dlog(x), gcd(n, m)
         if s % d:
             return None
-        y = self._exp[(s // d) * pow(n // d, -1, m // d) % (m // d)]
+        y = self.power(self.generator(), (s // d) * pow(n // d, -1, m // d) % (m // d))
         if self.power(y, n) != x:
             raise AssertionError("internal: root extraction failed")
         return y
@@ -653,7 +685,7 @@ class FiniteField:
         """{0: log x mod p} when p divides q - 1, else {}: F^x is cyclic of
         order q - 1, so F^x/(F^x)^p has order gcd(p, q - 1)."""
         _nonzero(x == 0)
-        e = self._log[x] % p if (self.q - 1) % p == 0 else 0
+        e = self.dlog(x) % p if (self.q - 1) % p == 0 else 0
         return {0: e} if e else {}
 
     def integer_image(self, vecs: list[dict]) -> tuple:

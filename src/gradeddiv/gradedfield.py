@@ -246,9 +246,9 @@ def is_field_p_primary(spec: GradedFieldSpec) -> Decision:
     if isinstance(field, FiniteField):
         level = field
         degree = 1
-        embed = {x: x for x in field.elements()}
+        embed = None  # the identity until the first level above field
         for step, (n, mu) in enumerate(nontrivial):
-            alpha = embed[mu]
+            alpha = mu if embed is None else embed[mu]
             if not binomial_irreducible(level, alpha, n):
                 wit = reducible_binomial_witness(level, alpha, n)
                 wit["level"] = step
@@ -362,18 +362,21 @@ def ff_grading_exists(p: int, ell: int, k: int) -> Decision:
 
 
 def ff_grading_mus(F: FiniteField, k: int) -> list[int]:
-    """All mu in F^x whose graded-field F[X]/(X^k - mu) is a field:
-    mu^{(|F| - 1)/q} != 1 for every prime q | k.  Valid when
-    ``ff_grading_exists(F.p, F.ell, k)`` holds, which puts each such q in
-    |F| - 1."""
-    m = F.q - 1
-    exponents = [m // q for q in prime_divisors(k)]
-    return [mu for mu in F.units() if all(F.power(mu, e) != F.one for e in exponents)]
+    """All mu in F^x whose graded-field F[X]/(X^k - mu) is a field, sorted:
+    mu^{(|F| - 1)/r} != 1 for every prime r | k.  Valid when
+    ``ff_grading_exists(F.p, F.ell, k)`` holds, which puts each such r in
+    |F| - 1; then mu = g^j passes iff no r divides j, read off the walk over
+    the powers of the generator g."""
+    primes = prime_divisors(k)
+    return sorted(mu for j, mu in enumerate(F.roots_of_unity()) if all(j % r for r in primes))
 
 
 def embed_field(small: FiniteField, big: FiniteField) -> dict:
-    """Field embedding GF(p^ell) -> GF(p^L) by root-finding of the small
-    modulus; returns the full image table (fields are desk scale)."""
+    """Field embedding GF(p^ell) -> GF(p^L) as the full image table (fields
+    are desk scale): x = sum c_i t^i in GF(p)[t]/(f), f the small modulus,
+    goes to sum c_i root^i for the least root of f in big.  That map is a
+    ring homomorphism because f(root) = 0, which the root search checks, and
+    it is injective as GF(p)[t]/(f) is a field, so no product is compared."""
     if small.p != big.p or big.ell % small.ell != 0:
         raise GradedFieldError("no embedding between these fields")
     if small.ell == 1:
@@ -394,10 +397,6 @@ def embed_field(small: FiniteField, big: FiniteField) -> dict:
         for c in reversed(small.to_vec(x)):
             acc = big.add(big.mul(acc, root), big.from_int(c))
         table[x] = acc
-    for a in small.elements():
-        for b in small.elements():
-            if table[small.mul(a, b)] != big.mul(table[a], table[b]):
-                raise AssertionError("internal: embedding is not multiplicative")
     return table
 
 

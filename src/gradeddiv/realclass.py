@@ -664,23 +664,17 @@ def _canonical_beta_pair(beta: AltBicharacter, cyc: CyclotomicField) -> tuple:
 class ClassifiedAlgebra:
     stratum: tuple  # exponent tuples of the subgroup T inside G
     label: ClassLabel
-    algebra: GradedAlgebra
+    algebra: GradedAlgebra | None  # None when the labels are only counted
 
 
-def classify_stratum(T: FinAbGroup, items=("1", "2", "3", "4"), verify: bool = True) -> list[ClassifiedAlgebra]:
-    """All labels with support exactly T (presented), with representatives."""
-    out: list[ClassifiedAlgebra] = []
-    stratum = tuple(e.exponents for e in T.elements())
+def enumerate_labels(T: FinAbGroup, items=("1", "2", "3", "4")) -> list[ClassLabel]:
+    """All labels with support exactly T (presented), in report order."""
+    out: list[ClassLabel] = []
 
     if "1" in items or "2" in items:
         for beta in enumerate_bicharacters_pm1(T):
             for mu in enumerate_quadratic_forms(T, beta):
-                if "1" in items:
-                    label = ClassLabel("1", T, (beta, mu))
-                    out.append(ClassifiedAlgebra(stratum, label, construct_label(label, verify)))
-                if "2" in items:
-                    label = ClassLabel("2", T, (beta, mu))
-                    out.append(ClassifiedAlgebra(stratum, label, construct_label(label, verify)))
+                out += [ClassLabel(item, T, (beta, mu)) for item in ("1", "2") if item in items]
 
     if "3" in items:
         for K in index2_subgroups(T):
@@ -693,9 +687,7 @@ def classify_stratum(T: FinAbGroup, items=("1", "2", "3", "4"), verify: bool = T
                     beta.value_int(x, k) != 1 for x in sqT for k in K.elements
                 ):
                     continue
-                for nu in enumerate_admissible(T, K, beta, case):
-                    label = ClassLabel("3" + case, T, (K, beta, nu))
-                    out.append(ClassifiedAlgebra(stratum, label, construct_label(label, verify)))
+                out += [ClassLabel("3" + case, T, (K, beta, nu)) for nu in enumerate_admissible(T, K, beta, case)]
 
     if "4" in items:
         cyc = CyclotomicField(item4_conductor(T))
@@ -706,21 +698,33 @@ def classify_stratum(T: FinAbGroup, items=("1", "2", "3", "4"), verify: bool = T
             if key in seen:
                 continue
             seen.add(key)
-            label = ClassLabel("4", T, (pair,))
-            out.append(ClassifiedAlgebra(stratum, label, construct_label(label, verify)))
+            out.append(ClassLabel("4", T, (pair,)))
     return out
 
 
+def classify_stratum(
+    T: FinAbGroup, items=("1", "2", "3", "4"), verify: bool = True, construct: bool = True
+) -> list[ClassifiedAlgebra]:
+    """``enumerate_labels`` with representatives, or with None where
+    construct is false."""
+    stratum = tuple(e.exponents for e in T.elements())
+    return [
+        ClassifiedAlgebra(stratum, label, construct_label(label, verify) if construct else None)
+        for label in enumerate_labels(T, items)
+    ]
+
+
 def _classify_stratum_task(payload):
-    orders, items, verify = payload
-    return classify_stratum(FinAbGroup(tuple(orders)), items=items, verify=verify)
+    orders, items, verify, construct = payload
+    return classify_stratum(FinAbGroup(tuple(orders)), items, verify, construct)
 
 
 def classify_all(
-    subgroups: list[Subgroup], items=("1", "2", "3", "4"), verify: bool = True, jobs: int = 1
+    subgroups: list[Subgroup], items=("1", "2", "3", "4"), verify: bool = True, jobs: int = 1, construct: bool = True
 ) -> list[ClassifiedAlgebra]:
     """Classification over each given subgroup T of a group G, in their
-    order; ``abelian.all_subgroups(G)`` gives every stratum.
+    order; ``abelian.all_subgroups(G)`` gives every stratum.  With construct
+    false the labels are enumerated only, with no table built.
 
     With jobs > 1 the strata are classified in a pool of
     min(jobs, number of strata, CPU count) processes; the merge keeps the
@@ -730,7 +734,7 @@ def classify_all(
     tasks = []
     for S in subgroups:
         strata.append(tuple(e.exponents for e in S.elements))
-        tasks.append((subgroup_presentation(S).group.orders, items, verify))
+        tasks.append((subgroup_presentation(S).group.orders, items, verify, construct))
     # more processes than strata or cores would only wait on each other
     jobs = min(jobs, len(strata), os.cpu_count() or 1)
     if jobs > 1:

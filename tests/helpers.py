@@ -315,7 +315,8 @@ def reference_field_tables(p: int, ell: int, modulus) -> tuple[list[int], dict[i
     """exp/log tables of GF(p^ell) modulo the given monic modulus, built with
     one generic polynomial product per power of the generator: the generator
     is the first element whose (q-1)/r-th power is not 1 for every prime r | q-1.
-    The reference for ``FiniteField._build_tables``."""
+    The reference for ``FiniteField``'s generator, ``roots_of_unity`` walk and
+    Pohlig-Hellman ``dlog``, and for what is read off them."""
     q = p**ell
     if q == 2:
         return [1], {1: 0}
@@ -356,6 +357,13 @@ def reference_field_tables(p: int, ell: int, modulus) -> tuple[list[int], dict[i
         acc = raw_mul(acc, gen)
         exp.append(acc)
     return exp, {v: i for i, v in enumerate(exp)}
+
+
+def reference_embedding_is_multiplicative(small: FiniteField, big: FiniteField, table: dict) -> bool:
+    """Every product of small is sent to the product of the images: the
+    small.q^2 check ``gradedfield.embed_field`` ran before it rested on
+    f(root) = 0 for the small modulus f."""
+    return all(table[small.mul(a, b)] == big.mul(table[a], table[b]) for a in small.elements() for b in small.elements())
 
 
 # The readers of the structure constants of 1-dimensional components that

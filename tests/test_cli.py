@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from helpers import dense, left_mult_matrix, solve
@@ -932,6 +937,57 @@ def test_frobenius_grading_of_gf_2_20(capsys):
         [0, 1, 1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1],
         [0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0],
     ]
+
+
+# the address space of a child process, in bytes: enough for the interpreter
+# and the requests below; exp/log tables of GF(2^20) took 98 MB peak RSS
+CHILD_ADDRESS_SPACE = 80 << 20
+
+
+def _run_in_a_small_address_space(argv) -> tuple[bytes, int]:
+    """The stdout bytes and exit code of the command in a child process
+    whose address space is capped at CHILD_ADDRESS_SPACE."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "gradeddiv.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=cap,
+        timeout=120,
+    )
+    return done.stdout, done.returncode
+
+
+# sha256 and length of the stdout bytes of requests on fields of a million
+# elements and more, recorded with the exp/log tables that took 98 MB
+# (GF(2^20)) and 387 MB (GF(13^6)) peak RSS
+LARGE_FIELD_REPORTS = {
+    "frobenius-GF(2^20)": (
+        ["frobenius-grade", "--p", "2", "--ell", "4", "--q", "5"],
+        ("dac9a1391e0a6d2208671f255f7c598cb6e88283557b8d9d2a1fb9590538905e", 1609),
+    ),
+    "kummer-GF(13^6)": (
+        ["kummer-grade", "--p", "13", "--ell", "1", "--n", "6", "--lam", "2"],
+        ("80eafe4f90fa3b258094f8bf80ee10ce966e976677d02ba1f1139cd8d93a6a83", 1595),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_FIELD_REPORTS)
+def test_large_field_reports_in_a_small_address_space(name):
+    argv, pin = LARGE_FIELD_REPORTS[name]
+    out, code = _run_in_a_small_address_space(argv)
+    assert code == 0 and (hashlib.sha256(out).hexdigest(), len(out)) == pin
+
+
+def test_count_only_counts_z2_to_the_4_in_a_small_address_space():
+    # 8,910 labels; building each table to count it passed 2 GB
+    out, code = _run_in_a_small_address_space(["classify-real", "--group", "2,2,2,2", "--count-only"])
+    assert code == 0 and json.loads(out)["total"] == 8910
 
 
 def test_oversized_field_is_refused_at_once(capsys):

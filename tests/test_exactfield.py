@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from helpers import cyclotomic_conjugate, is_irreducible_ff, reference_field_tables, reference_is_prime
@@ -94,14 +94,14 @@ def test_is_nth_power_matches_bruteforce():
         if F.q > 121:
             continue
         for n in range(1, 13):
-            powers = {F.power(y, n) for y in F.units()}
-            for x in F.units():
+            powers = {F.power(y, n) for y in range(1, F.q)}
+            for x in range(1, F.q):
                 assert F.is_nth_power(x, n) == (x in powers)
 
 
 def test_gf7_cubes():
     F7 = FiniteField(7, 1)
-    cubes = sorted({F.power(x, 3) for F in (F7,) for x in F7.units()})
+    cubes = sorted({F.power(x, 3) for F in (F7,) for x in range(1, F7.q)})
     assert cubes == [1, 6]
     assert not F7.is_nth_power(3, 3)
     assert F7.is_nth_power(1, 3)
@@ -151,15 +151,15 @@ def test_finite_field_roots_and_power_classes_match_bruteforce():
         roots = F.roots_of_unity()
         assert F.nth_root(0, 3) == 0
         for n in range(1, 17):
-            for x in F.units():
+            for x in range(1, F.q):
                 # the first root in roots_of_unity order, or None
                 assert F.nth_root(x, n) == next((y for y in roots if F.power(y, n) == x), None), (F.q, x, n)
         for prime in (2, 3, 5, 7):
-            powers = {F.power(y, prime) for y in F.units()}
-            for x in F.units():
+            powers = {F.power(y, prime) for y in range(1, F.q)}
+            for x in range(1, F.q):
                 vec = F.power_class_vector(x, prime)
                 assert set(vec) <= {0} and all(0 < c < prime for c in vec.values())
-                for y in F.units():
+                for y in range(1, F.q):
                     same = vec == F.power_class_vector(y, prime)
                     assert same == (F.div(x, y) in powers), (F.q, prime, x, y)
 
@@ -252,7 +252,7 @@ def test_ff_roots_of_unity_and_generator():
     F7 = FiniteField(7, 1)
     g = F7.generator()
     assert _order(F7, g) == 6
-    assert set(F7.roots_of_unity()) == set(F7.units())
+    assert set(F7.roots_of_unity()) == set(range(1, F7.q))
     z = F7.unity_root(3)
     assert _order(F7, z) == 3
 
@@ -350,19 +350,24 @@ def test_elem_json_roundtrip():
     assert Q.elem_from_json(Q.elem_to_json(Fraction(-3, 7))) == Fraction(-3, 7)
 
 
-def _assert_tables_match_reference(F):
+def _assert_tables_match_reference(F, logs_checked=None):
+    """Generator and walk against the reference tables, and the logs of every
+    unit, or of a seeded sample of logs_checked units."""
     exp, log = reference_field_tables(F.p, F.ell, F.modulus)
     assert F.generator() == (exp[1] if F.q > 2 else 1)
     assert F.roots_of_unity() == tuple(exp)
-    assert [F.dlog(x) for x in F.units()] == [log[x] for x in F.units()]
+    units = range(1, F.q) if logs_checked is None else random.Random(F.q).sample(range(1, F.q), logs_checked)
+    assert [F.dlog(x) for x in units] == [log[x] for x in units]
 
 
-def test_field_tables_match_generic_product_reference():
-    prime_powers = [(p, ell) for p in range(2, 1025) if is_prime(p) for ell in range(1, 11) if p**ell <= 1024]
-    for p, ell in prime_powers:
-        _assert_tables_match_reference(FiniteField(p, ell))
+PRIME_POWERS_TO_1024 = [(p, ell) for p in range(2, 1025) if is_prime(p) for ell in range(1, 11) if p**ell <= 1024]
+
+
+def _random_moduli():
+    """Three random monic irreducible moduli for each GF(p^ell), ell >= 2,
+    of at most 729 elements, drawn in a fixed order from a fixed seed."""
     rng = random.Random(20191)
-    for p, ell in prime_powers:
+    for p, ell in PRIME_POWERS_TO_1024:
         if ell < 2 or p**ell > 729:
             continue
         for _ in range(3):
@@ -370,10 +375,43 @@ def test_field_tables_match_generic_product_reference():
                 modulus = [rng.randrange(p) for _ in range(ell)] + [1]
                 if gfp_is_irreducible(modulus, p):
                     break
-            _assert_tables_match_reference(FiniteField(p, ell, modulus=modulus))
-    # the extension fields the field-decisions benchmark builds
-    for p, ell in ((13, 4), (31, 3), (5, 6), (19, 3), (2, 10), (31, 2)):
+            yield p, ell, modulus
+
+
+def test_field_tables_match_generic_product_reference():
+    for p, ell in PRIME_POWERS_TO_1024:
         _assert_tables_match_reference(FiniteField(p, ell))
+    for p, ell, modulus in _random_moduli():
+        _assert_tables_match_reference(FiniteField(p, ell, modulus=modulus))
+    # the extension fields the field-decisions benchmark builds; above 1024
+    # elements a logarithm is a Pohlig-Hellman run, so 1000 of them are checked
+    for p, ell in ((13, 4), (31, 3), (5, 6), (19, 3), (2, 10), (31, 2)):
+        _assert_tables_match_reference(FiniteField(p, ell), 1000 if p**ell > 1024 else None)
+
+
+def test_logs_roots_and_power_classes_match_the_reference_tables():
+    fields = [FiniteField(p, ell) for p, ell in PRIME_POWERS_TO_1024 if p**ell <= 64]
+    fields += [FiniteField(p, ell, modulus=modulus) for p, ell, modulus in _random_moduli() if p**ell <= 64]
+    assert len(fields) == 27 + 3 * 9  # 18 primes, 9 proper prime powers
+    for F in fields:
+        exp, log = reference_field_tables(F.p, F.ell, F.modulus)
+        m = F.q - 1
+        assert [F.dlog(x) for x in range(1, F.q)] == [log[x] for x in range(1, F.q)]
+        coprime = next(n for n in range(2, 2 * F.q) if gcd(n, m) == 1)
+        for n in [d for d in range(1, m + 1) if m % d == 0] + [coprime]:
+            if m % n == 0:
+                assert F.unity_root(n) == exp[m // n % m]
+            for x in range(1, F.q):
+                # the y = g^t with y^n = x and t least, as g^t has n-th power g^(t n)
+                assert F.nth_root(x, n) == next((exp[t] for t in range(m) if exp[t * n % m] == x), None), (F, n, x)
+            assert F.nth_root(0, n) == 0
+        for r in (2, 3, 5, 7):
+            for x in range(1, F.q):
+                e = log[x] % r if m % r == 0 else 0
+                assert F.power_class_vector(x, r) == ({0: e} if e else {})
+        for n in (m + 1, 2 * m):
+            with pytest.raises(FieldError, match="no primitive"):
+                F.unity_root(n)
 
 
 def test_gf_2_20_tables():
@@ -381,10 +419,10 @@ def test_gf_2_20_tables():
     m = F.q - 1
     exp = F.roots_of_unity()
     assert sorted(exp) == list(range(1, F.q))
-    assert all(F.dlog(x) == k for k, x in enumerate(exp))
     gen = list(F.to_vec(F.generator()))
     mod = list(F.modulus)
     for k in random.Random(2020).sample(range(m), 1000):
+        assert F.dlog(exp[k]) == k
         product_ = _gfp_mod(_gfp_mul(list(F.to_vec(exp[k])), gen, 2), mod, 2)
         assert exp[(k + 1) % m] == F.from_vec(product_)
 

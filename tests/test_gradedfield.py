@@ -5,7 +5,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense, is_irreducible_ff, rank, zero_divisor_search
+from helpers import dense, is_irreducible_ff, rank, reference_embedding_is_multiplicative, zero_divisor_search
 
 from gradeddiv.abelian import FinAbGroup, element_order
 from gradeddiv.exactfield import (
@@ -69,7 +69,7 @@ def test_binomial_criterion_gf7():
 
 def test_binomial_witnesses_verified_divisors():
     F = FiniteField(5, 1)
-    for alpha in F.units():
+    for alpha in range(1, F.q):
         for n in range(2, 9):
             wit = reducible_binomial_witness(F, alpha, n)
             if wit is None:
@@ -131,7 +131,7 @@ def test_is_field_exponent2_dim8_over_gf3():
     from itertools import product as iproduct
 
     F3 = FiniteField(3, 1)
-    for mus in iproduct(F3.units(), repeat=3):
+    for mus in iproduct(range(1, F3.q), repeat=3):
         spec = GradedFieldSpec(FinAbGroup((2, 2, 2)), mus, F3)
         decision = is_field_exponent2(spec)
         found = zero_divisor_search(spec_algebra(spec))
@@ -234,7 +234,7 @@ def test_ff_grading_mus():
     F7 = FiniteField(7, 1)
     mus = ff_grading_mus(F7, 3)
     assert mus == [2, 3, 4, 5]  # computed: the non-cubes of GF(7)
-    for mu in F7.units():
+    for mu in range(1, F7.q):
         irreducible = is_irreducible_ff(F7, binomial_poly(F7, 3, mu))
         assert (mu in mus) == irreducible
 
@@ -263,6 +263,23 @@ def test_embed_field_homomorphism():
         for b in F.elements():
             assert emb[F.add(a, b)] == big.add(emb[a], emb[b])
             assert emb[F.mul(a, b)] == big.mul(emb[a], emb[b])
+
+
+def test_embeddings_are_multiplicative_on_every_proper_subfield_pair():
+    pairs = 0
+    for p in (q for q in range(2, 64) if factorint(q) == {q: 1}):
+        for L in range(2, 13):
+            if p**L > 4096:
+                break
+            big = FiniteField(p, L)
+            for ell in (d for d in range(1, L) if L % d == 0):
+                small = FiniteField(p, ell)
+                emb = embed_field(small, big)
+                assert sorted(emb) == list(small.elements()) and len(set(emb.values())) == small.q
+                assert emb[small.one] == big.one
+                assert reference_embedding_is_multiplicative(small, big, emb), (small, big)
+                pairs += 1
+    assert pairs == 57
 
 
 def test_kummer_grading_examples():
@@ -344,7 +361,7 @@ def _differential_algebras():
     # the spec algebras the scan-based tests enumerate
     for q, orders in ((3, (2, 2, 2)), (3, (2,)), (3, (2, 2)), (5, (2,)), (5, (2, 2)), (7, (2,)), (7, (2, 2)), (11, (2,)), (11, (2, 2))):
         F = FiniteField(q, 1)
-        for mus in iproduct(F.units(), repeat=len(orders)):
+        for mus in iproduct(range(1, F.q), repeat=len(orders)):
             yield spec_algebra(GradedFieldSpec(FinAbGroup(orders), mus, F))
     # Z_n over GF(p) with mu = 1: X^n - 1 is (X - 1)^n for n = p (not
     # reduced) and a product of n distinct linear factors for n | p - 1
@@ -395,7 +412,7 @@ def test_p_power_class_rule_matches_search():
             continue
         (char, ell), = fact.items()
         F = FiniteField(char, ell)
-        units = list(F.units())
+        units = list(range(1, F.q))
         for p in (2, 3, 5, 7):
             for m in (1, 2, 3):
                 tuples = list(iproduct(units, repeat=m))

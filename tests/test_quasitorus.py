@@ -159,7 +159,7 @@ def test_scaling_independence_over_gf():
     F = FiniteField(7, 1)
     G = FinAbGroup((3,))
     A = construct(G, AltBicharacter.trivial(G), MuFunction(G, (3,)), F)
-    for r in F.units():
+    for r in range(1, F.q):
         scaled = F.mul(3, F.power(r, 3))
         B = construct(G, AltBicharacter.trivial(G), MuFunction(G, (scaled,)), F)
         assert graded_iso_1dim(A, B) is not None
