@@ -9,7 +9,7 @@ square-class independence, Frobenius eigenspace and Kummer gradings of
 finite fields).
 """
 
-from .abelian import FinAbGroup, GroupElement, Subgroup
+from .abelian import FinAbGroup, Subgroup
 from .exactfield import CyclotomicField, FiniteField, RationalField, RealField
 from .gradedalg import GradedAlgebra
 from .quasitorus import AltBicharacter, MuFunction, construct
@@ -22,7 +22,6 @@ __all__ = [
     "FinAbGroup",
     "FiniteField",
     "GradedAlgebra",
-    "GroupElement",
     "MuFunction",
     "RationalField",
     "RealField",

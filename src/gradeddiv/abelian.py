@@ -1,9 +1,13 @@
 """Finite abelian groups presented as products of cyclic groups.
 
-A group is a fixed tuple of cyclic factor orders; elements are exponent
-tuples with componentwise addition.  Two presentations of isomorphic groups
-are distinct values on purpose: every construction downstream is relative to
-a chosen decomposition.
+A group is a fixed tuple of cyclic factor orders.  An element is a plain
+exponent tuple, each exponent reduced modulo its factor order; the group
+law is the group's ``add``, ``sub``, ``neg`` and ``scale`` (never ``+`` or
+``*``, which concatenate and repeat tuples).  Tuples compare in
+lexicographic exponent order, which is the order every list of elements
+here is kept in.  Two presentations of isomorphic groups are distinct
+values on purpose: every construction downstream is relative to a chosen
+decomposition.
 
 Subgroups store their full element lists.  Groups here are desk scale
 (hundreds of elements), so everything is decided by enumeration rather than
@@ -22,7 +26,8 @@ from .intutil import is_prime, prime_divisors
 
 @dataclass(frozen=True)
 class FinAbGroup:
-    """Direct product of cyclic groups of the given orders (each >= 1)."""
+    """Direct product of cyclic groups of the given orders (each >= 1); its
+    methods are the group law on exponent tuples (module doc)."""
 
     orders: tuple[int, ...]
 
@@ -42,25 +47,33 @@ class FinAbGroup:
     def exponent(self) -> int:
         return lcm(*self.orders) if self.orders else 1
 
-    def identity(self) -> GroupElement:
-        return GroupElement((0,) * self.rank, self)
+    def identity(self) -> tuple[int, ...]:
+        return (0,) * self.rank
 
-    def element(self, exponents) -> GroupElement:
-        exps = tuple(int(e) % n for e, n in zip(exponents, self.orders, strict=True))
-        return GroupElement(exps, self)
-
-    def generator(self, i: int) -> GroupElement:
+    def generator(self, i: int) -> tuple[int, ...]:
         exps = [0] * self.rank
         exps[i] = 1 % self.orders[i]
-        return GroupElement(tuple(exps), self)
-
-    def generators(self) -> list[GroupElement]:
-        return [self.generator(i) for i in range(self.rank)]
+        return tuple(exps)
 
     def elements(self):
         """All elements in lexicographic exponent order."""
-        for exps in product(*(range(n) for n in self.orders)):
-            yield GroupElement(exps, self)
+        return product(*(range(n) for n in self.orders))
+
+    def add(self, a: tuple, b: tuple) -> tuple[int, ...]:
+        return tuple((x + y) % n for x, y, n in zip(a, b, self.orders, strict=True))
+
+    def sub(self, a: tuple, b: tuple) -> tuple[int, ...]:
+        return tuple((x - y) % n for x, y, n in zip(a, b, self.orders, strict=True))
+
+    def neg(self, a: tuple) -> tuple[int, ...]:
+        return tuple(-x % n for x, n in zip(a, self.orders, strict=True))
+
+    def scale(self, k: int, a: tuple) -> tuple[int, ...]:
+        return tuple(k * x % n for x, n in zip(a, self.orders, strict=True))
+
+    def element_order(self, a: tuple) -> int:
+        """Least m >= 1 with m*a = 0, i.e. lcm over i of n_i / gcd(n_i, a_i)."""
+        return lcm(*(n // gcd(n, x) for x, n in zip(a, self.orders, strict=True)))
 
     def to_json(self) -> dict:
         return {"orders": list(self.orders)}
@@ -72,43 +85,12 @@ class FinAbGroup:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    exponents: tuple[int, ...]
-    group: FinAbGroup
-
-    def __add__(self, other: GroupElement) -> GroupElement:
-        if other.group != self.group:
-            raise ValueError("elements of different groups")
-        return self.group.element(a + b for a, b in zip(self.exponents, other.exponents))
-
-    def __neg__(self) -> GroupElement:
-        return self.group.element(-a for a in self.exponents)
-
-    def __sub__(self, other: GroupElement) -> GroupElement:
-        return self + (-other)
-
-    def __rmul__(self, k: int) -> GroupElement:
-        return self.group.element(k * a for a in self.exponents)
-
-    def is_identity(self) -> bool:
-        return all(a == 0 for a in self.exponents)
-
-
-def element_order(g: GroupElement) -> int:
-    """Least n >= 1 with n*g = 0, i.e. lcm over i of n_i / gcd(n_i, e_i)."""
-    out = 1
-    for e, n in zip(g.exponents, g.group.orders):
-        out = lcm(out, n // gcd(n, e))
-    return out
-
-
-@dataclass(frozen=True)
 class Subgroup:
     """Subgroup of a presented group, as generators plus the full element list."""
 
     group: FinAbGroup
-    elements: tuple[GroupElement, ...]
-    generators: tuple[GroupElement, ...]
+    elements: tuple[tuple[int, ...], ...]  # sorted
+    generators: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def from_generators(group: FinAbGroup, gens) -> Subgroup:
@@ -118,12 +100,11 @@ class Subgroup:
         while frontier:
             x = frontier.pop()
             for g in gens:
-                y = x + g
+                y = group.add(x, g)
                 if y not in closure:
                     closure.add(y)
                     frontier.append(y)
-        elems = tuple(sorted(closure, key=lambda e: e.exponents))
-        return Subgroup(group, elems, gens)
+        return Subgroup(group, tuple(sorted(closure)), gens)
 
     @staticmethod
     def from_elements(group: FinAbGroup, elems) -> Subgroup:
@@ -136,17 +117,14 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def element_set(self) -> frozenset[GroupElement]:
+    def element_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.elements)
 
-    def __contains__(self, g: GroupElement) -> bool:
+    def __contains__(self, g: tuple) -> bool:
         return g in self.element_set()
 
     def index(self) -> int:
         return self.group.order // self.order
-
-    def key(self) -> tuple:
-        return tuple(e.exponents for e in self.elements)
 
 
 def torsion_p_part(G: FinAbGroup, p: int) -> Subgroup:
@@ -161,20 +139,20 @@ def torsion_p_part(G: FinAbGroup, p: int) -> Subgroup:
             pe *= p
         if pe > 1:
             # n is now the p'-part of the factor order; n * a_i has order pe
-            gens.append(n * G.generator(i))
+            gens.append(G.scale(n, G.generator(i)))
     return Subgroup.from_generators(G, gens)
 
 
 @cache
 def two_torsion(G: FinAbGroup) -> Subgroup:
     """K_[2] = elements killed by doubling, built once per presented group."""
-    gens = [(n // 2) * G.generator(i) for i, n in enumerate(G.orders) if n % 2 == 0]
+    gens = [G.scale(n // 2, G.generator(i)) for i, n in enumerate(G.orders) if n % 2 == 0]
     return Subgroup.from_generators(G, gens)
 
 
 def squares(G: FinAbGroup) -> Subgroup:
     """K^[2] = image of the doubling map."""
-    gens = [2 * G.generator(i) for i in range(G.rank)]
+    gens = [G.scale(2, G.generator(i)) for i in range(G.rank)]
     return Subgroup.from_generators(G, gens)
 
 
@@ -189,16 +167,16 @@ def index2_subgroups(T: FinAbGroup) -> list[Subgroup]:
             continue
         chi = dict(zip(slots, mask))
 
-        def value(g: GroupElement) -> int:
-            return sum(chi.get(i, 0) * e for i, e in enumerate(g.exponents)) % 2
+        def value(g: tuple) -> int:
+            return sum(chi.get(i, 0) * e for i, e in enumerate(g)) % 2
 
         kernel = [g for g in T.elements() if value(g) == 0]
         out.append(Subgroup.from_elements(T, kernel))
-    out.sort(key=lambda s: s.key())
+    out.sort(key=lambda s: s.elements)
     return out
 
 
-def is_direct_summand(K: Subgroup, t0: GroupElement) -> bool:
+def is_direct_summand(K: Subgroup, t0: tuple) -> bool:
     """Whether the index-2 subgroup K splits off T, decided by 2*t0 in K^[2].
 
     The answer does not depend on which t0 outside K is used; that is checked
@@ -209,15 +187,15 @@ def is_direct_summand(K: Subgroup, t0: GroupElement) -> bool:
         raise ValueError("K must have index 2")
     if t0 in K:
         raise ValueError("t0 must lie outside K")
-    doubled = {2 * k for k in K.elements}
-    return (2 * t0) in doubled
+    doubled = {T.scale(2, k) for k in K.elements}
+    return T.scale(2, t0) in doubled
 
 
 def all_subgroups(G: FinAbGroup) -> list[Subgroup]:
     """Every subgroup, by closing generator sets; fine for |G| up to a few hundred."""
     found: dict[tuple, Subgroup] = {}
     trivial = Subgroup.from_generators(G, ())
-    found[trivial.key()] = trivial
+    found[trivial.elements] = trivial
     frontier = [trivial]
     while frontier:
         S = frontier.pop()
@@ -225,17 +203,18 @@ def all_subgroups(G: FinAbGroup) -> list[Subgroup]:
             if g in S:
                 continue
             T = Subgroup.from_generators(G, S.generators + (g,))
-            if T.key() not in found:
-                found[T.key()] = T
+            if T.elements not in found:
+                found[T.elements] = T
                 frontier.append(T)
-    return sorted(found.values(), key=lambda s: (s.order, s.key()))
+    return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 
 # ---------------------------------------------------------------------------
 # Structure extraction: presenting a subgroup as a product of cyclic groups.
-# Elements are opaque hashable tokens with caller-supplied operations, because
-# _p_basis recurses on the quotient by a cyclic subgroup, whose tokens are
-# canonical coset representatives rather than group elements.
+# Elements are opaque hashable, comparable tokens with caller-supplied
+# operations, because _p_basis recurses on the quotient by a cyclic subgroup,
+# whose tokens are canonical coset representatives (the least element of
+# each coset) rather than group elements.
 # ---------------------------------------------------------------------------
 
 
@@ -248,12 +227,12 @@ def _token_order(x, add, zero):
     return n
 
 
-def _p_basis(elems, add, neg, zero, sort_key):
+def _p_basis(elems, add, neg, zero):
     """Basis of a finite abelian p-group given as tokens; list of (token, order)."""
     if len(elems) == 1:
         return []
     orders = {x: _token_order(x, add, zero) for x in elems}
-    x1 = min((x for x in elems if orders[x] == max(orders.values())), key=sort_key)
+    x1 = min(x for x in elems if orders[x] == max(orders.values()))
     o1 = orders[x1]
     cyc = [zero]
     acc = x1
@@ -263,13 +242,13 @@ def _p_basis(elems, add, neg, zero, sort_key):
     cyc_set = set(cyc)
 
     def canon(x):
-        return min((add(x, h) for h in cyc_set), key=sort_key)
+        return min(add(x, h) for h in cyc_set)
 
-    q_elems = sorted({canon(x) for x in elems}, key=sort_key)
+    q_elems = sorted({canon(x) for x in elems})
     q_add = lambda a, b: canon(add(a, b))
     q_neg = lambda a: canon(neg(a))
     q_zero = canon(zero)
-    sub = _p_basis(q_elems, q_add, q_neg, q_zero, sort_key)
+    sub = _p_basis(q_elems, q_add, q_neg, q_zero)
     out = [(x1, o1)]
     for ybar, q_ord in sub:
         y = ybar  # canonical representative is itself a group token
@@ -289,7 +268,7 @@ def _p_basis(elems, add, neg, zero, sort_key):
     return out
 
 
-def _abelian_basis(elems, add, neg, zero, sort_key):
+def _abelian_basis(elems, add, neg, zero):
     """Independent generators with prime-power orders for a generic finite abelian group."""
     n = len(elems)
     if n == 1:
@@ -297,7 +276,7 @@ def _abelian_basis(elems, add, neg, zero, sort_key):
     basis = []
     for p in prime_divisors(n):
         part = [x for x in elems if _is_p_power(_token_order(x, add, zero), p)]
-        basis.extend(_p_basis(part, add, neg, zero, sort_key))
+        basis.extend(_p_basis(part, add, neg, zero))
     total = 1
     for _, o in basis:
         total *= o
@@ -329,16 +308,17 @@ class SubgroupPresentation:
 
     subgroup: Subgroup
     group: FinAbGroup  # presentation with prime-power cyclic factors
-    gens: tuple[GroupElement, ...]  # images of the presentation generators
+    gens: tuple[tuple[int, ...], ...]  # images of the presentation generators
 
-    def embed(self, x: GroupElement) -> GroupElement:
+    def embed(self, x: tuple) -> tuple[int, ...]:
         """Map a presentation element to the ambient group."""
-        out = self.subgroup.group.identity()
-        for e, g in zip(x.exponents, self.gens):
-            out = out + e * g
+        G = self.subgroup.group
+        out = G.identity()
+        for e, g in zip(x, self.gens):
+            out = G.add(out, G.scale(e, g))
         return out
 
-    def coords(self) -> dict[GroupElement, GroupElement]:
+    def coords(self) -> dict[tuple, tuple]:
         cached = self.__dict__.get("_coords_cache")
         if cached is not None:
             return cached
@@ -353,13 +333,7 @@ class SubgroupPresentation:
 
 def subgroup_presentation(S: Subgroup) -> SubgroupPresentation:
     G = S.group
-    basis = _abelian_basis(
-        list(S.elements),
-        lambda a, b: a + b,
-        lambda a: -a,
-        G.identity(),
-        lambda e: e.exponents,
-    )
+    basis = _abelian_basis(list(S.elements), G.add, G.neg, G.identity())
     basis = _sorted_presentation(basis)
     if not basis:
         return SubgroupPresentation(S, FinAbGroup(()), ())

@@ -204,7 +204,7 @@ def _cmd_iso(args) -> dict:
     witness = None
     if lam is not None:
         witness = sorted(
-            [[list(t.exponents), A.field.elem_to_json(v)] for t, v in lam.items()]
+            [[list(t), A.field.elem_to_json(v)] for t, v in lam.items()]
         )
     return {"input": {"a": da, "b": db}, "verdict": lam is not None, "witness": witness}
 
@@ -297,8 +297,8 @@ def _label_params_json(label, field) -> dict:
         out["mu"] = [[list(e), s] for e, s in mu.values]
     elif label.item in ("3a", "3b"):
         K, beta, nu = label.data
-        out["K"] = [list(e.exponents) for e in K.elements]
-        out["K_generators"] = [list(g.exponents) for g in beta.pres.gens]
+        out["K"] = [list(e) for e in K.elements]
+        out["K_generators"] = [list(g) for g in beta.pres.gens]
         out["beta_on_K"] = [[i, j, field.elem_to_json(v)] for i, j, v in beta.chi.values]
         if label.item == "3b":
             # the label carries one member; the report lists its whole class, as
@@ -325,10 +325,10 @@ def _cmd_classify_real(args) -> dict:
     subgroups = all_subgroups(G)
     results = classify_all(subgroups, items=items, verify=verify, jobs=args.jobs, construct=not args.count_only)
     # every stratum is reported, also those without a label
-    strata = [tuple(e.exponents for e in S.elements) for S in subgroups]
+    strata = [S.elements for S in subgroups]
     rows = census(results)
     empty_row = {"1": 0, "2": 0, "3": 0, "4": 0}
-    full_key = tuple(e.exponents for e in G.elements())
+    full_key = tuple(G.elements())
     report: dict = {
         "input": {"group": G.to_json(), "item": args.item, "oracle": args.oracle},
         "counts": rows.get(full_key, empty_row),

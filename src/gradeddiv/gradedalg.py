@@ -94,7 +94,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from itertools import islice, product
 
-from .abelian import FinAbGroup, GroupElement, element_order
+from .abelian import FinAbGroup
 from .exactfield import FieldError
 from .linalg import Echelon, echelon, express, insert, kernel
 
@@ -118,7 +118,7 @@ Vec = dict  # basis index -> nonzero field element
 class GradedAlgebra:
     field: object
     group: FinAbGroup
-    degrees: tuple[GroupElement, ...]
+    degrees: tuple[tuple[int, ...], ...]  # exponent tuples of group elements
     table: dict  # (i, j) -> Vec, missing entries mean the zero product
     unit: Vec
     _components: dict | None = dc_field(default=None, repr=False, compare=False)
@@ -131,18 +131,18 @@ class GradedAlgebra:
     def dim(self) -> int:
         return len(self.degrees)
 
-    def components(self) -> dict[GroupElement, list[int]]:
+    def components(self) -> dict[tuple, list[int]]:
         if self._components is None:
-            comps: dict[GroupElement, list[int]] = {}
+            comps: dict[tuple, list[int]] = {}
             for i, d in enumerate(self.degrees):
                 comps.setdefault(d, []).append(i)
             self._components = comps
         return self._components
 
-    def support(self) -> set[GroupElement]:
+    def support(self) -> set[tuple]:
         return set(self.components().keys())
 
-    def cocycle(self) -> dict[tuple[GroupElement, GroupElement], object]:
+    def cocycle(self) -> dict[tuple[tuple, tuple], object]:
         """sigma(s, t) with X_s X_t = sigma(s, t) X_{s+t}, keyed by degree pairs.
 
         Requires 1-dimensional components X_t over the whole group, every
@@ -155,11 +155,12 @@ class GradedAlgebra:
                 raise OracleError("operation requires 1-dimensional homogeneous components")
             if len(comps) != self.group.order:  # the group may be too large to list
                 raise OracleError("support must be the whole group")
+            add = self.group.add
             sigma = {}
             for s, (i,) in comps.items():
                 for t, (j,) in comps.items():
                     vec = self.entry(i, j)
-                    (k,) = comps[s + t]
+                    (k,) = comps[add(s, t)]
                     if set(vec) != {k}:
                         raise OracleError("zero structure constant; the table is not graded-division")
                     sigma[(s, t)] = vec[k]
@@ -206,16 +207,23 @@ class GradedAlgebra:
         return {k: F.mul(c, v) for k, v in x.items()}
 
     def vec_power(self, x: Vec, n: int) -> Vec:
+        """x^n for n >= 0 by square-and-multiply, which regroups the
+        product: valid on an associative table."""
         out = dict(self.unit)
-        for _ in range(n):
-            out = self.mul_vec(out, x)
+        while n:
+            if n & 1:
+                out = self.mul_vec(out, x)
+            n >>= 1
+            if n:
+                x = self.mul_vec(x, x)
         return out
 
 
 def verify_grading(A: GradedAlgebra) -> tuple[bool, tuple | None]:
     """Products of basis vectors must land in the component of the degree sum."""
+    add = A.group.add
     for (i, j), vec in A.table.items():
-        target = A.degrees[i] + A.degrees[j]
+        target = add(A.degrees[i], A.degrees[j])
         for k in vec:
             if A.degrees[k] != target:
                 return False, (i, j, k)
@@ -344,7 +352,7 @@ def invert_vec(A: GradedAlgebra, x: Vec) -> Vec | None:
     degrees = {A.degrees[i] for i in x}
     if len(degrees) != 1:
         raise OracleError("invert_vec needs a homogeneous vector; this one has parts in several degrees")
-    idxs = A.components().get(-degrees.pop())
+    idxs = A.components().get(A.group.neg(degrees.pop()))
     if idxs is None:
         return None
     n = A.dim
@@ -463,34 +471,34 @@ def is_graded_division(A: GradedAlgebra) -> tuple[bool, dict | None]:
     e_idxs = comps.get(A.group.identity(), [])
     finite = getattr(A.field, "kind", None) == "GF"
     ae_certified: bool | None = None
-    for deg in sorted(comps, key=lambda d: d.exponents):
+    for deg in sorted(comps):
         idxs = comps[deg]
         if len(idxs) == 1:
             if not _one_dim_invertible(A, deg, idxs[0], comps):
-                return False, {"degree": deg.exponents, "vector": {idxs[0]: A.field.one}}
+                return False, {"degree": deg, "vector": {idxs[0]: A.field.one}}
             continue
         if finite:
             witness = _finite_component_scan(A, idxs)
             if witness is not None:
-                return False, {"degree": deg.exponents, "vector": witness}
+                return False, {"degree": deg, "vector": witness}
             continue
         if ae_certified is None:
             ae_certified, ae_witness = _certify_identity_division(A, e_idxs)
             if not ae_certified:
-                return False, {"degree": A.group.identity().exponents, "vector": ae_witness}
+                return False, {"degree": A.group.identity(), "vector": ae_witness}
         ok, witness = _certify_component_module(A, idxs, e_idxs)
         if not ok:
-            return False, {"degree": deg.exponents, "vector": witness}
+            return False, {"degree": deg, "vector": witness}
     return True, None
 
 
-def _one_dim_invertible(A: GradedAlgebra, deg: GroupElement, i: int, comps) -> bool:
+def _one_dim_invertible(A: GradedAlgebra, deg: tuple, i: int, comps) -> bool:
     """Whether X_t, spanning a 1-dim component of a graded, unital,
     associative algebra, is invertible.  When A_e = F*1 and A_{-t} is 1-dim,
     X_t X_{-t} = c 1 and X_{-t} X_t = d 1, and associativity gives
     c X_t = (X_t X_{-t}) X_t = X_t (X_{-t} X_t) = d X_t, so c = d: X_t is
     invertible iff X_t X_{-t} != 0.  Other shapes solve for the inverse."""
-    neg = comps.get(-deg)
+    neg = comps.get(A.group.neg(deg))
     if neg is None or len(neg) != 1 or len(comps[A.group.identity()]) != 1:
         return invert_vec(A, A.basis_vec(i)) is not None
     return bool(A.entry(i, neg[0]))
@@ -677,23 +685,24 @@ def commutation_bicharacter(A: GradedAlgebra):
     values = []
     for i in range(G.rank):
         for j in range(i + 1, G.rank):
-            ai, aj = G.generator(i), G.generator(j)
-            if ai.is_identity() or aj.is_identity():
+            if 1 in (G.orders[i], G.orders[j]):  # a trivial generator
                 continue
+            ai, aj = G.generator(i), G.generator(j)
             values.append((i, j, F.div(sigma[(ai, aj)], sigma[(aj, ai)])))
     return AltBicharacter.from_pairs(G, values, F)
 
 
-def power_constant(A: GradedAlgebra, t: GroupElement):
+def power_constant(A: GradedAlgebra, t: tuple):
     """The scalar c with 1 X_t X_t ... X_t (o(t) factors X_t, multiplied from
     the left) = c 1: the product of sigma(mt, t) for m < o(t), since the
     unit's own scalar cancels."""
     F = A.field
     sigma = A.cocycle()
-    c, s = F.one, A.group.identity()
-    for _ in range(element_order(t)):
+    G = A.group
+    c, s = F.one, G.identity()
+    for _ in range(G.element_order(t)):
         c = F.mul(c, sigma[(s, t)])
-        s = s + t
+        s = G.add(s, t)
     return c
 
 
@@ -734,14 +743,14 @@ def graded_iso_1dim(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
     e = G.identity()
     lam = {e: F.div(sigma_a[(e, e)], sigma_b[(e, e)])}
     for t in G.elements():
-        if t.is_identity():
+        if t == e:
             continue
-        i = next(pos for pos, x in enumerate(t.exponents) if x)
+        i = next(pos for pos, x in enumerate(t) if x)
         a = G.generator(i)
         if t == a:
             lam[t] = choice[i]
         else:
-            prev = t - a
+            prev = G.sub(t, a)
             lam[t] = F.mul(F.mul(lam[prev], lam[a]), F.div(sigma_b[(prev, a)], sigma_a[(prev, a)]))
     return lam
 
@@ -751,7 +760,7 @@ def tensor_product(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     has the degree of a_i."""
     if A.field != B.field:
         raise OracleError("tensor factors over different coefficient fields")
-    if any(not d.is_identity() for d in B.degrees):
+    if any(any(d) for d in B.degrees):
         raise OracleError("the second tensor factor must be trivially graded")
     F = A.field
     pairs = [(i, j) for i in range(A.dim) for j in range(B.dim)]

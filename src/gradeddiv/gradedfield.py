@@ -44,7 +44,7 @@ from .exactfield import (
 )
 from .gradedalg import GradedAlgebra, certify
 from .intutil import factorint, prime_divisors
-from .linalg import kernel, rank
+from .linalg import echelon, express, kernel, rank
 from .quasitorus import AltBicharacter, MuFunction, construct
 
 
@@ -185,9 +185,8 @@ def is_field_exponent2(spec: GradedFieldSpec) -> Decision:
         acc = field.mul(acc, spec.mus[i])
     r = field.nth_root(acc, 2)
     A = spec_algebra(spec)
-    idx = {d.exponents: i for i, d in enumerate(A.degrees)}
     exps = tuple(1 if i in dep else 0 for i in range(spec.group.rank))
-    x = A.basis_vec(idx[exps])
+    x = A.basis_vec(A.degrees.index(exps))
     u = A.add_vec(x, A.scale_vec(field.neg(r), A.unit))
     v = A.add_vec(x, A.scale_vec(r, A.unit))
     if A.mul_vec(u, v) != {}:
@@ -248,7 +247,7 @@ def is_field_p_primary(spec: GradedFieldSpec) -> Decision:
         degree = 1
         embed = None  # the identity until the first level above field
         for step, (n, mu) in enumerate(nontrivial):
-            alpha = mu if embed is None else embed[mu]
+            alpha = mu if embed is None else embed(mu)
             if not binomial_irreducible(level, alpha, n):
                 wit = reducible_binomial_witness(level, alpha, n)
                 wit["level"] = step
@@ -258,7 +257,7 @@ def is_field_p_primary(spec: GradedFieldSpec) -> Decision:
             if step + 1 < len(nontrivial):
                 # realize the next level only while more steps need it
                 nxt = FiniteField(field.p, field.ell * degree)
-                embed = embed_field(field, nxt)
+                embed = embed_field(field, nxt)[0]
                 level = nxt
         return Decision(
             "true",
@@ -371,33 +370,51 @@ def ff_grading_mus(F: FiniteField, k: int) -> list[int]:
     return sorted(mu for j, mu in enumerate(F.roots_of_unity()) if all(j % r for r in primes))
 
 
-def embed_field(small: FiniteField, big: FiniteField) -> dict:
-    """Field embedding GF(p^ell) -> GF(p^L) as the full image table (fields
-    are desk scale): x = sum c_i t^i in GF(p)[t]/(f), f the small modulus,
-    goes to sum c_i root^i for the least root of f in big.  That map is a
-    ring homomorphism because f(root) = 0, which the root search checks, and
-    it is injective as GF(p)[t]/(f) is a field, so no product is compared."""
+def embed_field(small: FiniteField, big: FiniteField):
+    """Field embedding GF(p^ell) -> GF(p^L) and its inverse on the image, as
+    two maps.  The embedding sends x = sum c_i t^i in GF(p)[t]/(f), f the
+    small modulus, to sum c_i root^i for the least root of f in big (Horner).
+    That map is a ring homomorphism because f(root) = 0, which the root
+    search checks, and it is injective as GF(p)[t]/(f) is a field, so no
+    product is compared.  The inverse reads the c_i of y = sum c_i root^i off
+    one echelon form of the powers root^i over GF(p), and refuses a y
+    outside the image."""
     if small.p != big.p or big.ell % small.ell != 0:
         raise GradedFieldError("no embedding between these fields")
-    if small.ell == 1:
-        return {x: big.from_int(x) for x in small.elements()}
-    coeffs = [big.from_int(c) for c in small.modulus]
-    # every root lies in the subfield of order small.q: 0 and the powers of
-    # g^((Q-1)/(q-1)) for the generator g of big.  0 is not a root, since the
-    # modulus is irreducible of degree >= 2, so the smallest root found here
-    # is the first root in the integer order of big.elements()
-    step = (big.q - 1) // (small.q - 1)
-    subfield_units = (big.power(big.generator(), step * j) for j in range(small.q - 1))
-    root = min((x for x in subfield_units if big.is_zero(poly_eval(big, coeffs, x))), default=None)
-    if root is None:
-        raise AssertionError("internal: modulus has no root in the big field")
-    table = {}
-    for x in small.elements():
+    root = big.zero  # GF(p) needs no root: every x is its own c_0
+    if small.ell > 1:
+        coeffs = [big.from_int(c) for c in small.modulus]
+        # every root lies in the subfield of order small.q: 0 and the powers of
+        # g^((Q-1)/(q-1)) for the generator g of big.  0 is not a root, since the
+        # modulus is irreducible of degree >= 2, so the smallest root found here
+        # is the first root in the integer order of big.elements()
+        step = (big.q - 1) // (small.q - 1)
+        subfield_units = (big.power(big.generator(), step * j) for j in range(small.q - 1))
+        root = min((x for x in subfield_units if big.is_zero(poly_eval(big, coeffs, x))), default=None)
+        if root is None:
+            raise AssertionError("internal: modulus has no root in the big field")
+
+    def embed(x: int) -> int:
         acc = big.zero
         for c in reversed(small.to_vec(x)):
             acc = big.add(big.mul(acc, root), big.from_int(c))
-        table[x] = acc
-    return table
+        return acc
+
+    def digits(y: int) -> dict:
+        return {i: c for i, c in enumerate(big.to_vec(y)) if c}
+
+    powers = [big.one]
+    for _ in range(small.ell - 1):
+        powers.append(big.mul(powers[-1], root))
+    ech = echelon(FiniteField(small.p, 1), [digits(w) for w in powers])
+
+    def restrict(y: int) -> int:
+        coeffs = express(ech, digits(y))
+        if coeffs is None:
+            raise GradedFieldError(f"{big.elem_to_json(y)} is not in the image of GF({small.q}) in GF({big.q})")
+        return small.from_vec([coeffs.get(i, 0) for i in range(small.ell)])
+
+    return embed, restrict
 
 
 def frobenius_grading(p: int, ell: int, q: int) -> tuple[GradedAlgebra, dict]:
@@ -412,9 +429,9 @@ def frobenius_grading(p: int, ell: int, q: int) -> tuple[GradedAlgebra, dict]:
     if not is_prime(q):
         raise GradedFieldError("q must be prime")
     big = FiniteField(p, ell * q)
-    emb = embed_field(F, big)
+    emb, restrict = embed_field(F, big)
     zeta_small = F.unity_root(q)
-    zeta = emb[zeta_small]
+    zeta = emb(zeta_small)
 
     def psi(x):
         return big.power(x, F.q)
@@ -447,8 +464,7 @@ def frobenius_grading(p: int, ell: int, q: int) -> tuple[GradedAlgebra, dict]:
     mu_big = big.mul(xs[-1], x1)  # x1^q
     if psi(mu_big) != mu_big:
         raise AssertionError("internal: x1^q is not fixed by the relative Frobenius")
-    inv_emb = {v: k for k, v in emb.items()}
-    mu = inv_emb[mu_big]
+    mu = restrict(mu_big)
 
     Zq = FinAbGroup((q,))
     A = construct(Zq, AltBicharacter.trivial(Zq), MuFunction(Zq, (mu,)), F, verify=True)
@@ -496,20 +512,19 @@ def kummer_grading(spec: KummerSpec) -> tuple[GradedAlgebra, dict]:
     d = gcd(n, *dlogs) if dlogs else n
     r = n // d  # |Lambda / (F^x)^n|
     big = FiniteField(F.p, F.ell * r)
-    emb = embed_field(F, big)
-    inv_emb = {v: k for k, v in emb.items()}
+    emb, restrict = embed_field(F, big)
     g = F.generator()
 
     reps = [F.power(g, (j * d) % m if m else 0) for j in range(r)]
     # reps[0] = 1, and nth_root gives it the root 1
-    alphas = [big.nth_root(emb[rep], n) for rep in reps]
+    alphas = [big.nth_root(emb(rep), n) for rep in reps]
 
     # spanning check: the alphas times an F-basis span the big field over GF(p)
     rows = []
     for alpha in alphas:
         for t in range(F.ell):
             basis_elem = F.from_vec([0] * t + [1])
-            prod_elem = big.mul(alpha, emb[basis_elem])
+            prod_elem = big.mul(alpha, emb(basis_elem))
             rows.append({k: c for k, c in enumerate(big.to_vec(prod_elem)) if c})
 
     if rank(Residues(F.p), rows) != F.ell * r:
@@ -526,7 +541,7 @@ def kummer_grading(spec: KummerSpec) -> tuple[GradedAlgebra, dict]:
             c_big = big.mul(prod_elem, big.inv(alphas[tgt]))
             if big.power(c_big, F.q) != c_big:
                 raise AssertionError("internal: structure constant escaped the base field")
-            c = inv_emb[c_big]
+            c = restrict(c_big)
             table[(pos[elems[i]], pos[elems[j]])] = {pos[elems[tgt]]: c}
     A = GradedAlgebra(F, Zr, tuple(elems), table, {0: F.one})
     certify(A)

@@ -86,7 +86,7 @@ def _degree(G: FinAbGroup, exps, b: int):
     if len(exps) != G.rank:
         raise DescriptorError(f"basis degree {b} has {len(exps)} exponents for a group of rank {G.rank}")
     pairs = enumerate(zip(exps, G.orders))
-    return G.element([_index(x, f"basis degree {b} exponent {i}", n, f"Z_{n} exponent") for i, (x, n) in pairs])
+    return tuple(_index(x, f"basis degree {b} exponent {i}", n, f"Z_{n} exponent") for i, (x, n) in pairs)
 
 
 def algebra_to_json(A: GradedAlgebra) -> dict:
@@ -99,7 +99,7 @@ def algebra_to_json(A: GradedAlgebra) -> dict:
     return {
         "field": F.descriptor(),
         "group": A.group.to_json(),
-        "basis_degrees": [list(d.exponents) for d in A.degrees],
+        "basis_degrees": [list(d) for d in A.degrees],
         "unit": sorted([[k, F.elem_to_json(c)] for k, c in A.unit.items()]),
         "constants": constants,
     }

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import FinAbGroup, GroupElement, element_order, torsion_p_part
+from .abelian import FinAbGroup, torsion_p_part
 from .gradedalg import GradedAlgebra, certify, subalgebra_on_indices
 from .intutil import prime_divisors
 
@@ -58,17 +58,16 @@ class AltBicharacter:
 
     def validate(self, field) -> None:
         for i, j, v in self.values:
-            oi = element_order(self.group.generator(i))
-            oj = element_order(self.group.generator(j))
+            oi, oj = self.group.orders[i], self.group.orders[j]
             if field.power(v, oi) != field.one or field.power(v, oj) != field.one:
                 raise ParameterError(
                     f"beta_{i}{j} must be killed by both generator orders ({oi}, {oj})"
                 )
 
-    def value(self, g: GroupElement, h: GroupElement, field):
+    def value(self, g: tuple, h: tuple, field):
         out = field.one
         for i, j, v in self.values:
-            e = g.exponents[i] * h.exponents[j] - g.exponents[j] * h.exponents[i]
+            e = g[i] * h[j] - g[j] * h[i]
             if e:
                 out = field.mul(out, field.power(v, e))
         return out
@@ -125,14 +124,14 @@ def construct(
     orders = K.orders
     F = field
 
-    def coeff(a: GroupElement, b: GroupElement):
+    def coeff(a: tuple, b: tuple):
         out = F.one
         for i, j, v in beta.values:
-            e = -a.exponents[j] * b.exponents[i]
+            e = -a[j] * b[i]
             if e:
                 out = F.mul(out, F.power(v, e))
         for i in range(K.rank):
-            carry = (a.exponents[i] + b.exponents[i]) // orders[i]
+            carry = (a[i] + b[i]) // orders[i]
             if carry:
                 out = F.mul(out, F.power(mu.gen_values[i], carry))
         return out
@@ -141,7 +140,7 @@ def construct(
     for a in basis:
         ia = pos[a]
         for b in basis:
-            table[(ia, pos[b])] = {pos[a + b]: coeff(a, b)}
+            table[(ia, pos[b])] = {pos[K.add(a, b)]: coeff(a, b)}
     unit = {pos[K.identity()]: F.one}
     A = GradedAlgebra(F, K, tuple(basis), table, unit)
     if verify:

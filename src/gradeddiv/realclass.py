@@ -34,7 +34,6 @@ from math import gcd
 
 from .abelian import (
     FinAbGroup,
-    GroupElement,
     Subgroup,
     SubgroupPresentation,
     index2_subgroups,
@@ -78,7 +77,7 @@ def _sign(x) -> int:
 
 @dataclass(frozen=True)
 class SignMap:
-    """A +-1 map on a set of elements of a presented group.
+    """A +-1 map on a set of elements (exponent tuples) of a presented group.
 
     It carries both sign parameters of the classification: a quadratic form
     mu on T_[2] whose polarization is the (restricted) bicharacter,
@@ -86,21 +85,21 @@ class SignMap:
     domain, nu(t+g+h) nu(t) = beta(g, h) nu(t+g) nu(t+h)."""
 
     group: FinAbGroup
-    values: tuple  # ((exponents, sign), ...), sorted
+    values: tuple  # ((element, sign), ...), sorted
     _signs: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_signs", dict(self.values))
 
-    def __call__(self, g: GroupElement) -> int:
-        return self._signs[g.exponents]
+    def __call__(self, g: tuple) -> int:
+        return self._signs[g]
 
-    def domain(self):
-        return [self.group.element(exps) for exps, _ in self.values]
+    def domain(self) -> list[tuple]:
+        return [g for g, _ in self.values]
 
     @staticmethod
     def from_map(group: FinAbGroup, mapping: dict) -> SignMap:
-        return SignMap(group, tuple(sorted((g.exponents, s) for g, s in mapping.items())))
+        return SignMap(group, tuple(sorted(mapping.items())))
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ class SubBicharacter:
     pres: SubgroupPresentation
     chi: AltBicharacter  # on pres.group
 
-    def value_int(self, g: GroupElement, h: GroupElement) -> int:
+    def value_int(self, g: tuple, h: tuple) -> int:
         table = self.__dict__.get("_value_cache")
         if table is None:
             coords = self.pres.coords()
@@ -124,7 +123,7 @@ class SubBicharacter:
 
     def key(self):
         return (
-            tuple(e.exponents for e in self.pres.subgroup.elements),
+            self.pres.subgroup.elements,
             tuple((i, j, str(v)) for i, j, v in self.chi.values),
         )
 
@@ -151,7 +150,7 @@ def _data_key(obj):
     if isinstance(obj, SubBicharacter):
         return ("subbeta", obj.key())
     if isinstance(obj, Subgroup):
-        return ("K", obj.key())
+        return ("K", obj.elements)
     return obj
 
 
@@ -199,29 +198,36 @@ def enumerate_bicharacters_complex(T: FinAbGroup, cyc: CyclotomicField) -> list[
 def enumerate_quadratic_forms(T: FinAbGroup, beta: AltBicharacter) -> list[SignMap]:
     """All sign maps on T_[2] with polarization beta: a free sign on each
     basis vector x, extended by mu(g + x) = beta(g, x) mu(g) mu(x), then
-    checked against mu(g + h) = beta(g, h) mu(g) mu(h) on all of T_[2]."""
+    checked against that identity for every g in T_[2] and basis vector x.
+
+    That check gives mu(g + h) = beta(g, h) mu(g) mu(h) for every pair, by
+    induction on h (mu(0) = 1 and beta(g, 0) = 1 start it): if it holds at
+    h for every g, then with beta bilinear
+    mu(g + h + x) = beta(g + h, x) mu(g + h) mu(x)
+                  = beta(g, h) beta(g, x) beta(h, x) mu(g) mu(h) mu(x)
+                  = beta(g, h + x) mu(g) mu(h + x)."""
     t2 = two_torsion(T)
-    b = {(g, h): _sign(beta.value(g, h, REAL)) for g in t2.elements for h in t2.elements}
+    b = {(g, x): _sign(beta.value(g, x, REAL)) for g in t2.elements for x in t2.generators}
     out = []
     for signs in product((1, -1), repeat=len(t2.generators)):
         mu = {T.identity(): 1}
         for x, s in zip(t2.generators, signs):
-            mu.update([(g + x, b[(g, x)] * v * s) for g, v in mu.items()])
-        if any(mu[g + h] != bgh * mu[g] * mu[h] for (g, h), bgh in b.items()):
+            mu.update([(T.add(g, x), b[(g, x)] * v * s) for g, v in mu.items()])
+        if any(mu[T.add(g, x)] != bgx * mu[g] * mu[x] for (g, x), bgx in b.items()):
             raise ClassificationError("polarization identity failed")
         out.append(SignMap.from_map(T, mu))
     return out
 
 
-def _k2(T: FinAbGroup, K: Subgroup) -> list[GroupElement]:
+def _k2(T: FinAbGroup, K: Subgroup) -> list[tuple]:
     """K_[2], the elements of K killed by doubling, sorted."""
     kset = K.element_set()
-    return sorted((g for g in two_torsion(T).elements if g in kset), key=lambda e: e.exponents)
+    return [g for g in two_torsion(T).elements if g in kset]
 
 
-def _coset_rep(t: GroupElement, k2: list[GroupElement]) -> GroupElement:
+def _coset_rep(T: FinAbGroup, t: tuple, k2: list[tuple]) -> tuple:
     """The least element of the coset t + K_[2]."""
-    return min((t + h for h in k2), key=lambda e: e.exponents)
+    return min(T.add(t, h) for h in k2)
 
 
 def _item3_case(T: FinAbGroup, K: Subgroup) -> str:
@@ -230,11 +236,11 @@ def _item3_case(T: FinAbGroup, K: Subgroup) -> str:
     return "a" if is_direct_summand(K, next(t for t in T.elements() if t not in kset)) else "b"
 
 
-def _canonical_t0(T: FinAbGroup, K: Subgroup, case: str) -> GroupElement:
+def _canonical_t0(T: FinAbGroup, K: Subgroup, case: str) -> tuple:
     """The least element outside K, of order 2 in case "a"."""
     kset = K.element_set()
     pool = two_torsion(T).elements if case == "a" else T.elements()
-    return min((t for t in pool if t not in kset), key=lambda e: e.exponents)
+    return min(t for t in pool if t not in kset)
 
 
 def enumerate_admissible(
@@ -290,7 +296,7 @@ def enumerate_admissible(
     k2 = _k2(T, K)
 
     def signature(nu: SignMap) -> tuple:
-        return tuple((t.exponents, nu(t) * nu(_coset_rep(t, k2))) for t in nu.domain())
+        return tuple((t, nu(t) * nu(_coset_rep(T, t, k2))) for t in nu.domain())
 
     return sorted((canonicalize_item3(T, K, beta, q, t0, case="b") for q in forms), key=signature)
 
@@ -309,7 +315,7 @@ def construct_item1(T: FinAbGroup, beta: AltBicharacter, mu: SignMap, verify: bo
     gen_values = []
     for i, n in enumerate(T.orders):
         if n % 2 == 0:
-            gen_values.append(Fraction(mu((n // 2) * T.generator(i))))
+            gen_values.append(Fraction(mu(T.scale(n // 2, T.generator(i)))))
         else:
             gen_values.append(Fraction(1))
     A = construct(T, beta, MuFunction(T, tuple(gen_values)), REAL, verify=verify)
@@ -394,7 +400,7 @@ def construct_item3(
     kappa(a, b) (-1)^(d [a not in K] + e d) J^((e + d) mod 2) M_{a+b}."""
     kset = K.element_set()
     t0 = _canonical_t0(T, K, case)
-    mu_t0 = {h: nu(t0 + h) * nu(t0) for h in _k2(T, K)}
+    mu_t0 = {h: nu(T.add(t0, h)) * nu(t0) for h in _k2(T, K)}
     lam = nu(t0) if case == "a" else 1
 
     # the K-part cocycle, keyed by K's presentation
@@ -409,13 +415,13 @@ def construct_item3(
 
     # r(t) is t on K and t - t0 off it, in K's coordinates: kappa(a, b) is
     # sigma(r(a), r(b)) unless both a and b lie outside K
-    elems = sorted(T.elements(), key=lambda e: e.exponents)
-    r = {t: coords[t if t in kset else t - t0] for t in elems}
-    t0sq = coords[2 * t0]
+    elems = list(T.elements())
+    r = {t: coords[t if t in kset else T.sub(t, t0)] for t in elems}
+    t0sq = coords[T.scale(2, t0)]
     # for a outside K: (sigma(2t0, s) lam, a + t0 = 2t0 + s) with s = a - t0
-    off = {a: (signs[(t0sq, r[a])] * lam, coords[a + t0]) for a in elems if a not in kset}
+    off = {a: (signs[(t0sq, r[a])] * lam, coords[T.add(a, t0)]) for a in elems if a not in kset}
 
-    def kappa(a: GroupElement, b: GroupElement) -> int:
+    def kappa(a: tuple, b: tuple) -> int:
         if a in off and b in off:
             c, u = off[a]
             return c * signs[(u, r[b])]
@@ -425,7 +431,7 @@ def construct_item3(
     value = {1: Fraction(1), -1: Fraction(-1)}
     table = {}
     for a in elems:
-        row = [(pos[b], pos[a + b], kappa(a, b)) for b in elems]
+        row = [(pos[b], pos[T.add(a, b)], kappa(a, b)) for b in elems]
         for e in (0, 1):
             # J^e M_a J^d = (-1)^(d [a not in K]) J^(e+d) M_a, and J^2 = -1
             odd = (a in off) + e
@@ -468,7 +474,7 @@ def canonicalize_item3(
     K: Subgroup,
     beta: SubBicharacter,
     mu_t0: dict,
-    t0: GroupElement,
+    t0: tuple,
     delta_t0: int | None = None,
     case: str = "a",
 ):
@@ -489,37 +495,37 @@ def canonicalize_item3(
     if case == "a":
         if delta_t0 is None:
             raise ClassificationError("case (a) needs delta")
-        domain = sorted((t for t in two_torsion(T).elements if t not in kset), key=lambda e: e.exponents)
+        domain = [t for t in two_torsion(T).elements if t not in kset]
 
         def build(mu, delta, base):
             # t - base lies in K_[2]: both are 2-torsion and outside K
-            return SignMap.from_map(T, {t: delta * mu[t - base] for t in domain})
+            return SignMap.from_map(T, {t: delta * mu[T.sub(t, base)] for t in domain})
 
         nu = build({h: mu_t0[h] for h in k2}, delta_t0, t0)
-        g = next((g for g in k2 if not g.is_identity()), None)
+        g = next((g for g in k2 if any(g)), None)
         if g is not None:
             mu_p = {h: mu_t0[h] * beta.value_int(g, h) for h in k2}
-            if build(mu_p, delta_t0 * mu_t0[g], t0 + g) != nu:
+            if build(mu_p, delta_t0 * mu_t0[g], T.add(t0, g)) != nu:
                 raise ClassificationError("nu depended on the choice of t0 (case a)")
         return nu
 
     if case != "b":
         raise ClassificationError(f"unknown case {case!r}")
 
-    outside = sorted((t for t in T.elements() if t not in kset), key=lambda e: e.exponents)
+    outside = [t for t in T.elements() if t not in kset]
 
-    def family_from(mu_base: dict, base: GroupElement) -> dict:
+    def family_from(mu_base: dict, base: tuple) -> dict:
         fam = {}
         for t in outside:
-            g = t - base
+            g = T.sub(t, base)
             fam[t] = {h: mu_base[h] * beta.value_int(g, h) for h in k2}
         return fam
 
     family = family_from(mu_t0, t0)
     mapping = {}
     for t in outside:
-        r = _coset_rep(t, k2)
-        mapping[t] = family[r][t - r]
+        r = _coset_rep(T, t, k2)
+        mapping[t] = family[r][T.sub(t, r)]
     nu = SignMap.from_map(T, mapping)
     t0p = next((t for t in outside if t != t0), None)
     if t0p is not None and family_from(family[t0p], t0p) != family:
@@ -532,11 +538,11 @@ def class_of_admissible(T: FinAbGroup, K: Subgroup, nu: SignMap) -> tuple:
     report's ``nu_class`` of a case-(b) label, 2^(|K| / |K_[2]|) members."""
     k2 = _k2(T, K)
     domain = nu.domain()
-    reps = sorted({_coset_rep(t, k2) for t in domain}, key=lambda e: e.exponents)
+    reps = sorted({_coset_rep(T, t, k2) for t in domain})
     members = []
     for signs in product((1, -1), repeat=len(reps)):
         tw = dict(zip(reps, signs))
-        members.append(SignMap.from_map(T, {t: nu(t) * tw[_coset_rep(t, k2)] for t in domain}))
+        members.append(SignMap.from_map(T, {t: nu(t) * tw[_coset_rep(T, t, k2)] for t in domain}))
     return tuple(sorted(members, key=lambda m: m.values))
 
 
@@ -574,7 +580,7 @@ def _signs_of_squares(A: GradedAlgebra) -> SignMap:
     """The quadratic form t -> sign of X_t^2 on T_[2] of a table with
     1-dimensional components, 1 at the identity."""
     T = A.group
-    signs = {t: 1 if t.is_identity() else _sign(power_constant(A, t)) for t in two_torsion(T).elements}
+    signs = {t: _sign(power_constant(A, t)) if any(t) else 1 for t in two_torsion(T).elements}
     return SignMap.from_map(T, signs)
 
 
@@ -593,7 +599,7 @@ def _centralizer_subalgebra(A: GradedAlgebra, target_idxs: list[int], name: str)
         by_degree[d] = v
     if set(by_degree) != set(A.group.elements()):
         raise ClassificationError(f"{name} does not have full support")
-    degs = sorted(by_degree, key=lambda e: e.exponents)
+    degs = sorted(by_degree)
     return subalgebra_on_span(A, [by_degree[d] for d in degs], A.group, degs)
 
 
@@ -610,7 +616,7 @@ def _recover_item3(A: GradedAlgebra) -> ClassLabel:
         if len(degs) != 1:
             raise ClassificationError("centralizer vector is not homogeneous")
         K_degrees.add(degs.pop())
-    K = Subgroup.from_elements(T, sorted(K_degrees, key=lambda x: x.exponents))
+    K = Subgroup.from_elements(T, sorted(K_degrees))
     if K.index() != 2:
         raise ClassificationError("Cent(A_e) does not have index-2 support")
     case = _item3_case(T, K)
@@ -662,7 +668,7 @@ def _canonical_beta_pair(beta: AltBicharacter, cyc: CyclotomicField) -> tuple:
 
 @dataclass(frozen=True)
 class ClassifiedAlgebra:
-    stratum: tuple  # exponent tuples of the subgroup T inside G
+    stratum: tuple  # the elements of the subgroup T inside G
     label: ClassLabel
     algebra: GradedAlgebra | None  # None when the labels are only counted
 
@@ -707,7 +713,7 @@ def classify_stratum(
 ) -> list[ClassifiedAlgebra]:
     """``enumerate_labels`` with representatives, or with None where
     construct is false."""
-    stratum = tuple(e.exponents for e in T.elements())
+    stratum = tuple(T.elements())
     return [
         ClassifiedAlgebra(stratum, label, construct_label(label, verify) if construct else None)
         for label in enumerate_labels(T, items)
@@ -733,7 +739,7 @@ def classify_all(
     strata = []
     tasks = []
     for S in subgroups:
-        strata.append(tuple(e.exponents for e in S.elements))
+        strata.append(S.elements)
         tasks.append((subgroup_presentation(S).group.orders, items, verify, construct))
     # more processes than strata or cores would only wait on each other
     jobs = min(jobs, len(strata), os.cpu_count() or 1)

@@ -8,8 +8,6 @@ from math import gcd
 
 from gradeddiv.abelian import (
     FinAbGroup,
-    GroupElement,
-    element_order,
     is_direct_summand,
     squares,
     torsion_p_part,
@@ -359,11 +357,12 @@ def reference_field_tables(p: int, ell: int, modulus) -> tuple[list[int], dict[i
     return exp, {v: i for i, v in enumerate(exp)}
 
 
-def reference_embedding_is_multiplicative(small: FiniteField, big: FiniteField, table: dict) -> bool:
+def reference_embedding_is_multiplicative(small: FiniteField, big: FiniteField, embed) -> bool:
     """Every product of small is sent to the product of the images: the
     small.q^2 check ``gradedfield.embed_field`` ran before it rested on
     f(root) = 0 for the small modulus f."""
-    return all(table[small.mul(a, b)] == big.mul(table[a], table[b]) for a in small.elements() for b in small.elements())
+    image = [embed(x) for x in small.elements()]
+    return all(image[small.mul(a, b)] == big.mul(image[a], image[b]) for a in small.elements() for b in small.elements())
 
 
 # The readers of the structure constants of 1-dimensional components that
@@ -388,7 +387,7 @@ def one_dim_index(A: GradedAlgebra) -> dict:
 def structure_scalar(A: GradedAlgebra, idx: dict, s, t):
     """c(s, t) with X_s X_t = c(s, t) X_{s+t}, for 1-dimensional components."""
     vec = A.entry(idx[s], idx[t])
-    target = idx[s + t]
+    target = idx[A.group.add(s, t)]
     if set(vec) != {target}:
         raise OracleError("zero structure constant; the table is not graded-division")
     return vec[target]
@@ -431,13 +430,13 @@ def reference_iso_search(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
         # the equation at (e, e) forces lambda_e
         lam = {e: F.div(structure_scalar(A, idx_a, e, e), structure_scalar(B, idx_b, e, e))}
         for t in elements:
-            if t.is_identity():
+            if t == e:
                 continue
-            i = next(pos for pos, e in enumerate(t.exponents) if e)
+            i = next(pos for pos, x in enumerate(t) if x)
             if t == G.generator(i):
                 lam[t] = gen_choice[i]
                 continue
-            prev = t - G.generator(i)
+            prev = G.sub(t, G.generator(i))
             a = G.generator(i)
             val = F.mul(lam[prev], lam[a])
             val = F.mul(val, F.div(structure_scalar(B, idx_b, prev, a), structure_scalar(A, idx_a, prev, a)))
@@ -451,7 +450,7 @@ def reference_iso_search(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
         for s in elements:
             for t in elements:
                 lhs = F.mul(F.mul(lam[s], lam[t]), structure_scalar(B, idx_b, s, t))
-                rhs = F.mul(structure_scalar(A, idx_a, s, t), lam[s + t])
+                rhs = F.mul(structure_scalar(A, idx_a, s, t), lam[G.add(s, t)])
                 if lhs != rhs:
                     ok = False
                     break
@@ -477,7 +476,10 @@ def _unit_multiple(A: GradedAlgebra, w: dict):
 def reference_power_constant(A: GradedAlgebra, t):
     """The scalar of X_t^{o(t)}, multiplied out from the unit."""
     idx = one_dim_index(A)
-    w = A.vec_power(A.basis_vec(idx[t]), element_order(t))
+    x = A.basis_vec(idx[t])
+    w = A.unit
+    for _ in range(A.group.element_order(t)):
+        w = A.mul_vec(w, x)
     return _unit_multiple(A, w)
 
 
@@ -508,12 +510,12 @@ def reference_primary_decompose(A: GradedAlgebra) -> list:
             vec = A.mul_vec(vec, A.basis_vec(idx[g]))
         return vec
 
-    supports = [[d for d in sorted(part.support(), key=lambda e: e.exponents)] for _, part in parts]
+    supports = [sorted(part.support()) for _, part in parts]
     lam = {}
     for combo in product(*supports):
         total = K.identity()
         for g in combo:
-            total = total + g
+            total = K.add(total, g)
         vec = monomial(combo)
         if set(vec) != {idx[total]}:
             raise OracleError("primary factor product escaped its component")
@@ -529,12 +531,12 @@ def reference_primary_decompose(A: GradedAlgebra) -> list:
             su = K.identity()
             sv = K.identity()
             for g in u:
-                su = su + g
+                su = K.add(su, g)
             for g in v:
-                sv = sv + g
+                sv = K.add(sv, g)
             c_a = next(iter(A.entry(idx[su], idx[sv]).values()))
             lhs = F.mul(F.mul(lam[u], lam[v]), c_a)
-            w = tuple(ug + vg for ug, vg in zip(u, v))
+            w = tuple(K.add(ug, vg) for ug, vg in zip(u, v))
             rhs = F.mul(lam[w], c_tensor)
             if lhs != rhs:
                 raise OracleError("tensor decomposition failed the isomorphism check")
@@ -613,9 +615,9 @@ def _mu_generator_power(field, mu_value, order: int, n: int):
     return field.power(mu_value, n // d)
 
 
-def _primary_split(g: GroupElement) -> list[tuple[int, GroupElement]]:
+def _primary_split(K: FinAbGroup, g: tuple) -> list[tuple[int, tuple]]:
     """Decompose g into its p-parts, ordered by p."""
-    o = element_order(g)
+    o = K.element_order(g)
     if o == 1:
         return []
     out = []
@@ -626,7 +628,7 @@ def _primary_split(g: GroupElement) -> list[tuple[int, GroupElement]]:
         cof = o // pe
         # c = cof * inverse(cof) mod pe gives the CRT projector coefficient
         c = cof * pow(cof, -1, pe)
-        out.append((p, c * g))
+        out.append((p, K.scale(c, g)))
     return out
 
 
@@ -634,7 +636,7 @@ def mu_value(
     K: FinAbGroup,
     beta: AltBicharacter,
     mu: MuFunction,
-    g: GroupElement,
+    g: tuple,
     field,
     reverse: bool = False,
 ):
@@ -647,43 +649,40 @@ def mu_value(
     combine by mu(xy) = mu(x)^{o(y)} mu(y)^{o(x)}.  `reverse` evaluates along
     the reversed generator order, giving an independent factorization.
     """
-    if element_order(g) == 1:
+    if not any(g):
         return field.one
 
     gen_order = range(K.rank) if not reverse else range(K.rank - 1, -1, -1)
 
     # per-prime lists of (element, representative)
-    primary: dict[int, tuple[GroupElement, object]] = {}
+    primary: dict[int, tuple[tuple, object]] = {}
     for i in gen_order:
-        e = g.exponents[i]
+        e = g[i]
         if e == 0:
             continue
-        a = K.generator(i)
-        term = e * a
-        if term.is_identity():
-            continue
-        for p, part in _primary_split(term):
+        term = K.scale(e, K.generator(i))
+        for p, part in _primary_split(K, term):
             # part = a^{e*c}; a power of the generator, so the cyclic rule applies
-            exp_of_a = (e * _crt_coefficient(term, p)) % K.orders[i]
+            exp_of_a = (e * _crt_coefficient(K, term, p)) % K.orders[i]
             rep = _mu_generator_power(field, mu.gen_values[i], K.orders[i], exp_of_a)
             if p not in primary:
                 primary[p] = (part, rep)
             else:
                 prev_el, prev_rep = primary[p]
-                primary[p] = _combine_primary(field, beta, p, prev_el, prev_rep, part, rep)
+                primary[p] = _combine_primary(K, field, beta, p, prev_el, prev_rep, part, rep)
 
     # combine across primes (coprime orders commute, beta is trivial there)
     items = sorted(primary.items())
     acc_el, acc_rep = None, field.one
     for _, (el, rep) in items:
-        if el.is_identity():
+        if not any(el):
             continue
         if acc_el is None:
             acc_el, acc_rep = el, rep
         else:
-            o1, o2 = element_order(acc_el), element_order(el)
+            o1, o2 = K.element_order(acc_el), K.element_order(el)
             acc_rep = field.mul(field.power(acc_rep, o2), field.power(rep, o1))
-            acc_el = acc_el + el
+            acc_el = K.add(acc_el, el)
     if acc_el is None:
         return field.one
     if acc_el != g:
@@ -691,8 +690,8 @@ def mu_value(
     return acc_rep
 
 
-def _crt_coefficient(term: GroupElement, p: int) -> int:
-    o = element_order(term)
+def _crt_coefficient(K: FinAbGroup, term: tuple, p: int) -> int:
+    o = K.element_order(term)
     pe = 1
     while o % (pe * p) == 0:
         pe *= p
@@ -700,17 +699,17 @@ def _crt_coefficient(term: GroupElement, p: int) -> int:
     return cof * pow(cof, -1, pe)
 
 
-def _combine_primary(field, beta, p, x, mx, y, my):
+def _combine_primary(K: FinAbGroup, field, beta, p, x, mx, y, my):
     """mu of x+y from mu(x), mu(y) for two p-elements; returns (x+y, rep)."""
-    ox, oy = element_order(x), element_order(y)
+    ox, oy = K.element_order(x), K.element_order(y)
     if ox < oy:
         x, y, mx, my, ox, oy = y, x, my, mx, oy, ox
-    z = x + y
+    z = K.add(x, y)
     if oy == 1:
         return z, mx
     if ox > oy:
         return z, field.mul(mx, field.power(my, ox // oy))
-    oz = element_order(z)
+    oz = K.element_order(z)
     if oz != ox:
         # cannot happen along the canonical factorization: partial products
         # have disjoint generator support, so orders never drop
@@ -730,6 +729,31 @@ def cyclotomic_conjugate(C, x):
         if c:
             out = C.add(out, tuple(c * v for v in C.zeta_pow(-i)))
     return out
+
+
+def polarization_holds(T: FinAbGroup, beta: AltBicharacter, forms) -> bool:
+    """Whether every form mu satisfies mu(g + h) = beta(g, h) mu(g) mu(h) on
+    all pairs of T_[2]: the check ``realclass.enumerate_quadratic_forms``
+    made before it checked pairs (g, basis vector) only."""
+    t2 = two_torsion(T).elements
+    b = {(g, h): int(beta.value(g, h, REAL)) for g in t2 for h in t2}
+    return all(mu(T.add(g, h)) == bgh * mu(g) * mu(h) for mu in forms for (g, h), bgh in b.items())
+
+
+def reference_quadratic_forms(T: FinAbGroup, beta: AltBicharacter) -> list[SignMap]:
+    """The forms polarizing to beta as ``realclass.enumerate_quadratic_forms``
+    built them with its all-pairs check: every sign vector on the basis of
+    T_[2], extended along the basis, in the same order."""
+    t2 = two_torsion(T)
+    forms = []
+    for signs in product((1, -1), repeat=len(t2.generators)):
+        mu = {T.identity(): 1}
+        for x, s in zip(t2.generators, signs):
+            mu.update([(T.add(g, x), int(beta.value(g, x, REAL)) * v * s) for g, v in mu.items()])
+        forms.append(SignMap.from_map(T, mu))
+    if not polarization_holds(T, beta, forms):
+        raise ClassificationError("polarization identity failed")
+    return forms
 
 
 def reference_enumerate_admissible(T: FinAbGroup, K, beta, case: str):
@@ -757,20 +781,21 @@ def reference_enumerate_admissible(T: FinAbGroup, K, beta, case: str):
             raise ClassificationError("case (a) needs an order-2 element outside K")
         if not is_direct_summand(K, t0_candidates[0]):
             raise ClassificationError("case (a) requires K to be a direct summand")
-        domain = sorted(t0_candidates, key=lambda e: e.exponents)
+        domain = t0_candidates
         gs = k2
     elif case == "b":
         if is_direct_summand(K, next(t for t in T.elements() if t not in kset)):
             raise ClassificationError("case (b) requires K not to be a direct summand")
-        domain = sorted((t for t in T.elements() if t not in kset), key=lambda e: e.exponents)
-        gs = sorted(K.elements, key=lambda e: e.exponents)
+        domain = [t for t in T.elements() if t not in kset]
+        gs = K.elements
     else:
         raise ClassificationError(f"unknown case {case!r}")
 
     # the condition at each (t, g, h), on domain positions, read once
     at = {t: i for i, t in enumerate(domain)}
+    add = T.add
     conditions = {
-        (at[t + g + h], at[t], at[t + g], at[t + h], beta.value_int(g, h))
+        (at[add(add(t, g), h)], at[t], at[add(t, g)], at[add(t, h)], beta.value_int(g, h))
         for t in domain
         for g in gs
         for h in k2
@@ -785,7 +810,7 @@ def reference_enumerate_admissible(T: FinAbGroup, K, beta, case: str):
     # group into classes: nu ~ nu' iff nu'/nu is constant on each K_[2]-coset
     classes: dict[tuple, list] = {}
     for nu in maps:
-        sig = tuple((t.exponents, nu(t) * nu(_coset_rep(t, k2))) for t in domain)
+        sig = tuple((t, nu(t) * nu(_coset_rep(T, t, k2))) for t in domain)
         classes.setdefault(sig, []).append(nu)
     return [tuple(sorted(cls, key=lambda m: m.values)) for _, cls in sorted(classes.items())]
 
@@ -795,8 +820,8 @@ def _complex_pair_mul(z, w):
     return (a * c - b * d, a * d + b * c)
 
 
-def _cmatrix_mul(m1, m2, cmul):
-    """Product of 2x2 matrices whose entries map K-elements to Gaussian
+def _cmatrix_mul(T: FinAbGroup, m1, m2, cmul):
+    """Product of 2x2 matrices whose entries map K-elements of T to Gaussian
     integers (re, im)."""
     out = [[{}, {}], [{}, {}]]
     for i in range(2):
@@ -808,8 +833,9 @@ def _cmatrix_mul(m1, m2, cmul):
                         c = cmul(s1, s2)
                         z = _complex_pair_mul(z1, z2)
                         z = (z[0] * c, z[1] * c)
-                        old = acc.get(s1 + s2, (0, 0))
-                        acc[s1 + s2] = (old[0] + z[0], old[1] + z[1])
+                        s = T.add(s1, s2)
+                        old = acc.get(s, (0, 0))
+                        acc[s] = (old[0] + z[0], old[1] + z[1])
             out[i][j] = {s: z for s, z in acc.items() if z != (0, 0)}
     return out
 
@@ -820,7 +846,7 @@ def reference_construct_item3(T: FinAbGroup, K, beta, nu, case: str) -> GradedAl
     Every product is checked to land in its component, in the real form."""
     kset = K.element_set()
     t0 = _canonical_t0(T, K, case)
-    mu_t0 = {h: nu(t0 + h) * nu(t0) for h in _k2(T, K)}
+    mu_t0 = {h: nu(T.add(t0, h)) * nu(t0) for h in _k2(T, K)}
     lam = nu(t0) if case == "a" else 1
     pres = beta.pres
     coords = pres.coords()
@@ -831,16 +857,16 @@ def reference_construct_item3(T: FinAbGroup, K, beta, nu, case: str) -> GradedAl
     def cmul(s1, s2) -> int:
         return signs[(coords[s1], coords[s2])]
 
-    t0sq = 2 * t0
-    elems = sorted(T.elements(), key=lambda e: e.exponents)
+    t0sq = T.scale(2, t0)
+    elems = list(T.elements())
     pos = {t: 2 * i for i, t in enumerate(elems)}
 
     def mat(t, with_j: bool):
         if t in kset:
             m = [[{t: (1, 0)}, {}], [{}, {t: (1, 0)}]]
         else:
-            s = t - t0
-            m = [[{}, {t0sq + s: (cmul(t0sq, s), 0)}], [{s: (lam, 0)}, {}]]
+            s = T.sub(t, t0)
+            m = [[{}, {T.add(t0sq, s): (cmul(t0sq, s), 0)}], [{s: (lam, 0)}, {}]]
         if with_j:
             # left-multiply by J = diag(i, -i)
             m = [[{s: _complex_pair_mul(unit, z) for s, z in entry.items()} for entry in row]
@@ -871,11 +897,11 @@ def reference_construct_item3(T: FinAbGroup, K, beta, nu, case: str) -> GradedAl
             return stored(z, target)
         if P[0][0] or P[1][1]:
             raise OracleError("off-diagonal component expected")
-        s = target - t0
+        s = T.sub(target, t0)
         u, v = P[0][1], P[1][0]
-        if set(u) - {t0sq + s} or set(v) - {s}:
+        if set(u) - {T.add(t0sq, s)} or set(v) - {s}:
             raise OracleError("product escaped its component")
-        zu = u.get(t0sq + s, (0, 0))
+        zu = u.get(T.add(t0sq, s), (0, 0))
         # c = +-1, so dividing by c is multiplying by it
         c = cmul(t0sq, s)
         z = (zu[0] * c, zu[1] * c)
@@ -887,7 +913,7 @@ def reference_construct_item3(T: FinAbGroup, K, beta, nu, case: str) -> GradedAl
     table = {}
     for i, ti in enumerate(degrees):
         for j, tj in enumerate(degrees):
-            vec = decompose(_cmatrix_mul(mats[i], mats[j], cmul), ti + tj)
+            vec = decompose(_cmatrix_mul(T, mats[i], mats[j], cmul), T.add(ti, tj))
             if vec:
                 table[(i, j)] = vec
     return GradedAlgebra(REAL, T, degrees, table, {pos[T.identity()]: Fraction(1)})

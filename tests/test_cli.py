@@ -964,7 +964,8 @@ def _run_in_a_small_address_space(argv) -> tuple[bytes, int]:
 
 # sha256 and length of the stdout bytes of requests on fields of a million
 # elements and more, recorded with the exp/log tables that took 98 MB
-# (GF(2^20)) and 387 MB (GF(13^6)) peak RSS
+# (GF(2^20)) and 387 MB (GF(13^6)) peak RSS, and with the embedding tables
+# of all of GF(8388593) that took 1.37 GB
 LARGE_FIELD_REPORTS = {
     "frobenius-GF(2^20)": (
         ["frobenius-grade", "--p", "2", "--ell", "4", "--q", "5"],
@@ -973,6 +974,10 @@ LARGE_FIELD_REPORTS = {
     "kummer-GF(13^6)": (
         ["kummer-grade", "--p", "13", "--ell", "1", "--n", "6", "--lam", "2"],
         ("80eafe4f90fa3b258094f8bf80ee10ce966e976677d02ba1f1139cd8d93a6a83", 1595),
+    ),
+    "kummer-GF(8388593)": (
+        ["kummer-grade", "--p", "8388593", "--ell", "1", "--n", "2", "--lam", "1"],
+        ("6d607700bf226d141fdc7b46aef09bd729909fff947809a6667baf3680e1a20c", 488),
     ),
 }
 

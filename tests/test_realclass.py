@@ -6,8 +6,10 @@ import pytest
 from helpers import (
     abelian_groups_upto,
     cyclotomic_conjugate,
+    polarization_holds,
     reference_construct_item3,
     reference_enumerate_admissible,
+    reference_quadratic_forms,
 )
 
 from gradeddiv.abelian import (
@@ -83,7 +85,7 @@ def test_enumerate_quadratic_forms_counts():
     for mu in forms:
         for g in mu.domain():
             for h in mu.domain():
-                assert mu(g + h) == mu(g) * mu(h)
+                assert mu(Z22.add(g, h)) == mu(g) * mu(h)
     nondeg = AltBicharacter.from_pairs(Z22, [(0, 1, Fraction(-1))], R)
     forms_nd = enumerate_quadratic_forms(Z22, nondeg)
     assert len(forms_nd) == 4
@@ -94,19 +96,31 @@ def test_quadratic_forms_match_exhaustive_filter():
         T = FinAbGroup(orders)
         beta = AltBicharacter.from_pairs(T, pairs, R)
         forms = {qf.values for qf in enumerate_quadratic_forms(T, beta)}
-        t2 = sorted(two_torsion(T).elements, key=lambda e: e.exponents)
+        t2 = sorted(two_torsion(T).elements)
         brute = set()
         for signs in product((1, -1), repeat=len(t2)):
             mapping = dict(zip(t2, signs))
             if mapping[T.identity()] != 1:
                 continue
             if all(
-                mapping[g + h] == (1 if beta.value(g, h, R) == 1 else -1) * mapping[g] * mapping[h]
+                mapping[T.add(g, h)] == (1 if beta.value(g, h, R) == 1 else -1) * mapping[g] * mapping[h]
                 for g in t2
                 for h in t2
             ):
                 brute.add(SignMap.from_map(T, mapping).values)
         assert forms == brute
+
+
+def test_quadratic_forms_match_the_all_pairs_reference():
+    # the check on pairs (g, basis vector) accepts what the all-pairs check does
+    checked = 0
+    for T in abelian_groups_upto(16):
+        for beta in enumerate_bicharacters_pm1(T):
+            forms = enumerate_quadratic_forms(T, beta)
+            assert polarization_holds(T, beta, forms)
+            assert forms == reference_quadratic_forms(T, beta), (T.orders, beta.values)
+            checked += 1
+    assert checked == 106
 
 
 def test_arf_split_for_nondegenerate_form():
@@ -125,13 +139,13 @@ def test_admissible_counts_examples():
     assert len(enumerate_admissible(Z2, K0, trivial_subbeta(Z2, K0), "a")) == 2
 
     Z4 = FinAbGroup((4,))
-    K4 = Subgroup.from_generators(Z4, [Z4.element((2,))])
+    K4 = Subgroup.from_generators(Z4, [(2,)])
     labels = enumerate_admissible(Z4, K4, trivial_subbeta(Z4, K4), "b")
     assert len(labels) == 2
     assert all(len(class_of_admissible(Z4, K4, nu)) == 2 for nu in labels)
 
     Z22 = FinAbGroup((2, 2))
-    K = Subgroup.from_generators(Z22, [Z22.element((1, 0))])
+    K = Subgroup.from_generators(Z22, [(1, 0)])
     maps = enumerate_admissible(Z22, K, trivial_subbeta(Z22, K), "a")
     assert len(maps) == 4
 
@@ -203,17 +217,17 @@ def test_admissible_maps_on_z64_are_two_sign_maps():
 
 def test_admissible_case_validation():
     Z4 = FinAbGroup((4,))
-    K4 = Subgroup.from_generators(Z4, [Z4.element((2,))])
+    K4 = Subgroup.from_generators(Z4, [(2,)])
     with pytest.raises(ValueError):
         enumerate_admissible(Z4, K4, trivial_subbeta(Z4, K4), "a")
 
 
 def test_construct_item1_examples():
     Z2 = FinAbGroup((2,))
-    mu_neg = SignMap.from_map(Z2, {Z2.element((0,)): 1, Z2.element((1,)): -1})
+    mu_neg = SignMap.from_map(Z2, {(0,): 1, (1,): -1})
     A = construct_item1(Z2, AltBicharacter.trivial(Z2), mu_neg)
     # this is C as a Z_2-graded real algebra: x^2 = -1
-    idx = {d.exponents: i for i, d in enumerate(A.degrees)}
+    idx = {d: i for i, d in enumerate(A.degrees)}
     x = A.basis_vec(idx[(1,)])
     assert A.mul_vec(x, x) == {idx[(0,)]: Fraction(-1)}
     assert center_dim(A) == 2
@@ -222,7 +236,7 @@ def test_construct_item1_examples():
 
 def test_construct_item2_identity_component_is_quaternion():
     Z2 = FinAbGroup((2,))
-    mu = SignMap.from_map(Z2, {Z2.element((0,)): 1, Z2.element((1,)): 1})
+    mu = SignMap.from_map(Z2, {(0,): 1, (1,): 1})
     A = construct_item2(Z2, AltBicharacter.trivial(Z2), mu)
     assert A.dim == 8
     Ae = identity_component(A)
@@ -235,7 +249,7 @@ def test_construct_item3a_quaternions():
     Z2 = FinAbGroup((2,))
     K = Subgroup.from_generators(Z2, ())
     beta = trivial_subbeta(Z2, K)
-    t0 = Z2.element((1,))
+    t0 = (1,)
     nu_minus = SignMap.from_map(Z2, {t0: -1})
     A = construct_item3(Z2, K, beta, nu_minus, "a")
     assert A.dim == 4
@@ -311,27 +325,27 @@ def test_item3_supports_and_sign_invariants():
 
 def test_canonicalize_item3_t0_free_case_a():
     T = FinAbGroup((2, 2))
-    K = Subgroup.from_generators(T, [T.element((1, 0))])
+    K = Subgroup.from_generators(T, [(1, 0)])
     beta = trivial_subbeta(T, K)
-    k2 = sorted(K.element_set(), key=lambda e: e.exponents)
+    k2 = sorted(K.element_set())
     t2_out = [t for t in two_torsion(T).elements if t not in K.element_set()]
     for nu in enumerate_admissible(T, K, beta, "a"):
         for t0 in t2_out:
-            mu_t0 = {h: nu(t0 + h) * nu(t0) for h in k2}
+            mu_t0 = {h: nu(T.add(t0, h)) * nu(t0) for h in k2}
             got = canonicalize_item3(T, K, beta, mu_t0, t0, delta_t0=nu(t0), case="a")
             assert got == nu
 
 
 def test_canonicalize_item3_case_b_classes():
     T = FinAbGroup((4,))
-    K = Subgroup.from_generators(T, [T.element((2,))])
+    K = Subgroup.from_generators(T, [(2,)])
     beta = trivial_subbeta(T, K)
     kset = K.element_set()
-    k2 = sorted((g for g in two_torsion(T).elements if g in kset), key=lambda e: e.exponents)
+    k2 = sorted(g for g in two_torsion(T).elements if g in kset)
     for label in enumerate_admissible(T, K, beta, "b"):
         for nu in class_of_admissible(T, K, label):
             for t0 in (t for t in T.elements() if t not in kset):
-                mu_t0 = {h: nu(t0 + h) * nu(t0) for h in k2}
+                mu_t0 = {h: nu(T.add(t0, h)) * nu(t0) for h in k2}
                 got = canonicalize_item3(T, K, beta, mu_t0, t0, case="b")
                 assert got == label
 
@@ -339,16 +353,16 @@ def test_canonicalize_item3_case_b_classes():
 def test_changing_t0_transitions():
     # mu and delta transition laws leave nu fixed (direct recomputation)
     T = FinAbGroup((2, 2))
-    K = Subgroup.from_generators(T, [T.element((1, 0))])
+    K = Subgroup.from_generators(T, [(1, 0)])
     pres = subgroup_presentation(K)
     beta = SubBicharacter(pres, AltBicharacter.trivial(pres.group))
     nu = enumerate_admissible(T, K, beta, "a")[1]
     kset = K.element_set()
     t0s = [t for t in two_torsion(T).elements if t not in kset]
-    k2 = sorted(kset, key=lambda e: e.exponents)
+    k2 = sorted(kset)
     results = set()
     for t0 in t0s:
-        mu_t0 = {h: nu(t0 + h) * nu(t0) for h in k2}
+        mu_t0 = {h: nu(T.add(t0, h)) * nu(t0) for h in k2}
         results.add(canonicalize_item3(T, K, beta, mu_t0, t0, delta_t0=nu(t0), case="a"))
     assert len(results) == 1
 
