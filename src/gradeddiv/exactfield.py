@@ -64,9 +64,10 @@ class FieldError(ValueError):
 
 class Residues:
     """Z/P for a prime P, elements ints in [0, P): only the arithmetic
-    ``linalg.insert`` runs, for the residue images of Q, R and Q(zeta_N)
-    and for ranks over GF(p): of power-class vectors and of the digit
-    vectors of ``gradedfield.kummer_grading``."""
+    ``linalg``'s elimination runs, for the residue images of Q, R and
+    Q(zeta_N) and for linear algebra over GF(p): ranks of power-class
+    vectors and of the digit vectors of ``gradedfield.kummer_grading``, and
+    ``gradedfield.embed_field``'s inverse."""
 
     zero = 0
     one = 1
@@ -82,6 +83,9 @@ class Residues:
 
     def mul(self, a, b):
         return a * b % self.P
+
+    def neg(self, a):
+        return -a % self.P
 
     def inv(self, a):
         return pow(a, -1, self.P)

@@ -38,10 +38,29 @@ entries in one table vector); the same sum formed on the ints is its image
 
 An algebra whose components X_t are 1-dimensional and cover the group is a
 twisted group algebra F^sigma K: X_s X_t = sigma(s, t) X_{s+t}.
-``GradedAlgebra.cocycle`` reads sigma off the table once, and every
-invariant of such an algebra is computed from it: the commutation
-bicharacter sigma(s, t) / sigma(t, s), and the power constant of t, the
-product of sigma(mt, t) over m < o(t).
+``GradedAlgebra.twist`` reads such a table once into index arrays: the
+product index P[i][j] (X_{t_i} X_{t_j} is a multiple of X_{t_{P[i][j]}}),
+the ``integer_image`` S[i][j] of sigma, and the images of the unit's
+coefficient u and of 1.  There is a read only when every product of two
+basis vectors is one nonzero term in its component and the unit is u X_e,
+and on a read the oracles are statements about sigma, each checked on the
+ints by the image's ``is_zero``:
+
+* grading holds: the read is the grading check;
+* the unit law is u sigma(e, t) = sigma(t, e) u = 1 for every t;
+* associativity is sigma(s, t) sigma(s+t, u) = sigma(t, u) sigma(s, t+u),
+  and by the nucleus argument above t need only run over the group's
+  nontrivial generators a_i: every sigma is nonzero, so the words in the
+  X_{a_i} are nonzero multiples of every X_t and the X_{a_i} generate A.
+  That is r * n^2 int comparisons, with no dict and no echelon;
+* the centre of an associative table is spanned by the X_t that commute
+  with every X_{a_i}, those with sigma(t, a_i) = sigma(a_i, t) (``center_dim``).
+
+A check that fails falls back to the general scan of its oracle, so
+verdicts and witnesses are those of the scan.  ``GradedAlgebra.cocycle``
+keeps sigma keyed by degree pairs, and every invariant of such an algebra
+is computed from it: the commutation bicharacter sigma(s, t) / sigma(t, s),
+and the power constant of t, the product of sigma(mt, t) over m < o(t).
 
 A graded isomorphism X_t -> lambda_t X'_t of two such algebras is a
 solution of lambda_s lambda_t sigma_B(s, t) = sigma_A(s, t) lambda_{s+t}:
@@ -90,9 +109,10 @@ Invertibility decisions:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field as dc_field
 from itertools import islice, product
+from typing import NamedTuple
 
 from .abelian import FinAbGroup
 from .exactfield import FieldError
@@ -114,6 +134,19 @@ class CannotCertify(OracleError):
 Vec = dict  # basis index -> nonzero field element
 
 
+class Twist(NamedTuple):
+    """A twisted group algebra's table as index arrays (module doc)."""
+
+    prod: list[list[int]]  # X_{t_i} X_{t_j} is sigma X_{t_k} for k = prod[i][j]
+    sigma: list[list[int]]  # the integer image of sigma(t_i, t_j)
+    values: list  # sigma(t_i, t_j) itself, row-major
+    unit: int  # the integer image of the unit's coefficient on X_e
+    one: int  # the integer image of 1
+    is_zero: Callable[[int], bool]
+    e: int  # the index of X_e
+    gens: list[int]  # the indices of X_{a_i} for the nontrivial generators a_i
+
+
 @dataclass
 class GradedAlgebra:
     field: object
@@ -123,6 +156,7 @@ class GradedAlgebra:
     unit: Vec
     _components: dict | None = dc_field(default=None, repr=False, compare=False)
     _cocycle: dict | None = dc_field(default=None, repr=False, compare=False)
+    _twist: Twist | str | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     # Values are immutable by convention after construction; all oracles are
     # pure, so concurrent use is safe.
@@ -142,31 +176,28 @@ class GradedAlgebra:
     def support(self) -> set[tuple]:
         return set(self.components().keys())
 
-    def cocycle(self) -> dict[tuple[tuple, tuple], object]:
-        """sigma(s, t) with X_s X_t = sigma(s, t) X_{s+t}, keyed by degree pairs.
+    def twist(self) -> Twist:
+        """The table of a twisted group algebra as index arrays (module doc).
 
         Requires 1-dimensional components X_t over the whole group, every
         product of two of them nonzero and in its component, and the unit a
-        multiple of X_e; raises OracleError otherwise.  Read once and kept.
+        multiple of X_e; raises OracleError naming the first unmet condition
+        otherwise.  Read once and kept, as is a refusal.
         """
+        if self._twist is None:
+            try:
+                self._twist = _read_twist(self)
+            except OracleError as exc:
+                self._twist = str(exc)
+        if isinstance(self._twist, str):
+            raise OracleError(self._twist)
+        return self._twist
+
+    def cocycle(self) -> dict[tuple[tuple, tuple], object]:
+        """sigma(s, t) with X_s X_t = sigma(s, t) X_{s+t}, keyed by degree
+        pairs; raises OracleError where ``twist`` does.  Read once and kept."""
         if self._cocycle is None:
-            comps = self.components()
-            if any(len(idxs) != 1 for idxs in comps.values()):
-                raise OracleError("operation requires 1-dimensional homogeneous components")
-            if len(comps) != self.group.order:  # the group may be too large to list
-                raise OracleError("support must be the whole group")
-            add = self.group.add
-            sigma = {}
-            for s, (i,) in comps.items():
-                for t, (j,) in comps.items():
-                    vec = self.entry(i, j)
-                    (k,) = comps[add(s, t)]
-                    if set(vec) != {k}:
-                        raise OracleError("zero structure constant; the table is not graded-division")
-                    sigma[(s, t)] = vec[k]
-            if set(self.unit) != set(comps[self.group.identity()]):
-                raise OracleError("the unit is not a multiple of X_e")
-            self._cocycle = sigma
+            self._cocycle = dict(zip(product(self.degrees, repeat=2), self.twist().values))
         return self._cocycle
 
     def basis_vec(self, i: int) -> Vec:
@@ -219,8 +250,69 @@ class GradedAlgebra:
         return out
 
 
+def _read_twist(A: GradedAlgebra) -> Twist:
+    """``GradedAlgebra.twist``'s read.  The rows of P are built walking the
+    group from X_e along the generators: if t_k = t_i + a, row k is row i
+    moved one step along a, so only r * n group additions are made."""
+    comps = A.components()
+    if any(len(idxs) != 1 for idxs in comps.values()):
+        raise OracleError("operation requires 1-dimensional homogeneous components")
+    if len(comps) != A.group.order:  # the group may be too large to list
+        raise OracleError("support must be the whole group")
+    G, n, F = A.group, A.dim, A.field
+    index = {d: i for d, (i,) in comps.items()}
+    e = index[G.identity()]
+    steps = [[index[G.add(d, a)] for d in A.degrees] for a in map(G.generator, range(G.rank)) if any(a)]
+    prod = [None] * n
+    prod[e] = list(range(n))
+    reached = [e]
+    for i in reached:
+        for step in steps:
+            k = step[i]
+            if prod[k] is None:
+                prod[k] = [step[m] for m in prod[i]]
+                reached.append(k)
+    get = A.table.get
+    rows = []  # row i: j -> sigma(t_i, t_j)
+    for i in range(n):
+        row = {}
+        for j, k in enumerate(prod[i]):
+            vec = get((i, j), {})
+            if len(vec) != 1 or k not in vec or F.is_zero(c := vec[k]):
+                raise OracleError("zero structure constant; the table is not graded-division")
+            row[j] = c
+        rows.append(row)
+    if A.unit.keys() != {e}:
+        raise OracleError("the unit is not a multiple of X_e")
+    images, is_zero = F.integer_image([*rows, A.unit, {e: F.one}])
+    return Twist(
+        prod=prod,
+        sigma=[list(row.values()) for row in images[:n]],
+        values=[c for row in rows for c in row.values()],
+        unit=images[n][e],
+        one=images[n + 1][e],
+        is_zero=is_zero,
+        e=e,
+        gens=[step[e] for step in steps],
+    )
+
+
+def _twisted(A: GradedAlgebra) -> Twist | None:
+    try:
+        return A.twist()
+    except OracleError:
+        return None
+
+
 def verify_grading(A: GradedAlgebra) -> tuple[bool, tuple | None]:
-    """Products of basis vectors must land in the component of the degree sum."""
+    """Products of basis vectors must land in the component of the degree
+    sum: true on a table ``twist`` reads, and scanned otherwise."""
+    if _twisted(A) is not None:
+        return True, None
+    return _scan_grading(A)
+
+
+def _scan_grading(A: GradedAlgebra) -> tuple[bool, tuple | None]:
     add = A.group.add
     for (i, j), vec in A.table.items():
         target = add(A.degrees[i], A.degrees[j])
@@ -231,6 +323,22 @@ def verify_grading(A: GradedAlgebra) -> tuple[bool, tuple | None]:
 
 
 def verify_unit(A: GradedAlgebra) -> tuple[bool, int | None]:
+    """1 b_i = b_i 1 = b_i for every basis vector: on a ``twist``,
+    u sigma(e, t) = sigma(t, e) u = 1; the first failing i otherwise."""
+    tw = _twisted(A)
+    if tw is not None and _twisted_unital(tw):
+        return True, None
+    return _scan_unit(A)
+
+
+def _twisted_unital(tw: Twist) -> bool:
+    """u sigma(e, t) = sigma(t, e) u = 1 for every t."""
+    u, one, is_zero = tw.unit, tw.one * tw.one, tw.is_zero
+    sides = (*tw.sigma[tw.e], *(row[tw.e] for row in tw.sigma))
+    return all(u * c == one or is_zero(u * c - one) for c in sides)
+
+
+def _scan_unit(A: GradedAlgebra) -> tuple[bool, int | None]:
     for i in range(A.dim):
         b = A.basis_vec(i)
         if A.mul_vec(A.unit, b) != b or A.mul_vec(b, A.unit) != b:
@@ -241,12 +349,40 @@ def verify_unit(A: GradedAlgebra) -> tuple[bool, int | None]:
 def verify_associative(A: GradedAlgebra) -> tuple[bool, tuple | None]:
     """Decide whether (b_i b_j) b_k == b_i (b_j b_k) for every basis triple.
 
-    The triples are first checked only for j in a generating set of basis
-    vectors (``_generating_basis``): they pass iff those vectors lie in the
-    middle nucleus, which is a subalgebra, so then it is all of A.  Otherwise
-    every j is scanned and the first failing triple (i, j, k) in
-    lexicographic order is the witness.  Each triple tests integer sums on
-    the field's ``integer_image`` of the table with its ``is_zero``.
+    On a ``twist`` the triples with j a generator index are the cocycle
+    identities of the module doc.  When they fail, or there is no twist,
+    the scan decides (``_scan_associative``).
+    """
+    tw = _twisted(A)
+    if tw is not None and _twisted_associative(tw):
+        return True, None
+    return _scan_associative(A)
+
+
+def _twisted_associative(tw: Twist) -> bool:
+    """sigma(s, t) sigma(s+t, u) = sigma(t, u) sigma(s, t+u) for every s, u
+    and every generator t."""
+    S, P, is_zero = tw.sigma, tw.prod, tw.is_zero
+    for t in tw.gens:
+        St, Pt = S[t], P[t]
+        for Ss, Ps in zip(S, P):
+            # over u: sigma(s, t) sigma(s+t, u) against sigma(t, u) sigma(s, t+u)
+            c, after = Ss[t], S[Ps[t]]
+            for x, y, tu in zip(after, St, Pt):
+                left, right = c * x, y * Ss[tu]
+                if left != right and not is_zero(left - right):
+                    return False
+    return True
+
+
+def _scan_associative(A: GradedAlgebra) -> tuple[bool, tuple | None]:
+    """The general oracle.  The triples are first checked only for j in a
+    generating set of basis vectors (``_generating_basis``): they pass iff
+    those vectors lie in the middle nucleus, which is a subalgebra, so then
+    it is all of A.  Otherwise every j is scanned and the first failing
+    triple (i, j, k) in lexicographic order is the witness.  Each triple
+    tests integer sums on the field's ``integer_image`` of the table with
+    its ``is_zero``.
     """
     n = A.dim
     vecs, is_zero = A.field.integer_image(list(A.table.values()))
@@ -444,7 +580,19 @@ def _commutant_basis(A: GradedAlgebra, unknown_idxs: Sequence[int], target_idxs:
 
 
 def center_dim(A: GradedAlgebra) -> int:
-    return len(_commutant_basis(A, range(A.dim), range(A.dim)))
+    """dim Z(A), for a table that passed ``certify`` (with or without the
+    graded-division oracle).  On a ``twist`` it counts the X_t that commute
+    with every generator X_{a_i}: the centre is graded, each component is
+    1-dimensional, and an element commuting with generators of an
+    associative algebra is central.  Otherwise the kernel of the
+    commutation columns of every basis vector."""
+    tw = _twisted(A)
+    if tw is None:
+        return len(_commutant_basis(A, range(A.dim), range(A.dim)))
+    S, one, is_zero = tw.sigma, tw.one, tw.is_zero
+    return sum(
+        all(row[g] == S[g][t] or is_zero((row[g] - S[g][t]) * one) for g in tw.gens) for t, row in enumerate(S)
+    )
 
 
 def graded_center_e_dim(A: GradedAlgebra) -> int:

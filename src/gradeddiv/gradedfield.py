@@ -378,7 +378,8 @@ def embed_field(small: FiniteField, big: FiniteField):
     search checks, and it is injective as GF(p)[t]/(f) is a field, so no
     product is compared.  The inverse reads the c_i of y = sum c_i root^i off
     one echelon form of the powers root^i over GF(p), and refuses a y
-    outside the image."""
+    outside the image; from GF(p) the image is the y with no digit above
+    the constant one, and the inverse reads that digit."""
     if small.p != big.p or big.ell % small.ell != 0:
         raise GradedFieldError("no embedding between these fields")
     root = big.zero  # GF(p) needs no root: every x is its own c_0
@@ -400,18 +401,30 @@ def embed_field(small: FiniteField, big: FiniteField):
             acc = big.add(big.mul(acc, root), big.from_int(c))
         return acc
 
+    def refuse(y: int):
+        raise GradedFieldError(f"{big.elem_to_json(y)} is not in the image of GF({small.q}) in GF({big.q})")
+
+    if small.ell == 1:
+        # elements are base-p digits, so y < p iff only its constant digit is set
+        def restrict(y: int) -> int:
+            if y >= small.p:
+                refuse(y)
+            return y
+
+        return embed, restrict
+
     def digits(y: int) -> dict:
         return {i: c for i, c in enumerate(big.to_vec(y)) if c}
 
     powers = [big.one]
     for _ in range(small.ell - 1):
         powers.append(big.mul(powers[-1], root))
-    ech = echelon(FiniteField(small.p, 1), [digits(w) for w in powers])
+    ech = echelon(Residues(small.p), [digits(w) for w in powers])
 
     def restrict(y: int) -> int:
         coeffs = express(ech, digits(y))
         if coeffs is None:
-            raise GradedFieldError(f"{big.elem_to_json(y)} is not in the image of GF({small.q}) in GF({big.q})")
+            refuse(y)
         return small.from_vec([coeffs.get(i, 0) for i in range(small.ell)])
 
     return embed, restrict

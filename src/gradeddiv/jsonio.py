@@ -89,6 +89,13 @@ def _degree(G: FinAbGroup, exps, b: int):
     return tuple(_index(x, f"basis degree {b} exponent {i}", n, f"Z_{n} exponent") for i, (x, n) in pairs)
 
 
+def _constant(entry, dim: int) -> tuple:
+    """(i, j, k, c) of a constant entry, refused unless it is a JSON object
+    with basis indices i, j, k in [0, dim) and an entry c."""
+    i, j, k = (_index(_required(entry, name, "a constant"), f"constant index {name}", dim, "basis") for name in "ijk")
+    return i, j, k, _required(entry, "c", f"constant (i, j, k) = ({i}, {j}, {k})")
+
+
 def algebra_to_json(A: GradedAlgebra) -> dict:
     F = A.field
     constants = []
@@ -120,8 +127,15 @@ def algebra_from_json(data: dict) -> GradedAlgebra:
     table: dict = {}
     seen_constants = set()
     for entry in _required_array(data, "constants", "the algebra descriptor"):
-        i, j, k = (_index(_required(entry, name, "a constant"), f"constant index {name}", dim, "basis") for name in "ijk")
-        c = F.elem_from_json(_required(entry, "c", f"constant (i, j, k) = ({i}, {j}, {k})"))
+        # one pass over a well-formed entry; the field-by-field checks name the fault
+        try:
+            i, j, k, c = entry["i"], entry["j"], entry["k"], entry["c"]
+            valid = type(i) is type(j) is type(k) is int and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim
+        except (KeyError, TypeError):
+            valid = False
+        if not valid:
+            i, j, k, c = _constant(entry, dim)
+        c = F.elem_from_json(c)
         if (i, j, k) in seen_constants:
             raise DescriptorError(f"constant (i, j, k) = ({i}, {j}, {k}) is given twice")
         seen_constants.add((i, j, k))

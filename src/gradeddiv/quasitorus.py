@@ -19,6 +19,7 @@ output against the associativity / grading / division oracles by default.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .abelian import FinAbGroup, torsion_p_part
 from .gradedalg import GradedAlgebra, certify, subalgebra_on_indices
@@ -123,18 +124,20 @@ def construct(
     pos = {g: i for i, g in enumerate(basis)}
     orders = K.orders
     F = field
+    # beta_ij^(o_i) = 1 (validate), so beta_ij^e is read at e mod o_i; a
+    # carry (a_i + b_i) div o_i is 0 or 1, and a factor 1 is left out
+    beta_powers = []
+    for i, j, v in beta.values:
+        pw = [F.one]
+        for _ in range(orders[i] - 1):
+            pw.append(F.mul(pw[-1], v))
+        beta_powers.append((i, j, pw))
+    mus = [(i, m) for i, m in enumerate(mu.gen_values) if m != F.one]
 
     def coeff(a: tuple, b: tuple):
-        out = F.one
-        for i, j, v in beta.values:
-            e = -a[j] * b[i]
-            if e:
-                out = F.mul(out, F.power(v, e))
-        for i in range(K.rank):
-            carry = (a[i] + b[i]) // orders[i]
-            if carry:
-                out = F.mul(out, F.power(mu.gen_values[i], carry))
-        return out
+        factors = [pw[e] for i, j, pw in beta_powers if (e := -a[j] * b[i] % orders[i])]
+        factors += [m for i, m in mus if a[i] + b[i] >= orders[i]]
+        return reduce(F.mul, factors) if factors else F.one
 
     table = {}
     for a in basis:

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from hypothesis import strategies as st
+
 from gradeddiv.abelian import (
     FinAbGroup,
     is_direct_summand,
@@ -14,7 +16,9 @@ from gradeddiv.abelian import (
     two_torsion,
 )
 from gradeddiv.exactfield import (
+    CyclotomicField,
     FiniteField,
+    RationalField,
     RealField,
     _gfp_mod,
     _gfp_mul,
@@ -23,7 +27,7 @@ from gradeddiv.exactfield import (
     poly_sub,
     poly_trim,
 )
-from gradeddiv.gradedalg import GradedAlgebra, OracleError, subalgebra_on_indices
+from gradeddiv.gradedalg import GradedAlgebra, OracleError, _commutant_basis, subalgebra_on_indices
 from gradeddiv.gradedfield import GradedFieldError
 from gradeddiv.intutil import factorint, prime_divisors
 from gradeddiv.linalg import Echelon, echelon, express, insert
@@ -917,3 +921,63 @@ def reference_construct_item3(T: FinAbGroup, K, beta, nu, case: str) -> GradedAl
             if vec:
                 table[(i, j)] = vec
     return GradedAlgebra(REAL, T, degrees, table, {pos[T.identity()]: Fraction(1)})
+
+
+# ---------------------------------------------------------------------------
+# Random D(K, beta, mu): the generator of the property and differential tests
+# ---------------------------------------------------------------------------
+
+
+PROPERTY_FIELDS = [
+    RationalField(),
+    REAL,
+    FiniteField(2, 1),
+    FiniteField(5, 1),
+    FiniteField(13, 1),
+    FiniteField(2, 2),
+    FiniteField(3, 2),
+    FiniteField(2, 3),
+    FiniteField(5, 2),
+    CyclotomicField(3),
+    CyclotomicField(4),
+    CyclotomicField(5),
+    CyclotomicField(8),
+]
+PROPERTY_GROUPS = [(2,), (3,), (4,), (6,), (8,), (2, 2), (4, 2), (3, 3), (2, 2, 2), (6, 2), (4, 4), (2, 2, 2, 2)]
+
+
+def nonzero_elements(F):
+    small = st.integers(-9, 9).filter(bool)
+    if F.kind == "GF":
+        return st.sampled_from(list(range(1, F.q)))
+    if F.kind == "CYC":
+        # a denominator d > 1 gives the integer image a common denominator D > 1
+        return st.builds(
+            lambda r, n, d: F.mul(r, F.div(F.from_int(n), F.from_int(d))),
+            st.sampled_from(F.roots_of_unity()),
+            small,
+            st.integers(1, 9),
+        )
+    return st.builds(Fraction, small, st.integers(1, 9))
+
+
+@st.composite
+def quasitorus_params(draw):
+    """A random (F, K, beta, mu) with |K| <= 16 over Q, R, GF(p^ell) or
+    Q(zeta_N): beta takes roots of unity that both generator orders kill."""
+    F = draw(st.sampled_from(PROPERTY_FIELDS))
+    G = FinAbGroup(draw(st.sampled_from(PROPERTY_GROUPS)))
+    pairs = []
+    for i in range(G.rank):
+        for j in range(i + 1, G.rank):
+            o = gcd(G.orders[i], G.orders[j])
+            pairs.append((i, j, draw(st.sampled_from([r for r in F.roots_of_unity() if F.power(r, o) == F.one]))))
+    mu = MuFunction(G, tuple(draw(nonzero_elements(F)) for _ in G.orders))
+    return F, G, AltBicharacter.from_pairs(G, pairs, F), mu
+
+
+def kernel_center_dim(A: GradedAlgebra) -> int:
+    """dim Z(A) as the kernel of the commutation columns of every basis
+    vector: the reference for gradeddiv.gradedalg.center_dim's count on
+    twisted group algebras."""
+    return len(_commutant_basis(A, range(A.dim), range(A.dim)))

@@ -7,6 +7,8 @@ from math import gcd
 import pytest
 from helpers import (
     abelian_groups_upto,
+    nonzero_elements,
+    quasitorus_params,
     reference_commutant_basis,
     reference_generating_basis,
     reference_invert_vec,
@@ -434,53 +436,6 @@ def test_associativity_matches_triple_scan_on_multi_term_tables():
                     assert verify_associative(B) == expected
                     failing += not expected[0]
         assert failing > 20
-
-
-PROPERTY_FIELDS = [
-    Q,
-    R,
-    FiniteField(2, 1),
-    FiniteField(5, 1),
-    FiniteField(13, 1),
-    FiniteField(2, 2),
-    FiniteField(3, 2),
-    FiniteField(2, 3),
-    FiniteField(5, 2),
-    CyclotomicField(3),
-    CyclotomicField(4),
-    CyclotomicField(5),
-    CyclotomicField(8),
-]
-PROPERTY_GROUPS = [(2,), (3,), (4,), (6,), (8,), (2, 2), (4, 2), (3, 3), (2, 2, 2), (6, 2), (4, 4), (2, 2, 2, 2)]
-
-
-def nonzero_elements(F):
-    small = st.integers(-9, 9).filter(bool)
-    if F.kind == "GF":
-        return st.sampled_from(list(range(1, F.q)))
-    if F.kind == "CYC":
-        # a denominator d > 1 gives the integer image a common denominator D > 1
-        return st.builds(
-            lambda r, n, d: F.mul(r, F.div(F.from_int(n), F.from_int(d))),
-            st.sampled_from(F.roots_of_unity()),
-            small,
-            st.integers(1, 9),
-        )
-    return st.builds(Fraction, small, st.integers(1, 9))
-
-
-@st.composite
-def quasitorus_params(draw):
-    """A random (F, K, beta, mu) with |K| <= 16."""
-    F = draw(st.sampled_from(PROPERTY_FIELDS))
-    G = FinAbGroup(draw(st.sampled_from(PROPERTY_GROUPS)))
-    pairs = []
-    for i in range(G.rank):
-        for j in range(i + 1, G.rank):
-            o = gcd(G.orders[i], G.orders[j])
-            pairs.append((i, j, draw(st.sampled_from([r for r in F.roots_of_unity() if F.power(r, o) == F.one]))))
-    mu = MuFunction(G, tuple(draw(nonzero_elements(F)) for _ in G.orders))
-    return F, G, AltBicharacter.from_pairs(G, pairs, F), mu
 
 
 @st.composite
