@@ -323,7 +323,7 @@ def _cmd_classify_real(args) -> dict:
     verify = args.oracle == "full"
 
     subgroups = all_subgroups(G)
-    results = classify_all(subgroups, items=items, verify=verify, jobs=args.jobs, construct=not args.count_only)
+    results = classify_all(subgroups, items=items, verify=verify, construct=not args.count_only)
     # every stratum is reported, also those without a label
     strata = [S.elements for S in subgroups]
     rows = census(results)
@@ -401,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out")
     p.add_argument("--oracle", choices=("full", "fast"), default="full")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("is-field", help="decide whether a graded-field is a field")
     p.add_argument("--field", required=True, help="Q, R, or GF")

@@ -926,9 +926,13 @@ class CyclotomicField:
         return [f"{c.numerator}/{c.denominator}" for c in x]
 
     def elem_from_json(self, data):
+        """A list of rationals, lowest degree first; a list longer than the
+        degree denotes its residue mod Phi_N, as ``FiniteField.from_vec``
+        reads an over-long digit list."""
         if not isinstance(data, list):
             raise FieldError(f"bad cyclotomic encoding: {data!r}")
-        return self._tup([_QQ.elem_from_json(c) for c in data])
+        coeffs = [_QQ.elem_from_json(c) for c in data]
+        return self._reduce(coeffs) if len(coeffs) > self.deg else self._tup(coeffs)
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "conductor": self.N}

@@ -681,7 +681,7 @@ def _certify_identity_division(A: GradedAlgebra, e_idxs: list[int]) -> tuple[boo
     if d == 2:
         return _certify_quadratic(A, e_idxs)
     if d == 4 and F.kind == "R":
-        if _match_quaternion_table(A, e_idxs):
+        if _match_hamilton_basis(A, e_idxs):
             return True, None
         raise CannotCertify("4-dimensional identity component does not match the quaternion table")
     raise CannotCertify(f"no division certificate for a {d}-dimensional identity component")
@@ -723,7 +723,7 @@ def _certify_quadratic(A: GradedAlgebra, e_idxs: list[int]) -> tuple[bool, Vec |
     return False, witness
 
 
-def _match_quaternion_table(A: GradedAlgebra, e_idxs: list[int]) -> bool:
+def _match_hamilton_basis(A: GradedAlgebra, e_idxs: list[int]) -> bool:
     """Exact basis match with 1, i, j, k relations inside A_e."""
     F = A.field
     unit = A.unit
@@ -902,32 +902,3 @@ def graded_iso_1dim(A: GradedAlgebra, B: GradedAlgebra) -> dict | None:
             lam[t] = F.mul(F.mul(lam[prev], lam[a]), F.div(sigma_b[(prev, a)], sigma_a[(prev, a)]))
     return lam
 
-
-def tensor_product(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
-    """A tensor B for a trivially graded B, graded by A's group: a_i (x) b_j
-    has the degree of a_i."""
-    if A.field != B.field:
-        raise OracleError("tensor factors over different coefficient fields")
-    if any(any(d) for d in B.degrees):
-        raise OracleError("the second tensor factor must be trivially graded")
-    F = A.field
-    pairs = [(i, j) for i in range(A.dim) for j in range(B.dim)]
-    pos = {p: n for n, p in enumerate(pairs)}
-    degrees = tuple(A.degrees[i] for i, _ in pairs)
-    table = {}
-    for (i, j) in pairs:
-        for (k, l) in pairs:
-            va = A.entry(i, k)
-            vb = B.entry(j, l)
-            if not va or not vb:
-                continue
-            out = {}
-            for r, ca in va.items():
-                for s, cb in vb.items():
-                    out[pos[(r, s)]] = F.mul(ca, cb)
-            table[(pos[(i, j)], pos[(k, l)])] = out
-    unit = {}
-    for r, ca in A.unit.items():
-        for s, cb in B.unit.items():
-            unit[pos[(r, s)]] = F.mul(ca, cb)
-    return GradedAlgebra(F, A.group, degrees, table, unit)

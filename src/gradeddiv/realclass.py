@@ -11,11 +11,23 @@ component and its position relative to the center:
   noncentral copy of C.  Case (a) applies when K is a direct summand of T
   (extra sign delta), case (b) otherwise.  The admissible sign maps are
   built from the quadratic forms on K_[2] polarizing to beta, by theorem
-  (``enumerate_admissible``), and each table is written down in closed form
-  from the K-part cocycle (``construct_item3``).  A case-(b) label carries
-  one sign map of its class; only the report expands the class;
+  (``enumerate_admissible``).  A case-(b) label carries one sign map of its
+  class; only the report expands the class;
 * item "4":  D(T, beta) with complex structure constants (D_e = C central),
   realized exactly over a cyclotomic coefficient field.
+
+Items 2 and 3 are a twisted group algebra combined with a small division
+algebra Delta: H on the basis q = (1, i, j, k), or C = span(1, J) on q = (1, J),
+with q_x q_y = S[x][y] q_{x xor y}.  One writer (``_write_table``) gives both
+tables in closed form, with q_x M_t at index m pos(t) + x (m = dim Delta,
+pos(t) the position of t in T.elements()) and
+
+    (q_x M_a)(q_y M_b) = kappa(a, b) chi_a(y) S[x][y] q_{x xor y} M_{a+b},
+
+where kappa(a, b) = +-1 and chi_a(y) = -1 exactly when q_y = J and a is
+outside K.  Item 2 takes H and the item-1 cocycle sigma for kappa; item 3
+takes C and the kappa that ``construct_item3`` derives from the K-part
+cocycle.
 
 Everything is enumerated over exact coefficients; every constructed
 representative is gated behind the associativity / grading / division
@@ -26,7 +38,6 @@ distinctness.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
@@ -51,7 +62,6 @@ from .gradedalg import (
     commutation_bicharacter,
     power_constant,
     subalgebra_on_span,
-    tensor_product,
 )
 from .quasitorus import AltBicharacter, MuFunction, construct
 
@@ -306,6 +316,43 @@ def enumerate_admissible(
 # ---------------------------------------------------------------------------
 
 
+# S of the module doc: H on (1, i, j, k) and C on (1, J)
+QUATERNIONS = ((1, 1, 1, 1), (1, -1, 1, -1), (1, -1, -1, 1), (1, 1, -1, -1))
+COMPLEX = ((1, 1), (1, -1))
+_VALUE = {1: Fraction(1), -1: Fraction(-1)}
+
+
+def _write_table(T: FinAbGroup, kappa, S: tuple, anti=(), verify: bool = True) -> GradedAlgebra:
+    """The real table of the module doc's product rule, certified when
+    verify is true: S is QUATERNIONS or COMPLEX, kappa(a, b) returns +-1, and
+    anti holds the degrees a outside K, whose M_a anticommutes with J = q_1."""
+    m = len(S)
+    elems = list(T.elements())
+    pos = {t: m * i for i, t in enumerate(elems)}
+    table = {}
+    for a in elems:
+        row = [(pos[b], pos[T.add(a, b)], kappa(a, b)) for b in elems]
+        chi = [-1 if y == 1 and a in anti else 1 for y in range(m)]
+        for x in range(m):
+            sx = [(y, x ^ y, S[x][y] * chi[y]) for y in range(m)]
+            for j, k, c in row:
+                for y, z, s in sx:
+                    table[(pos[a] + x, j + y)] = {k + z: _VALUE[c * s]}
+    degrees = tuple(t for t in elems for _ in range(m))
+    A = GradedAlgebra(REAL, T, degrees, table, {pos[T.identity()]: Fraction(1)})
+    if verify:
+        certify(A)
+    return A
+
+
+def _sign_cocycle(A: GradedAlgebra, name: str) -> dict:
+    """The cocycle of a table with 1-dimensional components, as ints +-1."""
+    sigma = A.cocycle()
+    if any(c not in (1, -1) for c in sigma.values()):
+        raise ClassificationError(f"the {name} cocycle takes a value other than +-1")
+    return {key: int(c) for key, c in sigma.items()}
+
+
 def construct_item1(T: FinAbGroup, beta: AltBicharacter, mu: SignMap, verify: bool = True) -> GradedAlgebra:
     """D(T, beta, mu) over exact real coefficients.
 
@@ -324,37 +371,12 @@ def construct_item1(T: FinAbGroup, beta: AltBicharacter, mu: SignMap, verify: bo
     return A
 
 
-def quaternion_table(field) -> GradedAlgebra:
-    """The quaternions with the trivial grading, over the given field."""
-    G = FinAbGroup(())
-    e = G.identity()
-    one, mone = field.one, field.neg(field.one)
-    # basis order: 1, i, j, k
-    t = {}
-    for a in range(4):
-        t[(0, a)] = {a: one}
-        if a:
-            t[(a, 0)] = {a: one}
-    t[(1, 1)] = {0: mone}
-    t[(2, 2)] = {0: mone}
-    t[(3, 3)] = {0: mone}
-    t[(1, 2)] = {3: one}
-    t[(2, 1)] = {3: mone}
-    t[(2, 3)] = {1: one}
-    t[(3, 2)] = {1: mone}
-    t[(3, 1)] = {2: one}
-    t[(1, 3)] = {2: mone}
-    return GradedAlgebra(field, G, (e, e, e, e), t, {0: one})
-
-
 def construct_item2(T: FinAbGroup, beta: AltBicharacter, mu: SignMap, verify: bool = True) -> GradedAlgebra:
-    """Item (1) tensored with the trivially graded quaternions."""
+    """Item (1) tensored with the trivially graded quaternions: the
+    closed-form table with H and the item-(1) cocycle."""
     # an intermediate table: only the emitted A is certified
-    base = construct_item1(T, beta, mu, verify=False)
-    A = tensor_product(base, quaternion_table(REAL))
-    if verify:
-        certify(A)
-    return A
+    signs = _sign_cocycle(construct_item1(T, beta, mu, verify=False), "item-(1)")
+    return _write_table(T, lambda a, b: signs[(a, b)], QUATERNIONS, verify=verify)
 
 
 def construct_item4(T: FinAbGroup, beta: AltBicharacter, cyc: CyclotomicField, verify: bool = True) -> GradedAlgebra:
@@ -396,8 +418,7 @@ def construct_item3(
     * kappa = sigma(2t0, s) lam sigma(2t0 + s, b - t0), s = a - t0, else;
 
     and J, with J^2 = -1, commutes with M_t for t in K and anticommutes
-    with it otherwise, so (J^e M_a)(J^d M_b) is
-    kappa(a, b) (-1)^(d [a not in K] + e d) J^((e + d) mod 2) M_{a+b}."""
+    with it otherwise: ``_write_table`` with C on the basis (1, J)."""
     kset = K.element_set()
     t0 = _canonical_t0(T, K, case)
     mu_t0 = {h: nu(T.add(t0, h)) * nu(t0) for h in _k2(T, K)}
@@ -408,10 +429,7 @@ def construct_item3(
     coords = pres.coords()
     mu_pres = SignMap.from_map(pres.group, {coords[h]: s for h, s in mu_t0.items()})
     # an intermediate table: only the emitted A is certified
-    sigma = construct_item1(pres.group, beta.chi, mu_pres, verify=False).cocycle()
-    if any(c not in (1, -1) for c in sigma.values()):
-        raise ClassificationError("the K-part cocycle takes a value other than +-1")
-    signs = {key: int(c) for key, c in sigma.items()}
+    signs = _sign_cocycle(construct_item1(pres.group, beta.chi, mu_pres, verify=False), "K-part")
 
     # r(t) is t on K and t - t0 off it, in K's coordinates: kappa(a, b) is
     # sigma(r(a), r(b)) unless both a and b lie outside K
@@ -427,23 +445,7 @@ def construct_item3(
             return c * signs[(u, r[b])]
         return signs[(r[a], r[b])]
 
-    pos = {t: 2 * i for i, t in enumerate(elems)}
-    value = {1: Fraction(1), -1: Fraction(-1)}
-    table = {}
-    for a in elems:
-        row = [(pos[b], pos[T.add(a, b)], kappa(a, b)) for b in elems]
-        for e in (0, 1):
-            # J^e M_a J^d = (-1)^(d [a not in K]) J^(e+d) M_a, and J^2 = -1
-            odd = (a in off) + e
-            for j, k, c in row:
-                table[(pos[a] + e, j)] = {k + e: value[c]}
-                table[(pos[a] + e, j + 1)] = {k + (e + 1) % 2: value[-c if odd % 2 else c]}
-    degrees = tuple(t for t in elems for _ in range(2))
-    unit = {pos[T.identity()]: Fraction(1)}
-    A = GradedAlgebra(REAL, T, degrees, table, unit)
-    if verify:
-        certify(A)
-    return A
+    return _write_table(T, kappa, COMPLEX, anti=off, verify=verify)
 
 
 def construct_label(label: ClassLabel, verify: bool = True) -> GradedAlgebra:
@@ -720,40 +722,16 @@ def classify_stratum(
     ]
 
 
-def _classify_stratum_task(payload):
-    orders, items, verify, construct = payload
-    return classify_stratum(FinAbGroup(tuple(orders)), items, verify, construct)
-
-
 def classify_all(
-    subgroups: list[Subgroup], items=("1", "2", "3", "4"), verify: bool = True, jobs: int = 1, construct: bool = True
+    subgroups: list[Subgroup], items=("1", "2", "3", "4"), verify: bool = True, construct: bool = True
 ) -> list[ClassifiedAlgebra]:
     """Classification over each given subgroup T of a group G, in their
     order; ``abelian.all_subgroups(G)`` gives every stratum.  With construct
-    false the labels are enumerated only, with no table built.
-
-    With jobs > 1 the strata are classified in a pool of
-    min(jobs, number of strata, CPU count) processes; the merge keeps the
-    serial order, so the result does not depend on jobs.
-    """
-    strata = []
-    tasks = []
-    for S in subgroups:
-        strata.append(S.elements)
-        tasks.append((subgroup_presentation(S).group.orders, items, verify, construct))
-    # more processes than strata or cores would only wait on each other
-    jobs = min(jobs, len(strata), os.cpu_count() or 1)
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            chunks = pool.map(_classify_stratum_task, tasks)
-    else:
-        chunks = map(_classify_stratum_task, tasks)
+    false the labels are enumerated only, with no table built."""
     return [
-        ClassifiedAlgebra(stratum, entry.label, entry.algebra)
-        for stratum, chunk in zip(strata, chunks)
-        for entry in chunk
+        ClassifiedAlgebra(S.elements, entry.label, entry.algebra)
+        for S in subgroups
+        for entry in classify_stratum(subgroup_presentation(S).group, items, verify, construct)
     ]
 
 

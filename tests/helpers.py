@@ -923,6 +923,52 @@ def reference_construct_item3(T: FinAbGroup, K, beta, nu, case: str) -> GradedAl
     return GradedAlgebra(REAL, T, degrees, table, {pos[T.identity()]: Fraction(1)})
 
 
+def quaternion_table(field) -> GradedAlgebra:
+    """Hamilton's quaternions with the trivial grading, on the basis 1, i, j, k."""
+    G = FinAbGroup(())
+    e = G.identity()
+    one, mone = field.one, field.neg(field.one)
+    t = {}
+    for a in range(4):
+        t[(0, a)] = {a: one}
+        if a:
+            t[(a, 0)] = {a: one}
+    for a in (1, 2, 3):
+        t[(a, a)] = {0: mone}
+    # ij = k, jk = i, ki = j, and each reversed product is its negative
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        t[(a, b)] = {c: one}
+        t[(b, a)] = {c: mone}
+    return GradedAlgebra(field, G, (e, e, e, e), t, {0: one})
+
+
+def tensor_product(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
+    """A tensor B for a trivially graded B, graded by A's group: a_i (x) b_j
+    has the degree of a_i and the index i dim(B) + j.  With B the
+    quaternions and A an item-(1) table it is the reference for
+    ``realclass.construct_item2`` (uncertified)."""
+    if A.field != B.field:
+        raise OracleError("tensor factors over different coefficient fields")
+    if any(any(d) for d in B.degrees):
+        raise OracleError("the second tensor factor must be trivially graded")
+    F = A.field
+    pairs = [(i, j) for i in range(A.dim) for j in range(B.dim)]
+    pos = {p: n for n, p in enumerate(pairs)}
+    degrees = tuple(A.degrees[i] for i, _ in pairs)
+    table = {}
+    for (i, j) in pairs:
+        for (k, l) in pairs:
+            va = A.entry(i, k)
+            vb = B.entry(j, l)
+            if not va or not vb:
+                continue
+            table[(pos[(i, j)], pos[(k, l)])] = {
+                pos[(r, s)]: F.mul(ca, cb) for r, ca in va.items() for s, cb in vb.items()
+            }
+    unit = {pos[(r, s)]: F.mul(ca, cb) for r, ca in A.unit.items() for s, cb in B.unit.items()}
+    return GradedAlgebra(F, A.group, degrees, table, unit)
+
+
 # ---------------------------------------------------------------------------
 # Random D(K, beta, mu): the generator of the property and differential tests
 # ---------------------------------------------------------------------------

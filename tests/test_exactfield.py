@@ -287,6 +287,14 @@ def test_cyclotomic_field_basics():
     assert poly_eval(C8, phi8, z) == C8.zero
 
 
+def test_cyclotomic_json_reads_an_over_long_list_mod_phi():
+    C4 = CyclotomicField(4)
+    assert C4.elem_from_json(["1/1", "0/1", "1/1"]) == C4.zero
+    # 2 zeta^3 = -2 zeta; a short list is padded with zeros
+    assert C4.elem_from_json(["0/1", "0/1", "0/1", "2/1"]) == C4.coerce([0, -2])
+    assert C4.elem_from_json(["1/2"]) == C4.coerce([Fraction(1, 2)])
+
+
 def test_cyclotomic_inverse_and_conjugation():
     C8 = CyclotomicField(8)
     x = C8.add(C8.zeta, C8.from_int(3))

@@ -13,6 +13,7 @@ from helpers import (
     reference_generating_basis,
     reference_invert_vec,
     reference_word_rank,
+    tensor_product,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -44,7 +45,6 @@ from gradeddiv.gradedalg import (
     mu_invariant,
     power_constant,
     subalgebra_on_indices,
-    tensor_product,
     verify_associative,
     verify_grading,
     verify_unit,

@@ -7,9 +7,11 @@ from helpers import (
     abelian_groups_upto,
     cyclotomic_conjugate,
     polarization_holds,
+    quaternion_table,
     reference_construct_item3,
     reference_enumerate_admissible,
     reference_quadratic_forms,
+    tensor_product,
 )
 
 from gradeddiv.abelian import (
@@ -203,6 +205,19 @@ def test_item3_tables_match_the_matrix_products(orders):
         B = reference_construct_item3(T, K, beta, nu, case)
         assert list(A.table.items()) == list(B.table.items())
         assert (A.degrees, A.unit) == (B.degrees, B.unit)
+
+
+@pytest.mark.parametrize("orders", [()] + [T.orders for T in abelian_groups_upto(8)], ids=lambda o: "x".join(map(str, o)))
+def test_item2_tables_match_the_tensor_product(orders):
+    # same constants, same key order, as the item-(1) table tensored with H
+    T = FinAbGroup(orders)
+    H = quaternion_table(R)
+    for beta in enumerate_bicharacters_pm1(T):
+        for mu in enumerate_quadratic_forms(T, beta):
+            A = construct_item2(T, beta, mu, verify=False)
+            B = tensor_product(construct_item1(T, beta, mu, verify=False), H)
+            assert list(A.table.items()) == list(B.table.items())
+            assert (A.degrees, A.unit) == (B.degrees, B.unit)
 
 
 def test_admissible_maps_on_z64_are_two_sign_maps():
