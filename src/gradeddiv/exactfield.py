@@ -2,23 +2,16 @@
 
 Four contexts implement one duck-typed protocol (add, mul, inv, power,
 is_nth_power, nth_power_class, nth_root, power_class_vector,
-roots_of_unity, integer_image, residue_image, JSON encoding).  Roots and
-power classes are asked of the field, nowhere else: ``nth_root(x, n)`` is a
-y with y^n = x, or None when the field has none, and raises FieldError when
-the model cannot write down or decide a root of the field it stands for;
+roots_of_unity, integer_image, JSON encoding).  Roots and power classes are
+asked of the field, nowhere else: ``nth_root(x, n)`` is a y with y^n = x,
+or None when the field has none, and raises FieldError when the model
+cannot write down or decide a root of the field it stands for;
 ``power_class_vector(x, p)``, p prime, is the class of x in F^x/(F^x)^p as
 a sparse vector over GF(p).  ``integer_image`` maps vectors of elements
 to int vectors and a test ``is_zero`` that decides on the ints whether a
 signed sum of products of two entries is 0 in the field: over Q and R by one
 common denominator, over GF(p) mod p, and over GF(p^ell) and Q(zeta_N) by
-``_packed_image``.  ``residue_image`` sends vectors of elements to vectors
-over a field with cheap arithmetic, returned with that field's context, by a
-ring map applied to the integral vectors D times them (D a common
-denominator, where there are denominators): over Q and R the D-scaled
-numerators mod RESIDUE_PRIME = 2^61 - 1, over Q(zeta_N) the D-scaled
-coefficients with zeta sent to a root of Phi_N mod a prime P = 1 (mod N)
-(``_cyclotomic_residue_root``), both in the table-free ``Residues``
-context, and over GF(p^ell) the elements themselves in the field.
+``_packed_image``.
 
 * ``RationalField``    - plain rationals; elements are ``fractions.Fraction``.
 * ``RealField``        - exact model of a real closed field.  Elements are
@@ -51,7 +44,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from math import gcd, isqrt, lcm
 from operator import not_
 
@@ -64,10 +56,10 @@ class FieldError(ValueError):
 
 class Residues:
     """Z/P for a prime P, elements ints in [0, P): only the arithmetic
-    ``linalg``'s elimination runs, for the residue images of Q, R and
-    Q(zeta_N) and for linear algebra over GF(p): ranks of power-class
-    vectors and of the digit vectors of ``gradedfield.kummer_grading``, and
-    ``gradedfield.embed_field``'s inverse."""
+    ``linalg``'s elimination runs, for linear algebra over GF(p) in
+    ``gradedfield``: ranks of power-class vectors and of the digit vectors
+    of ``gradedfield.kummer_grading``, and ``gradedfield.embed_field``'s
+    inverse."""
 
     zero = 0
     one = 1
@@ -89,15 +81,6 @@ class Residues:
 
     def inv(self, a):
         return pow(a, -1, self.P)
-
-
-def _residue_vecs(vecs: list[dict], P: int) -> list[dict]:
-    """Int vectors mod P, the entries that vanish dropped."""
-    return [{k: r for k, c in vec.items() if (r := c % P)} for vec in vecs]
-
-
-# the prime the residue images of Q and R are reduced modulo
-RESIDUE_PRIME = 2**61 - 1
 
 
 def _sign(x: Fraction) -> int:
@@ -232,10 +215,6 @@ class RationalField:
         rational value, so it is 0 iff the int is."""
         D = lcm(*{c.denominator for vec in vecs for c in vec.values()})
         return [{k: c.numerator * (D // c.denominator) for k, c in vec.items()} for vec in vecs], not_
-
-    def residue_image(self, vecs: list[dict]) -> tuple:
-        """The D-scaled numerators of ``integer_image`` mod RESIDUE_PRIME."""
-        return _residue_vecs(self.integer_image(vecs)[0], RESIDUE_PRIME), Residues(RESIDUE_PRIME)
 
     def elem_to_json(self, x):
         return f"{x.numerator}/{x.denominator}"
@@ -699,10 +678,6 @@ class FiniteField:
             return vecs, lambda v: v % self.p == 0
         return _packed_image([{k: self.to_vec(x) for k, x in vec.items()} for vec in vecs], self.modulus, self.p)
 
-    def residue_image(self, vecs: list[dict]) -> tuple:
-        """A finite field is its own residue image."""
-        return vecs, self
-
     def elem_to_json(self, x: int):
         return list(self.to_vec(x))
 
@@ -748,22 +723,6 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
             raise AssertionError("internal: division was not exact")
     assert all(c.denominator == 1 for c in f)
     return tuple(int(c) for c in f)
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_residue_root(N: int) -> tuple[int, int]:
-    """(P, r): P the least prime = 1 (mod N) above 2^30, and r a root of
-    Phi_N mod P.  N divides P - 1, so the cyclic group (Z/P)^x has elements
-    of order N, and those are the roots of Phi_N mod P; r is the first power
-    a^((P-1)/N), a = 2, 3, ..., of order N."""
-    P = 2**30 // N * N + 1
-    while P <= 2**30 or not is_prime(P):
-        P += N
-    primes = prime_divisors(N)
-    for a in count(2):
-        r = pow(a, (P - 1) // N, P)
-        if all(pow(r, N // q, P) != 1 for q in primes):
-            return P, r
 
 
 class CyclotomicField:
@@ -913,14 +872,6 @@ class CyclotomicField:
         """``_scaled`` packed modulo Phi_N (``_packed_image``); a sum of
         products of two entries is D^2 times its field value."""
         return _packed_image(self._scaled(vecs), cyclotomic_polynomial(self.N), 0)
-
-    def residue_image(self, vecs: list[dict]) -> tuple:
-        """``_scaled`` with zeta sent to the root r of Phi_N mod P that
-        ``_cyclotomic_residue_root`` gives: a ring map Z[zeta] -> Z/P."""
-        P, r = _cyclotomic_residue_root(self.N)
-        powers = [pow(r, i, P) for i in range(self.deg)]
-        evaluated = [{k: sum(x * w for x, w in zip(xs, powers)) for k, xs in vec.items()} for vec in self._scaled(vecs)]
-        return _residue_vecs(evaluated, P), Residues(P)
 
     def elem_to_json(self, x):
         return [f"{c.numerator}/{c.denominator}" for c in x]

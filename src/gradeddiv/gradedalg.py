@@ -21,12 +21,10 @@ N is closed under products, so it is a subalgebra, and A is associative
 as soon as N holds a set of basis vectors that generates A.  That takes
 r * n^2 triples for r generators instead of n^3.  The generators are chosen
 walking the basis down from its last index, and proved to generate A by
-exact linear algebra on the field's ``residue_image`` of the table (ints
-mod a prime, or GF(p^ell) itself), trusting no other oracle: the image is
-a ring map, so words that span on it span over the field
-(``_generating_basis``).  Only when the certificate fails does the oracle
-scan every triple, so the witness it reports is still the first failing
-triple in lexicographic order.
+exact linear algebra over the field on the words they form, trusting no
+other oracle (``_generating_basis``).  Only when the certificate fails does
+the oracle scan every triple, so the witness it reports is still the first
+failing triple in lexicographic order.
 
 Each triple is compared on integers, over every field.  The field's
 ``integer_image`` maps the table's vectors to int vectors (over Q and R,
@@ -54,7 +52,11 @@ ints by the image's ``is_zero``:
   X_{a_i} are nonzero multiples of every X_t and the X_{a_i} generate A.
   That is r * n^2 int comparisons, with no dict and no echelon;
 * the centre of an associative table is spanned by the X_t that commute
-  with every X_{a_i}, those with sigma(t, a_i) = sigma(a_i, t) (``center_dim``).
+  with every X_{a_i}, those with sigma(t, a_i) = sigma(a_i, t) (``center_dim``);
+* graded division holds on every graded, unital, associative table the
+  read accepts: X_t X_{-t} and X_{-t} X_t are nonzero multiples of X_e,
+  hence of 1, so X_t has a right and a left inverse, which associativity
+  makes one two-sided inverse.
 
 A check that fails falls back to the general scan of its oracle, so
 verdicts and witnesses are those of the scan.  ``GradedAlgebra.cocycle``
@@ -85,7 +87,8 @@ tau(e, e), and the cocycle identity at (e, e, t) and (t, e, e) gives
 tau(e, t) = tau(t, e) = tau(e, e), so that value solves every equation with
 e in it: the two units may be different multiples of X_e.
 
-Invertibility decisions:
+Invertibility decisions, on tables ``twist`` does not read (one it reads is
+graded-division, above):
 
 * a homogeneous x of degree t is invertible iff the stacked linear system
   x*y = 1, y*x = 1 has a solution y in the component A_{-t}, decided on one
@@ -424,52 +427,28 @@ def _generating_basis(A: GradedAlgebra) -> list[int]:
     lists X_e first, and X_e lies in the subalgebra any generators of the
     group generate, so walking down never spends a generator on it.
 
-    The words are formed on the field's ``residue_image``, taken of the row
-    of products b_s b_m of each chosen b_s when it is chosen (only those rows
-    enter a word), and each product is kept negated (it is formed with
-    ``sub``, the one addition the residue contexts have), which leaves every
-    span unchanged.  Over Q, R and Q(zeta_N) the image scales each row by a
-    common denominator D_s of its entries and then applies a ring map to the
-    integral entries (mod a prime, zeta sent to a root of Phi_N), so each
-    image word is the image of an integral vector, a nonzero multiple of a
-    word of A, and each minor of the image words is the image of a minor of
-    those vectors.  Every b_i ends up in the span of the image words, so
-    some n x n minor of them is nonzero, and then so is its preimage: the
-    words span A, and as they lie in the subalgebra the chosen vectors
-    generate, those generate A.  A prime that kills a minor can only cost
-    generators, never a wrong verdict.
+    Each word b_s w is formed from the table in the field's own
+    arithmetic.  Every b_i ends up in the span of the words, so they span
+    A, and as they lie in the subalgebra the chosen vectors generate, those
+    generate A.
     """
     n = A.dim
-    F = A.field
-    R = F.residue_image([])[1]  # the context alone
-    rows: dict[int, list[Vec]] = {}
-
-    def minus_left(s: int, w: Vec) -> Vec:
-        """-(b_s w) on the image."""
-        row = rows[s]
-        out = {}
-        for m, c in w.items():
-            for k, d in row[m].items():
-                out[k] = R.sub(out.get(k, R.zero), R.mul(c, d))
-        return {k: c for k, c in out.items() if not R.is_zero(c)}
-
-    ech = Echelon(R)
+    ech = Echelon(A.field)
     chosen: list[int] = []
     words: list[Vec] = []
     for i in reversed(range(n)):
         if ech.rank == n:
             break
-        if not insert(ech, {i: R.one}):
+        if not insert(ech, A.basis_vec(i)):
             continue
         # the new generator acts on every word so far, and is a word itself
         pending = [(i, w) for w in words]
         chosen.append(i)
-        rows[i] = F.residue_image([A.entry(i, m) for m in range(n)])[0]
-        words.append({i: R.one})
+        words.append(A.basis_vec(i))
         pending += [(s, words[-1]) for s in chosen]
         while pending and ech.rank < n:
             s, w = pending.pop()
-            sw = minus_left(s, w)
+            sw = A.mul_vec(A.basis_vec(s), w)
             if insert(ech, sw):
                 words.append(sw)
                 pending += [(t, sw) for t in chosen]
@@ -614,7 +593,12 @@ def is_graded_division(A: GradedAlgebra) -> tuple[bool, dict | None]:
     Returns (True, None) or (False, witness) where the witness names a
     concrete noninvertible homogeneous element.  Raises CannotCertify for
     component shapes outside the supported certificates (see module doc).
+    Requires a graded, unital, associative table; on a ``twist`` graded
+    division then holds (module doc), and otherwise a 1-dimensional
+    component is decided by ``invert_vec``.
     """
+    if _twisted(A) is not None:
+        return True, None
     comps = A.components()
     e_idxs = comps.get(A.group.identity(), [])
     finite = getattr(A.field, "kind", None) == "GF"
@@ -622,8 +606,8 @@ def is_graded_division(A: GradedAlgebra) -> tuple[bool, dict | None]:
     for deg in sorted(comps):
         idxs = comps[deg]
         if len(idxs) == 1:
-            if not _one_dim_invertible(A, deg, idxs[0], comps):
-                return False, {"degree": deg, "vector": {idxs[0]: A.field.one}}
+            if invert_vec(A, A.basis_vec(idxs[0])) is None:
+                return False, {"degree": deg, "vector": A.basis_vec(idxs[0])}
             continue
         if finite:
             witness = _finite_component_scan(A, idxs)
@@ -638,18 +622,6 @@ def is_graded_division(A: GradedAlgebra) -> tuple[bool, dict | None]:
         if not ok:
             return False, {"degree": deg, "vector": witness}
     return True, None
-
-
-def _one_dim_invertible(A: GradedAlgebra, deg: tuple, i: int, comps) -> bool:
-    """Whether X_t, spanning a 1-dim component of a graded, unital,
-    associative algebra, is invertible.  When A_e = F*1 and A_{-t} is 1-dim,
-    X_t X_{-t} = c 1 and X_{-t} X_t = d 1, and associativity gives
-    c X_t = (X_t X_{-t}) X_t = X_t (X_{-t} X_t) = d X_t, so c = d: X_t is
-    invertible iff X_t X_{-t} != 0.  Other shapes solve for the inverse."""
-    neg = comps.get(A.group.neg(deg))
-    if neg is None or len(neg) != 1 or len(comps[A.group.identity()]) != 1:
-        return invert_vec(A, A.basis_vec(i)) is not None
-    return bool(A.entry(i, neg[0]))
 
 
 def _finite_component_scan(A: GradedAlgebra, idxs: list[int]) -> Vec | None:

@@ -114,15 +114,18 @@ def algebra_to_json(A: GradedAlgebra) -> dict:
 
 def algebra_from_json(data: dict) -> GradedAlgebra:
     """The algebra a descriptor states; drops zero constants and zero unit
-    coefficients.  Refuses a missing key, a part of the wrong JSON type, a
-    basis index that is not a JSON integer in [0, dim), a degree exponent
-    that is not a JSON integer in [0, order), and a second entry for one
-    constant (i, j, k) or one unit index."""
+    coefficients.  Refuses a missing key, a part of the wrong JSON type, an
+    empty basis, a basis index that is not a JSON integer in [0, dim), a
+    degree exponent that is not a JSON integer in [0, order), and a second
+    entry for one constant (i, j, k) or one unit index."""
     F = field_from_json(_required(data, "field", "the algebra descriptor"))
     G = group_from_json(_required(data, "group", "the algebra descriptor"))
     degrees = tuple(
         _degree(G, exps, b) for b, exps in enumerate(_required_array(data, "basis_degrees", "the algebra descriptor"))
     )
+    if not degrees:
+        # the zero algebra, where 1 = 0, would pass every oracle
+        raise DescriptorError("the algebra descriptor has no basis vector: the zero algebra has 1 = 0")
     dim = len(degrees)
     table: dict = {}
     seen_constants = set()

@@ -710,16 +710,15 @@ def enumerate_labels(T: FinAbGroup, items=("1", "2", "3", "4")) -> list[ClassLab
     return out
 
 
-def classify_stratum(
-    T: FinAbGroup, items=("1", "2", "3", "4"), verify: bool = True, construct: bool = True
-) -> list[ClassifiedAlgebra]:
-    """``enumerate_labels`` with representatives, or with None where
-    construct is false."""
-    stratum = tuple(T.elements())
-    return [
-        ClassifiedAlgebra(stratum, label, construct_label(label, verify) if construct else None)
-        for label in enumerate_labels(T, items)
-    ]
+# most structure constants one classification builds, summed over its tables
+REPORT_CONSTANT_BOUND = 10**6
+
+
+def table_constants(label: ClassLabel) -> int:
+    """The structure constants of the label's table, dim^2: every product of
+    two basis vectors is one nonzero term, and dim = dim D_e * |T|."""
+    dim_e = {"2": 4, "3a": 2, "3b": 2}.get(label.item, 1)
+    return (dim_e * label.group.order) ** 2
 
 
 def classify_all(
@@ -727,11 +726,22 @@ def classify_all(
 ) -> list[ClassifiedAlgebra]:
     """Classification over each given subgroup T of a group G, in their
     order; ``abelian.all_subgroups(G)`` gives every stratum.  With construct
-    false the labels are enumerated only, with no table built."""
+    false the labels are enumerated only, with no table built; otherwise the
+    tables are built only when their structure constants, counted from the
+    labels, stay within REPORT_CONSTANT_BOUND."""
+    labeled = [
+        (S.elements, label) for S in subgroups for label in enumerate_labels(subgroup_presentation(S).group, items)
+    ]
+    if construct:
+        constants = sum(table_constants(label) for _, label in labeled)
+        if constants > REPORT_CONSTANT_BOUND:
+            raise ClassificationError(
+                f"the {len(labeled)} tables would hold {constants} structure constants, more than "
+                f"REPORT_CONSTANT_BOUND = {REPORT_CONSTANT_BOUND}; --count-only counts the labels"
+            )
     return [
-        ClassifiedAlgebra(S.elements, entry.label, entry.algebra)
-        for S in subgroups
-        for entry in classify_stratum(subgroup_presentation(S).group, items, verify, construct)
+        ClassifiedAlgebra(stratum, label, construct_label(label, verify) if construct else None)
+        for stratum, label in labeled
     ]
 
 

@@ -34,11 +34,14 @@ from gradeddiv.linalg import Echelon, echelon, express, insert
 from gradeddiv.quasitorus import AltBicharacter, MuFunction
 from gradeddiv.realclass import (
     ClassificationError,
+    ClassifiedAlgebra,
     SignMap,
     _canonical_t0,
     _coset_rep,
     _k2,
     construct_item1,
+    construct_label,
+    enumerate_labels,
 )
 
 REAL = RealField()
@@ -186,11 +189,11 @@ def reference_commutant_basis(A: GradedAlgebra, unknown_idxs: list[int], targets
 
 
 def reference_generating_basis(A: GradedAlgebra) -> list[int]:
-    """The greedy of gradeddiv.gradedalg._generating_basis in the field's own
-    arithmetic: walking the basis from the last index down, choose b_i when
-    it lies outside the span of the words s_1 (s_2 (... s_m)) in the vectors
-    chosen so far, kept closed under left multiplication by them.  Where the
-    residue image loses no rank, both choose the same vectors."""
+    """The greedy of gradeddiv.gradedalg._generating_basis, written out
+    plainly: walking the basis from the last index down, choose b_i when it
+    lies outside the span of the words s_1 (s_2 (... s_m)) in the vectors
+    chosen so far, kept closed under left multiplication by them.  Both run
+    in the field's own arithmetic, so they choose the same vectors."""
     n = A.dim
     ech = Echelon(A.field)
     chosen: list[int] = []
@@ -211,6 +214,25 @@ def reference_generating_basis(A: GradedAlgebra) -> list[int]:
                 words.append(sw)
                 pending += [(t, sw) for t in chosen]
     return chosen
+
+
+def perturbations(A: GradedAlgebra, key: tuple, factor, wrong: int) -> dict:
+    """A with one change each: the constant at key times factor, dropped, or
+    sent to the basis index wrong, and the unit coefficient times factor."""
+    F = A.field
+    ((k, c),) = A.table[key].items()
+    ((e, u),) = A.unit.items()
+    dropped = {other: vec for other, vec in A.table.items() if other != key}
+
+    def algebra(table, unit=A.unit):
+        return GradedAlgebra(F, A.group, A.degrees, table, unit)
+
+    return {
+        "changed": algebra({**A.table, key: {k: F.mul(c, factor)}}),
+        "dropped": algebra(dropped),
+        "wrong index": algebra({**A.table, key: {wrong: c}}),
+        "unit": algebra(A.table, {e: F.mul(u, factor)}),
+    }
 
 
 def reference_word_rank(A: GradedAlgebra, gens) -> int:
@@ -742,6 +764,13 @@ def polarization_holds(T: FinAbGroup, beta: AltBicharacter, forms) -> bool:
     t2 = two_torsion(T).elements
     b = {(g, h): int(beta.value(g, h, REAL)) for g in t2 for h in t2}
     return all(mu(T.add(g, h)) == bgh * mu(g) * mu(h) for mu in forms for (g, h), bgh in b.items())
+
+
+def classify_stratum(T: FinAbGroup, items=("1", "2", "3", "4"), verify: bool = True) -> list[ClassifiedAlgebra]:
+    """Every label with support exactly T (presented) and its table, with no
+    bound on the tables' size: ``realclass.classify_all`` on one stratum."""
+    stratum = tuple(T.elements())
+    return [ClassifiedAlgebra(stratum, label, construct_label(label, verify)) for label in enumerate_labels(T, items)]
 
 
 def reference_quadratic_forms(T: FinAbGroup, beta: AltBicharacter) -> list[SignMap]:

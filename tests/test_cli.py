@@ -10,14 +10,14 @@ import time
 from pathlib import Path
 
 import pytest
-from helpers import dense, left_mult_matrix, solve
+from helpers import classify_stratum, dense, left_mult_matrix, solve
 
 from gradeddiv import jsonio
 from gradeddiv.abelian import FinAbGroup
 from gradeddiv.cli import build_parser, main
 from gradeddiv.exactfield import FIELD_TABLE_BOUND
 from gradeddiv.gradedalg import FINITE_SCAN_BOUND, invert_vec
-from gradeddiv.realclass import classify_stratum
+from gradeddiv.realclass import REPORT_CONSTANT_BOUND
 
 
 def run_cli(capsys, *argv):
@@ -447,6 +447,19 @@ def test_invariants_refuses_a_zero_product(capsys, tmp_path):
     assert report["error"] == {"code": "bad-parameters", "message": "zero structure constant; the table is not graded-division"}
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_the_zero_algebra_is_refused(capsys, tmp_path, command):
+    # with no basis vector the unit is 0, so 1 = 0: verify once gave verdict
+    # true with every oracle ok, and decompose an empty list of parts
+    desc = {"field": {"kind": "Q"}, "group": {"orders": []}, "basis_degrees": [], "unit": [], "constants": []}
+    code, report = run_cli(capsys, command, "--in", _write(tmp_path, "zero.json", desc))
+    assert code == 3
+    assert report["error"] == {
+        "code": "bad-parameters",
+        "message": "the algebra descriptor has no basis vector: the zero algebra has 1 = 0",
+    }
+
+
 def test_unit_outside_the_identity_component_is_refused(capsys, tmp_path):
     desc = _construct(capsys, tmp_path, Z2xZ4_REQUEST)
     desc["unit"] = [[1, "1/1"]]
@@ -744,6 +757,16 @@ def test_classify_real_has_no_jobs_flag(capsys):
     code, report = run_cli(capsys, "classify-real", "--group", "4", "--jobs", "2")
     assert code == 2
     assert report["error"]["code"] == "bad-arguments"
+
+
+def test_classify_real_refuses_a_report_above_its_constant_bound(capsys):
+    # 8,910 tables holding 8,027,910 structure constants; building them passed 5 GB
+    started = time.monotonic()
+    code, report = run_cli(capsys, "classify-real", "--group", "2,2,2,2")
+    assert time.monotonic() - started < 10
+    assert code == 3 and report["error"]["code"] == "bad-parameters"
+    message = report["error"]["message"]
+    assert f"REPORT_CONSTANT_BOUND = {REPORT_CONSTANT_BOUND}" in message and "8027910" in message
 
 
 def test_readme_command_lines_parse():

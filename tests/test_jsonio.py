@@ -2,12 +2,13 @@ import json
 
 from fractions import Fraction
 
+from helpers import classify_stratum
+
 from gradeddiv import jsonio
 from gradeddiv.abelian import FinAbGroup
 from gradeddiv.exactfield import CyclotomicField, FiniteField, RationalField, RealField
 from gradeddiv.gradedalg import is_graded_division, verify_associative
 from gradeddiv.gradedfield import frobenius_grading
-from gradeddiv.realclass import classify_stratum
 
 
 def roundtrip(A):

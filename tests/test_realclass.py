@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from helpers import (
     abelian_groups_upto,
+    classify_stratum,
     cyclotomic_conjugate,
     polarization_holds,
     quaternion_table,
@@ -32,15 +33,16 @@ from gradeddiv.gradedalg import (
     identity_component,
     is_graded_division,
 )
+from gradeddiv.jsonio import algebra_to_json
 from gradeddiv.quasitorus import AltBicharacter
 from gradeddiv.realclass import (
+    REPORT_CONSTANT_BOUND,
     SignMap,
     SubBicharacter,
     canonicalize_item3,
     census,
     class_of_admissible,
     classify_all,
-    classify_stratum,
     construct_item1,
     construct_item2,
     construct_item3,
@@ -51,6 +53,7 @@ from gradeddiv.realclass import (
     enumerate_quadratic_forms,
     item4_conductor,
     recover_label,
+    table_constants,
 )
 
 R = RealField()
@@ -487,6 +490,24 @@ def test_item1_label_distinctness_by_iso_oracle():
                 assert (witness is not None) == (pa == pb), (T, pa, pb)
                 pairs_checked += 1
     assert pairs_checked >= 4096  # dominated by the rank-3 elementary abelian group
+
+
+def test_table_constants_count_the_emitted_constants():
+    for orders in [(2,), (4,), (2, 2), (3,), (6,)]:
+        results = classify_all(all_subgroups(FinAbGroup(orders)), verify=False)
+        for r in results:
+            assert table_constants(r.label) == len(algebra_to_json(r.algebra)["constants"]), (orders, r.label.item)
+        labels = classify_all(all_subgroups(FinAbGroup(orders)), construct=False)
+        assert [r.label.key() for r in labels] == [r.label.key() for r in results]
+
+
+def test_the_report_bound_admits_every_group_of_order_at_most_16_but_z2_to_the_4():
+    # Z2^4, 8,027,910 constants, is refused (test_cli); the largest admitted is Z2^2 x Z4
+    admitted = {}
+    for G in abelian_groups_upto(16):
+        if G.orders != (2, 2, 2, 2):
+            admitted[G.orders] = sum(table_constants(r.label) for r in classify_all(all_subgroups(G), construct=False))
+    assert max(admitted.values()) == admitted[(2, 2, 4)] == 590310 <= REPORT_CONSTANT_BOUND
 
 
 def test_census_goldens():

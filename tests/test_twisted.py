@@ -5,12 +5,11 @@ import hashlib
 import json
 
 import pytest
-from helpers import kernel_center_dim, nonzero_elements, quasitorus_params
+from helpers import kernel_center_dim, nonzero_elements, perturbations, quasitorus_params
 from hypothesis import given, settings, strategies as st
 
 from gradeddiv.cli import main
 from gradeddiv.gradedalg import (
-    GradedAlgebra,
     OracleError,
     _scan_associative,
     _scan_grading,
@@ -26,25 +25,6 @@ from gradeddiv.jsonio import algebra_to_json, quasitorus_params_from_json
 from gradeddiv.quasitorus import construct
 
 ORACLES = ((verify_grading, _scan_grading), (verify_unit, _scan_unit), (verify_associative, _scan_associative))
-
-
-def perturbations(A: GradedAlgebra, key: tuple, factor, wrong: int) -> dict:
-    """A with one change each: the constant at key times factor, dropped, or
-    sent to the basis index wrong, and the unit coefficient times factor."""
-    F = A.field
-    ((k, c),) = A.table[key].items()
-    ((e, u),) = A.unit.items()
-    dropped = {other: vec for other, vec in A.table.items() if other != key}
-
-    def algebra(table, unit=A.unit):
-        return GradedAlgebra(F, A.group, A.degrees, table, unit)
-
-    return {
-        "changed": algebra({**A.table, key: {k: F.mul(c, factor)}}),
-        "dropped": algebra(dropped),
-        "wrong index": algebra({**A.table, key: {wrong: c}}),
-        "unit": algebra(A.table, {e: F.mul(u, factor)}),
-    }
 
 
 @given(quasitorus_params(), st.data())
