@@ -97,7 +97,7 @@ def _parse_field(args) -> object:
     if name == "GF":
         if args.p is None:
             raise CliError("bad-parameters", "--field GF needs --p (and optional --ell)")
-        return FiniteField(args.p, args.ell or 1)
+        return FiniteField(args.p, args.ell)
     raise CliError("bad-parameters", f"unknown field {args.field!r}")
 
 
@@ -318,7 +318,7 @@ def _label_params_json(label, field) -> dict:
 def _cmd_classify_real(args) -> dict:
     G = _parse_group(args.group)
     if G.order > 64:
-        raise CliError("bad-parameters", "classification bounded to |G| <= 64")
+        raise CliError("bad-parameters", "classification bounded to |G| <= 64", EXIT_PRECONDITION)
     items = ("1", "2", "3", "4") if args.item is None else (str(args.item),)
     verify = args.oracle == "full"
 

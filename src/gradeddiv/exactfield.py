@@ -276,17 +276,6 @@ def _gfp_trim(f):
     return f
 
 
-def _gfp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _gfp_trim(out)
-
-
 def _gfp_mod(a, f, p):
     """a mod f with f monic."""
     a = list(a)
@@ -301,17 +290,6 @@ def _gfp_mod(a, f, p):
     return _gfp_trim(a)
 
 
-def _gfp_powmod(base, e, f, p):
-    result = [1]
-    base = _gfp_mod(base, f, p)
-    while e:
-        if e & 1:
-            result = _gfp_mod(_gfp_mul(result, base, p), f, p)
-        base = _gfp_mod(_gfp_mul(base, base, p), f, p)
-        e >>= 1
-    return result
-
-
 def _monic_gfp(f, p):
     inv = pow(f[-1], -1, p)
     return [(c * inv) % p for c in f]
@@ -323,36 +301,6 @@ def _gfp_gcd(a, b, p):
     while b:
         a, b = b, _gfp_mod(a, _monic_gfp(b, p), p)
     return _monic_gfp(a, p) if a else []
-
-
-def gfp_is_irreducible(f, p) -> bool:
-    """Rabin's test for a monic polynomial over GF(p)."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    h = x
-    checkpoints = {n // r for r in prime_divisors(n)}
-    for i in range(1, n + 1):
-        h = _gfp_powmod(h, p, f, p)
-        if i in checkpoints:
-            diff = _poly_sub_int(h, x, p)
-            # diff == 0 means f divides X^{p^i} - X, so f splits into small factors
-            if not diff or _gfp_gcd(f, diff, p) != [1]:
-                return False
-    return _poly_sub_int(h, x, p) == []
-
-
-def _zip_pad(a, b):
-    la, lb = len(a), len(b)
-    n = max(la, lb)
-    return [((a[i] if i < la else 0), (b[i] if i < lb else 0)) for i in range(n)]
-
-
-def _poly_sub_int(a, b, p):
-    return _gfp_trim([(x - y) % p for x, y in _zip_pad(a, b)])
 
 
 def _packed_image(coeff_vecs: list[dict], modulus, p: int) -> tuple:
@@ -393,7 +341,13 @@ FIELD_TABLE_BOUND = 2**23
 
 
 class FiniteField:
-    """GF(p^ell); elements are ints in [0, q) encoding base-p coefficient vectors."""
+    """GF(p^ell); elements are ints in [0, q) encoding base-p coefficient vectors.
+
+    Every exponentiation runs on packed elements: Rabin's test of the modulus,
+    the generator search and Pohlig-Hellman.  ``generator`` skips the indices
+    below p, which are GF(p)^x and so of order dividing p - 1 < q - 1.  A
+    digit step of ``dlog`` raises gamma^-1, gamma of order r^e, to a power
+    below r^e, not g to one of about log2 q bits."""
 
     kind = "GF"
 
@@ -411,15 +365,6 @@ class FiniteField:
                 f"GF({p}^{ell}) has more than FIELD_TABLE_BOUND = {FIELD_TABLE_BOUND} elements, too many to tabulate"
             )
         self.q = p**ell
-        if modulus is None:
-            modulus = self._find_modulus(p, ell)
-        else:
-            modulus = list(int(c) % p for c in modulus)
-            if len(modulus) != ell + 1 or modulus[-1] != 1:
-                raise FieldError("modulus must be monic of degree ell")
-            if ell > 1 and not gfp_is_irreducible(modulus, p):
-                raise FieldError("modulus is not irreducible")
-        self.modulus = tuple(modulus)
         self.zero = 0
         self.one = 1
         self._gen = None
@@ -434,7 +379,8 @@ class FiniteField:
         # at once: c M < 2^k, and each quotient, below 2^b, sits under the bits
         # the next digit's c M shifts down.  A packed element times
         # sum p^(ell-1-j) x^j has coefficients < q, the one of x^(ell-1) being
-        # the element itself (``_unpack``).
+        # the element itself (``_unpack``).  None of this depends on the
+        # modulus, only ``_reducers`` does.
         b = ((2 * ell - 1) * (p - 1) ** 2).bit_length()
         self._s = s = b + p.bit_length()
         self._M = -(-(1 << s) // p)
@@ -443,18 +389,44 @@ class FiniteField:
         self._quotients = sum(((1 << b) - 1) << (k * i) for i in range(ell))
         self._radix = sum(p ** (ell - 1 - j) << (k * j) for j in range(ell))
         self._radix_p = sum(p << (k * j) for j in range(ell))
-        # x^t mod the modulus, packed, for the high coefficients t = ell .. 2 ell - 2
-        self._reducers = [self._pack(self.from_vec([0] * t + [1])) for t in range(ell, 2 * ell - 1)]
+        if modulus is None:
+            # the first monic irreducible of degree ell, its lower coefficients
+            # read as the base-p digits of 0, 1, 2, ...; for ell > 1 the
+            # multiples of p are skipped, as x divides their polynomials
+            candidates = (self._digits(i, p, ell) + [1] for i in range(self.q) if ell == 1 or i % p)
+        else:
+            candidates = [[int(c) % p for c in modulus]]
+            if len(candidates[0]) != ell + 1 or candidates[0][-1] != 1:
+                raise FieldError("modulus must be monic of degree ell")
+        if not any(map(self._irreducible, candidates)):
+            raise FieldError("modulus is not irreducible")
 
-    @staticmethod
-    def _find_modulus(p, ell):
-        """The first monic irreducible of degree ell, its lower coefficients
-        read as the base-p digits of 0, 1, 2, ..."""
-        for idx in range(p**ell):
-            coeffs = FiniteField._digits(idx, p, ell) + [1]
-            if gfp_is_irreducible(coeffs, p):
-                return coeffs
-        raise AssertionError("internal: no irreducible modulus found")
+    def _irreducible(self, f) -> bool:
+        """Makes the monic f of degree ell the modulus, and tells whether it
+        is irreducible by Rabin's test on packed elements of GF(p)[x]/(f):
+        x^(p^ell) = x, and x^(p^(ell/r)) - x is prime to f for every prime
+        r | ell (a degree-1 f is irreducible)."""
+        p, k, ell = self.p, self._k, self.ell
+        self.modulus = tuple(f)
+        if ell == 1:
+            self._reducers = []
+            return True
+        # x^t mod f, packed, for the high coefficients t = ell .. 2 ell - 2:
+        # x^ell = -(f_0 + ... + f_(ell-1) x^(ell-1)), and x^(t+1) = x x^t
+        self._reducers = [sum(-c % p << (k * i) for i, c in enumerate(f[:-1]))]
+        for _ in range(ell - 2):
+            self._reducers.append(self._reduce(self._reducers[-1] << k))
+        checkpoints = {ell // r for r in prime_divisors(ell)}
+        h = p  # the element x
+        for i in range(1, ell + 1):
+            h = self.power(h, p)
+            if i in checkpoints:
+                h_minus_x = list(self.to_vec(h))
+                h_minus_x[1] = (h_minus_x[1] - 1) % p
+                # gcd(f, 0) = f: then f divides x^(p^i) - x, a product of factors of degree dividing i
+                if _gfp_gcd(f, h_minus_x, p) != [1]:
+                    return False
+        return h == p
 
     @staticmethod
     def _digits(n, p, width):
@@ -562,20 +534,34 @@ class FiniteField:
         e %= self.q - 1
         if self.ell == 1:
             return pow(a, e, self.p)
+        # ``_reduce`` inlined: each bit squares ("0"), then a 1 multiplies by a
+        p, k, mask, reducers = self.p, self._k, self._mask, self._reducers
+        M, s, quotients = self._M, self._s, self._quotients
+        low = k * self.ell
+        low_mask = (1 << low) - 1
         a, r = self._pack(a), 1
-        for bit in f"{e:b}":
-            r = self._reduce(r * r)
-            if bit == "1":
-                r = self._reduce(r * a)
+        for step in f"{e:b}".replace("1", "01"):
+            v = r * r if step == "0" else r * a
+            acc = v & low_mask
+            v >>= low
+            for red in reducers:
+                if not v:
+                    break
+                acc += (v & mask) % p * red
+                v >>= k
+            r = acc - p * ((acc * M >> s) & quotients)
         return self._unpack(r)
 
     def generator(self) -> int:
         """The designated generator of the multiplicative group: the first
         element, in index order, whose (q-1)/r-th power is not 1 for every
-        prime r | q - 1 (kept, with the factors of q - 1 that ``dlog`` reads)."""
+        prime r | q - 1 (kept, with the factors of q - 1 that ``dlog`` reads).
+        For ell > 1 the scan starts at index p: the indices 1 .. p - 1 are
+        GF(p)^x, whose orders divide p - 1 < q - 1, so none of them generates."""
         if self._gen is None:
             m, self._factors = self.q - 1, factorint(self.q - 1)
-            self._gen = next(c for c in range(1, self.q) if all(self.power(c, m // r) != 1 for r in self._factors))
+            start = 1 if self.ell == 1 else self.p
+            self._gen = next(c for c in range(start, self.q) if all(self.power(c, m // r) != 1 for r in self._factors))
         return self._gen
 
     def dlog(self, x: int) -> int:
@@ -583,7 +569,10 @@ class FiniteField:
         Pohlig-Hellman: for each prime power r^e || q - 1, x^((q-1)/r^e) =
         g^((q-1)/r^e L) gives L mod r^e, read in base r one digit at a time
         by ``_bsgs`` in the subgroup of order r; the Chinese remainder theorem
-        joins them.  Each answer is checked and cached."""
+        joins them.  A digit step multiplies by a power of gamma^-1, gamma =
+        g^((q-1)/r^e) of order r^e, so its exponent d r^i is reduced below r^e
+        instead of being one of about log2 q bits.  Each answer is checked and
+        cached."""
         if x == 0:
             raise FieldError("discrete log of 0")
         if x not in self._dlogs:
@@ -591,11 +580,13 @@ class FiniteField:
             L, M = 0, 1
             for r, e in self._factors.items():
                 h, Le = self.power(x, m // r**e), 0
+                if e > 1:
+                    gamma_inv = self.power(g, -(m // r**e))
                 for i in range(e):
-                    # h = g^((q-1)/r^e (L - Le)), and L - Le = d r^i (mod r^(i+1))
-                    d = self._bsgs(r, self.power(h, r ** (e - 1 - i)))
+                    # h = gamma^(L - Le), and L - Le = d r^i (mod r^(i+1))
+                    d = self._bsgs(r, self.power(h, r ** (e - 1 - i)) if i < e - 1 else h)
                     if d and i < e - 1:
-                        h = self.mul(h, self.power(g, -(m // r**e) * d * r**i))
+                        h = self.mul(h, self.power(gamma_inv, d * r**i))
                     Le += d * r**i
                 L += M * ((Le - L) * pow(M, -1, r**e) % r**e)
                 M *= r**e

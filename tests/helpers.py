@@ -20,8 +20,9 @@ from gradeddiv.exactfield import (
     FiniteField,
     RationalField,
     RealField,
+    _gfp_gcd,
     _gfp_mod,
-    _gfp_mul,
+    _gfp_trim,
     poly_divmod,
     poly_mul,
     poly_sub,
@@ -621,6 +622,70 @@ def is_irreducible_ff(field: FiniteField, f) -> bool:
             if not diff or poly_gcd(field, f, diff) != [field.one]:
                 return False
     return poly_sub(field, h, x) == []
+
+
+# The list-based arithmetic of GF(p)[x] and its Rabin test, which
+# FiniteField ran before its modulus search moved onto packed elements: the
+# reference for that search and for the check of a given modulus.
+
+
+def _gfp_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _gfp_trim(out)
+
+
+def _gfp_powmod(base, e, f, p):
+    result = [1]
+    base = _gfp_mod(base, f, p)
+    while e:
+        if e & 1:
+            result = _gfp_mod(_gfp_mul(result, base, p), f, p)
+        base = _gfp_mod(_gfp_mul(base, base, p), f, p)
+        e >>= 1
+    return result
+
+
+def _gfp_sub(a, b, p):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _gfp_trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def gfp_is_irreducible(f, p) -> bool:
+    """Rabin's test for a monic polynomial over GF(p)."""
+    n = len(f) - 1
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    x = [0, 1]
+    h = x
+    checkpoints = {n // r for r in prime_divisors(n)}
+    for i in range(1, n + 1):
+        h = _gfp_powmod(h, p, f, p)
+        if i in checkpoints:
+            diff = _gfp_sub(h, x, p)
+            # diff == 0 means f divides X^{p^i} - X, so f splits into small factors
+            if not diff or _gfp_gcd(f, diff, p) != [1]:
+                return False
+    return _gfp_sub(h, x, p) == []
+
+
+def reference_modulus(p: int, ell: int) -> list[int]:
+    """The first monic irreducible of degree ell over GF(p), its lower
+    coefficients read as the base-p digits of 0, 1, 2, ...: every candidate
+    is tested, none is skipped."""
+    for idx in range(p**ell):
+        f = FiniteField._digits(idx, p, ell) + [1]
+        if gfp_is_irreducible(f, p):
+            return f
+    raise AssertionError("no irreducible of degree ell")
 
 
 # The mu extension rules: the power constant of every element, evaluated from

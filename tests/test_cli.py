@@ -769,6 +769,14 @@ def test_classify_real_refuses_a_report_above_its_constant_bound(capsys):
     assert f"REPORT_CONSTANT_BOUND = {REPORT_CONSTANT_BOUND}" in message and "8027910" in message
 
 
+def test_classify_real_refuses_a_group_above_its_order_bound_with_exit_3(capsys):
+    # a precondition bound like every other: exit 3, not the exit 2 of a malformed input
+    for group in ("65", "2,33", "128"):
+        code, report = run_cli(capsys, "classify-real", "--group", group, "--count-only")
+        assert code == 3, group
+        assert report["error"] == {"code": "bad-parameters", "message": "classification bounded to |G| <= 64"}
+
+
 def test_readme_command_lines_parse():
     # a documented flag the CLI refuses fails here; the commands only parse, nothing runs
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -1063,6 +1071,14 @@ def test_ff_grade_refuses_bad_field_parameters(capsys):
             code, report = run_cli(capsys, "ff-grade", *args, *extra)
             assert code == 3, args + extra
             assert report["error"] == {"code": "bad-parameters", "message": message}
+
+
+def test_is_field_refuses_extension_degree_0(capsys):
+    # no field has extension degree 0, as ff-grade and FiniteField say; it is not read as GF(p)
+    for ell in ("0", "-1"):
+        code, report = run_cli(capsys, "is-field", "--field", "GF", "--p", "7", "--ell", ell, "--group", "2", "--mu", "3")
+        assert code == 3, ell
+        assert report["error"] == {"code": "bad-parameters", "message": "extension degree must be >= 1"}
 
 
 def test_frobenius_grade_tests_divisibility_before_primality(capsys, monkeypatch):

@@ -4,7 +4,15 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from helpers import cyclotomic_conjugate, is_irreducible_ff, reference_field_tables, reference_is_prime
+from helpers import (
+    _gfp_mul,
+    cyclotomic_conjugate,
+    gfp_is_irreducible,
+    is_irreducible_ff,
+    reference_field_tables,
+    reference_is_prime,
+    reference_modulus,
+)
 from hypothesis import given, settings, strategies as st
 
 from gradeddiv.exactfield import (
@@ -15,11 +23,9 @@ from gradeddiv.exactfield import (
     RationalField,
     RealField,
     _gfp_mod,
-    _gfp_mul,
     Residues,
     binomial_poly,
     cyclotomic_polynomial,
-    gfp_is_irreducible,
     minus4_fourth_power_test,
     poly_eval,
 )
@@ -68,6 +74,32 @@ def test_ff_modulus_deterministic():
     assert a.modulus == (1, 0, 1)
     c = FiniteField(3, 2, modulus=(2, 2, 1))
     assert c.q == 9 and c != a  # another modulus still yields a valid field
+
+
+def test_default_modulus_is_the_reference_search():
+    fields = [(p, ell) for p in range(2, 4097) if is_prime(p) for ell in range(1, 13) if p**ell <= 4096]
+    # and the extension fields the field-decisions benchmark builds
+    for p, ell in fields + [(13, 4), (31, 3), (5, 6), (19, 3), (2, 10), (31, 2)]:
+        assert FiniteField(p, ell).modulus == tuple(reference_modulus(p, ell)), (p, ell)
+
+
+def test_a_given_modulus_is_checked_like_the_reference():
+    """Every monic f of small degree over a small prime field: an irreducible
+    one builds the field, a reducible one is refused.  The irreducibles are
+    also counted against Gauss's formula (1/n) sum_{d | n} mobius(d) p^(n/d)."""
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}
+    for p, degrees in ((2, range(2, 7)), (3, range(2, 5)), (5, range(2, 4)), (7, range(2, 4))):
+        for n in degrees:
+            irreducible = 0
+            for idx in range(p**n):
+                f = FiniteField._digits(idx, p, n) + [1]
+                if gfp_is_irreducible(f, p):
+                    irreducible += 1
+                    assert FiniteField(p, n, modulus=f).modulus == tuple(f)
+                else:
+                    with pytest.raises(FieldError, match="modulus is not irreducible"):
+                        FiniteField(p, n, modulus=f)
+            assert irreducible == sum(mobius[d] * p ** (n // d) for d in mobius if n % d == 0) // n, (p, n)
 
 
 def test_field_axioms_exhaustive_small():
