@@ -245,9 +245,11 @@ def _cmd_ff_grade(args) -> dict:
         "reason": decision.reason,
     }
     if args.list_mu:
-        F = FiniteField(args.p, args.ell)
-        mus = ff_grading_mus(F, args.k) if decision.is_true else []
-        report["mu"] = [F.elem_to_json(m) for m in mus]
+        mus = []
+        if decision.is_true:  # a false decision lists no mu, so it builds no field
+            F = FiniteField(args.p, args.ell)
+            mus = [F.elem_to_json(m) for m in ff_grading_mus(F, args.k)]
+        report["mu"] = mus
     return report
 
 
@@ -366,8 +368,9 @@ def _cmd_classify_real(args) -> dict:
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parse_args leaves it unchanged."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and each command's own parser by name (the subparsers'
+    ``choices``), built once per process; parse_args leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="gradeddiv",
         description="Exact construction, verification, classification, and "
@@ -428,7 +431,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", required=True, help="comma-separated Lambda generators")
     p.add_argument("--out")
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser.  It reads the lines that do not start with a command
+    name (empty, ``--verbose`` or ``-h`` first, an unknown command) and those
+    with arguments the command's parser does not know, so each refusal is its
+    own.  A command's parser reads every other line alone: the full parser
+    would classify each argument and then pass them all to it, two passes."""
+    return _parsers()[0]
+
+
+def _parse_argv(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one pass where it can be: from
+    the namespace the full parser would hand over.  A ``--=`` argument goes to
+    the full parser too, which refuses it as ambiguous (``--help`` or
+    ``--verbose``) where a command's parser names its own options."""
+    argv = sys.argv[1:] if argv is None else argv
+    command_parser = _parsers()[1].get(argv[0]) if argv else None
+    if command_parser is not None and not any(a.startswith("--=") for a in argv):
+        seeded = argparse.Namespace(command=argv[0], verbose=False)
+        args, rest = command_parser.parse_known_args(argv[1:], seeded)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 _HANDLERS = {
@@ -446,9 +473,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line (``sys.argv[1:]`` when argv is None); return its
+    exit code.  A line that starts with a command name is read by that
+    command's parser alone, unless it leaves arguments that parser does not
+    know; those and every other line by the full parser (``build_parser``)."""
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(argv)
     except SystemExit as exc:
         if exc.code:
             # unknown subcommand or bad flags; argparse already printed usage

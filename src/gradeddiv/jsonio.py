@@ -187,5 +187,9 @@ def quasitorus_params_from_json(data: dict):
     return G, beta, mu, F
 
 
+# one encoder for every report: json.dumps builds a new one per call when given options
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _CANONICAL.encode(obj) + "\n"

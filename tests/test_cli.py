@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from helpers import classify_stratum, dense, left_mult_matrix, solve
 
-from gradeddiv import jsonio
+from gradeddiv import cli, jsonio
 from gradeddiv.abelian import FinAbGroup
 from gradeddiv.cli import build_parser, main
 from gradeddiv.exactfield import FIELD_TABLE_BOUND
@@ -795,6 +795,99 @@ def test_readme_command_lines_parse():
             pytest.fail(f"README command refused by the parser: {line}")
 
 
+# lines the one-pass parse must read as the full parser does, refusals included
+PARSE_LINES = [
+    # every command with every option
+    "construct --in r.json --out a.json --oracle fast",
+    "invariants --in a.json",
+    "decompose --in a.json",
+    "iso --a a.json --b b.json",
+    "verify --in a.json",
+    "classify-real --group 2,2 --item 3 --count-only --out c.json --oracle fast",
+    "is-field --field GF --p 5 --ell 2 --group 2,2 --mu 2,3",
+    "ff-grade --p 7 --ell 1 --k 3 --list-mu",
+    "frobenius-grade --p 7 --ell 1 --q 3 --out f.json",
+    "kummer-grade --p 7 --ell 1 --n 3 --lam 3 --out k.json",
+    # abbreviations, = forms and negative values
+    "is-field --fi Q --gr 2,2 --mu=-4,3",
+    "is-field --field=Q --group=2 --mu -4",
+    "kummer-grade --p=7 --el 1 --n=3 --la 3",
+    "classify-real --gr 2 --cou",
+    # repeated options: the last one holds
+    "ff-grade --p 2 --p 3 --ell 1 --k 2 --k 4 --list-mu --list-mu",
+    # refusals
+    "is-field --field Q --group 2",
+    "is-field --field Q --group 2 --mu 3 --bogus",
+    "is-field --field Q --group 2 --mu 3 stray",
+    "classify-real --group 2 --item 5",
+    "classify-real --group 2 --o x",
+    "ff-grade --p x --ell 1 --k 2",
+    "ff-grade --p 7 --ell 1 --k",
+    "is-field --field Q --group 2 --mu 3 -hx",
+    "is-field --=x",
+    "is-field -- --=x",
+    "",
+    "nope --p 2",
+    # help before and after the command
+    "-h",
+    "-h is-field",
+    "is-field -h",
+    "is-field --field Q -h",
+    # --verbose before and after the command
+    "--verbose is-field --field Q --group 2 --mu 3",
+    "is-field --field Q --group 2 --mu 3 --verbose",
+]
+
+
+def _parse_outcome(capsys, parse, argv) -> tuple:
+    try:
+        outcome = parse(argv)
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+def test_one_pass_parse_matches_the_full_parser(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+        for line in block.splitlines()
+        if line.startswith("gradeddiv ")
+    ]
+    assert len(lines) > 10
+    argvs = [shlex.split(line, comments=True)[1:] for line in lines]
+    argvs += [shlex.split(line) for line in PARSE_LINES]
+    for argv in argvs:
+        ours = _parse_outcome(capsys, cli._parse_argv, argv)
+        full = _parse_outcome(capsys, build_parser().parse_args, argv)
+        assert ours == full, argv
+
+
+def test_a_command_line_is_read_by_the_command_parser_alone(monkeypatch):
+    def refuse():
+        raise AssertionError("the full parser read a line that starts with a command")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    args = cli._parse_argv(["is-field", "--field", "Q", "--group", "2", "--mu=-4"])
+    assert vars(args) == {"command": "is-field", "verbose": False, "field": "Q", "p": None, "ell": 1, "group": "2", "mu": "-4"}
+
+
+def test_verbose_adds_one_elapsed_line_on_stderr(capsys):
+    argv = ["is-field", "--field", "Q", "--group", "2,2", "--mu", "2,3"]
+    code = main(argv)
+    plain = capsys.readouterr()
+    verbose_code = main(["--verbose", *argv])
+    verbose = capsys.readouterr()
+    assert code == verbose_code == 0
+    assert verbose.out == plain.out and plain.err == ""
+    assert re.fullmatch(r"elapsed: \d+\.\d{3}s\n", verbose.err)
+    # after the command it is no option of is-field
+    code, report = run_cli(capsys, *argv, "--verbose")
+    assert code == 2 and report["error"]["code"] == "bad-arguments"
+
+
 def test_is_field_reports(capsys):
     code, report = run_cli(capsys, "is-field", "--field", "Q", "--group", "2,2", "--mu", "2,3")
     assert code == 0 and report["verdict"] == "true"
@@ -928,7 +1021,17 @@ def test_ff_grade_builds_the_field_once_and_decides_once(capsys, monkeypatch):
         builds.clear()
         code, report = run_cli(capsys, "ff-grade", *argv, "--list-mu")
         assert code == 0 and report["mu"] == mus
-        assert len(decisions) == 1 and len(builds) == 1
+        # a false decision lists no mu and builds no field
+        assert len(decisions) == 1 and len(builds) == (1 if mus else 0)
+
+
+def test_ff_grade_lists_no_mu_on_a_false_decision_beyond_the_field_bound(capsys):
+    # GF(2^30) is above FIELD_TABLE_BOUND, but a false decision builds no field
+    argv = ("ff-grade", "--p", "2", "--ell", "30", "--k", "5")
+    code, plain = run_cli(capsys, *argv)
+    assert code == 0 and plain["verdict"] is False
+    code, listed = run_cli(capsys, *argv, "--list-mu")
+    assert code == 0 and listed == {**plain, "mu": []}
 
 
 def test_frobenius_and_kummer_commands(capsys, tmp_path):
